@@ -42,7 +42,8 @@ class RunRecord:
 
 @dataclass(frozen=True)
 class GroupScan:
-    """Correlations between alpha and the gap within one group."""
+    """Correlations between alpha and the gap within one group, plus the
+    (alpha, mean gap, std gap) rows they are computed from, by ascending alpha."""
 
     group: float
     n_seeds: int
@@ -50,6 +51,7 @@ class GroupScan:
     tau_seed_std: float
     tau_mean_gap: float
     pearson_mean_gap: float
+    alpha_gaps: tuple[tuple[float, float, float], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -177,10 +179,6 @@ def pearson(xs, ys) -> float:
     return float(dx @ dy) / math.sqrt(sx * sy)
 
 
-def _group_values(records: list[RunRecord], key: str) -> list[float]:
-    return sorted({getattr(r, key) for r in records})
-
-
 def correlation_scan(records, group_key: str) -> list[GroupScan]:
     """Per-group correlation between alpha and the gap.
 
@@ -193,36 +191,43 @@ def correlation_scan(records, group_key: str) -> list[GroupScan]:
     live = [r for r in records if not r.diverged]
     if not live:
         raise AnalysisPreconditionError("no non-diverged records")
+    groups: dict[float, list[RunRecord]] = {}
+    for r in live:
+        groups.setdefault(getattr(r, group_key), []).append(r)
     scans = []
-    for g in _group_values(live, group_key):
-        rows = [r for r in live if getattr(r, group_key) == g]
-        alphas = sorted({r.alpha for r in rows})
+    for g in sorted(groups):
+        by_alpha: dict[float, list[float]] = {}
+        by_seed: dict[int, list[tuple[float, float]]] = {}
+        for r in groups[g]:
+            by_alpha.setdefault(r.alpha, []).append(r.gap)
+            by_seed.setdefault(r.seed, []).append((r.alpha, r.gap))
+        alphas = sorted(by_alpha)
         if len(alphas) < 2:
             raise AnalysisPreconditionError(
                 f"group {group_key}={g} has fewer than 2 distinct alpha values"
             )
         taus = []
-        for seed in sorted({r.seed for r in rows}):
-            sub = sorted((r.alpha, r.gap) for r in rows if r.seed == seed)
+        for seed in sorted(by_seed):
+            sub = sorted(by_seed[seed])
             if len({a for a, _ in sub}) < 2:
                 continue
             try:
                 taus.append(kendall_tau([a for a, _ in sub], [gp for _, gp in sub]))
             except AnalysisPreconditionError:
                 continue  # constant gaps in this seed
-        mean_gaps = [
-            float(np.mean([r.gap for r in rows if r.alpha == a])) for a in alphas
-        ]
-        tau_mean = kendall_tau(alphas, mean_gaps)
-        pear_mean = pearson(alphas, mean_gaps)
+        alpha_gaps = tuple(
+            (a, float(np.mean(by_alpha[a])), float(np.std(by_alpha[a]))) for a in alphas
+        )
+        mean_gaps = [m for _, m, _ in alpha_gaps]
         scans.append(
             GroupScan(
                 group=float(g),
                 n_seeds=len(taus),
                 tau_seed_mean=float(np.mean(taus)) if taus else float("nan"),
                 tau_seed_std=float(np.std(taus)) if taus else float("nan"),
-                tau_mean_gap=tau_mean,
-                pearson_mean_gap=pear_mean,
+                tau_mean_gap=kendall_tau(alphas, mean_gaps),
+                pearson_mean_gap=pearson(alphas, mean_gaps),
+                alpha_gaps=alpha_gaps,
             )
         )
     return scans

@@ -4,7 +4,6 @@ Subcommands: constants, sample, simulate, grid, analyze, regress-alpha.
 Each reads a flat key=value config (where applicable) plus ``--set``
 flag overrides, and emits CSV to stdout or ``--out``. Exit codes:
 0 success, 1 config error, 2 I/O error, 3 analysis precondition failure.
-The LEVYBOUND_WORKERS environment variable bounds the grid worker pool.
 """
 
 import argparse
@@ -13,14 +12,7 @@ import sys
 import numpy as np
 
 from . import analysis as an
-from .bounds import (
-    BoundInputs,
-    bound_estimate,
-    brownian_bound,
-    discrete_bound,
-    integral_estimate,
-    stable_bound,
-)
+from .bounds import BoundInputs, brownian_bound, discrete_bound, stable_bound
 from .constants import bound_constants, comparison_rate, phase_regime
 from .data import SyntheticSpec, parse_config, read_records
 from .errors import (
@@ -28,10 +20,9 @@ from .errors import (
     DataFormatError,
     InvalidParameterError,
 )
-from .grid import GridSpec, IdxSource, execute_grid, load_grid_datasets, _model_for
-from .models import param_count
+from .grid import GridSpec, IdxSource, evaluate_cell, execute_grid, load_grid_datasets
 from .rng import RngStream
-from .sde import TrainConfig, run_training
+from .sde import TrainConfig
 from .stable import StableParams, sample_isotropic_stable, sample_skewed_stable
 
 # Standard experiment profile: gamma 1e-2, eta 1e-3, trailing window of
@@ -45,6 +36,8 @@ DEFAULTS = {
     "eval_interval": "10",
     "seed": "0",
     "width": "0",
+    "widths": "0",
+    "seeds": "0",
     "init_scale": "1.0",
     "window": "2000",
     "trim": "0.15",
@@ -93,43 +86,22 @@ def _cfg_from(args) -> dict[str, str]:
     return cfg
 
 
-def _float(cfg, key) -> float:
+def _value(cfg, key, convert, many=False):
+    """Config value ``key`` through ``convert`` (float or int); a tuple if ``many``."""
     try:
-        return float(cfg[key])
+        raw = cfg[key]
     except KeyError:
         raise InvalidParameterError(f"missing config key {key!r}") from None
-    except ValueError:
-        raise InvalidParameterError(f"config key {key!r} is not a number: {cfg[key]!r}") from None
-
-
-def _int(cfg, key) -> int:
     try:
-        return int(cfg[key])
-    except KeyError:
-        raise InvalidParameterError(f"missing config key {key!r}") from None
+        return tuple(convert(v) for v in raw.split(",")) if many else convert(raw)
     except ValueError:
-        raise InvalidParameterError(f"config key {key!r} is not an integer: {cfg[key]!r}") from None
+        kind = "an integer" if convert is int else "a number"
+        kind += " list" if many else ""
+        raise InvalidParameterError(f"config key {key!r} is not {kind}: {raw!r}") from None
 
 
-def _float_list(cfg, key) -> tuple[float, ...]:
-    try:
-        return tuple(float(v) for v in cfg[key].split(","))
-    except KeyError:
-        raise InvalidParameterError(f"missing config key {key!r}") from None
-    except ValueError:
-        raise InvalidParameterError(f"config key {key!r} is not a number list") from None
-
-
-def _int_list(cfg, key) -> tuple[int, ...]:
-    try:
-        return tuple(int(v) for v in cfg[key].split(","))
-    except KeyError:
-        raise InvalidParameterError(f"missing config key {key!r}") from None
-    except ValueError:
-        raise InvalidParameterError(f"config key {key!r} is not an integer list") from None
-
-
-def _train_config(cfg, alpha: float, sigma1: float, seed: int) -> TrainConfig:
+def _train_config(cfg) -> TrainConfig:
+    """The grid's training template; each cell replaces alpha, sigma1 and seed."""
     batch = cfg["batch_size"].strip().lower()
     if batch in ("full", ""):
         batch_size = None
@@ -141,15 +113,14 @@ def _train_config(cfg, alpha: float, sigma1: float, seed: int) -> TrainConfig:
                 f"batch_size must be an integer or 'full', got {batch!r}"
             ) from None
     return TrainConfig(
-        gamma=_float(cfg, "gamma"),
-        eta=_float(cfg, "eta"),
-        alpha=alpha,
-        sigma1=sigma1,
-        sigma2=_float(cfg, "sigma2"),
-        steps=_int(cfg, "steps"),
+        gamma=_value(cfg, "gamma", float),
+        eta=_value(cfg, "eta", float),
+        alpha=2.0,
+        sigma1=0.0,
+        sigma2=_value(cfg, "sigma2", float),
+        steps=_value(cfg, "steps", int),
         batch_size=batch_size,
-        eval_interval=_int(cfg, "eval_interval"),
-        seed=seed,
+        eval_interval=_value(cfg, "eval_interval", int),
     )
 
 
@@ -157,12 +128,12 @@ def _data_source(cfg):
     kind = cfg["data"].strip().lower()
     if kind == "synthetic":
         return SyntheticSpec(
-            n_per_class=_int(cfg, "n_per_class"),
-            input_dim=_int(cfg, "input_dim"),
-            classes=_int(cfg, "classes"),
-            separation=_float(cfg, "separation"),
-            noise_std=_float(cfg, "noise_std"),
-            seed=_int(cfg, "data_seed"),
+            n_per_class=_value(cfg, "n_per_class", int),
+            input_dim=_value(cfg, "input_dim", int),
+            classes=_value(cfg, "classes", int),
+            separation=_value(cfg, "separation", float),
+            noise_std=_value(cfg, "noise_std", float),
+            seed=_value(cfg, "data_seed", int),
         )
     if kind == "idx":
         for key in ("train_images", "train_labels", "test_images", "test_labels"):
@@ -173,28 +144,25 @@ def _data_source(cfg):
             train_labels=cfg["train_labels"],
             test_images=cfg["test_images"],
             test_labels=cfg["test_labels"],
-            subsample_fraction=_float(cfg, "subsample"),
-            subsample_seed=_int(cfg, "subsample_seed"),
+            subsample_fraction=_value(cfg, "subsample", float),
+            subsample_seed=_value(cfg, "subsample_seed", int),
         )
     raise InvalidParameterError(f"data must be 'synthetic' or 'idx', got {cfg['data']!r}")
 
 
-def _grid_spec(cfg, out_override=None) -> GridSpec:
-    out = out_override or cfg.get("out")
-    if not out:
-        raise InvalidParameterError("grid needs an output path (config key 'out' or --out)")
+def _grid_spec(cfg, out: str) -> GridSpec:
     return GridSpec(
-        alphas=_float_list(cfg, "alphas"),
-        sigma1s=_float_list(cfg, "sigma1s"),
-        widths=_int_list(cfg, "widths") if "widths" in cfg else (0,),
-        seeds=_int_list(cfg, "seeds") if "seeds" in cfg else (0,),
-        train=_train_config(cfg, alpha=2.0, sigma1=0.0, seed=0),
+        alphas=_value(cfg, "alphas", float, many=True),
+        sigma1s=_value(cfg, "sigma1s", float, many=True),
+        widths=_value(cfg, "widths", int, many=True),
+        seeds=_value(cfg, "seeds", int, many=True),
+        train=_train_config(cfg),
         data=_data_source(cfg),
         out=out,
-        init_scale=_float(cfg, "init_scale"),
-        window=_int(cfg, "window"),
-        trim=_float(cfg, "trim"),
-        radius=_float(cfg, "R"),
+        init_scale=_value(cfg, "init_scale", float),
+        window=_value(cfg, "window", int),
+        trim=_value(cfg, "trim", float),
+        radius=_value(cfg, "R", float),
     )
 
 
@@ -264,53 +232,46 @@ SIMULATE_HEADER = (
 
 def _cmd_simulate(args) -> int:
     cfg = _cfg_from(args)
-    alpha = _float(cfg, "alpha")
-    sigma1 = _float(cfg, "sigma1")
-    seed = _int(cfg, "seed")
-    width = _int(cfg, "width")
-    tc = _train_config(cfg, alpha, sigma1, seed)
-
-    grid = GridSpec(
-        alphas=(alpha,), sigma1s=(sigma1,), widths=(width,), seeds=(seed,),
-        train=tc, data=_data_source(cfg), out="unused",
-        init_scale=_float(cfg, "init_scale"), window=_int(cfg, "window"),
-        trim=_float(cfg, "trim"), radius=_float(cfg, "R"),
-    )
+    alpha, sigma1 = _value(cfg, "alpha", float), _value(cfg, "sigma1", float)
+    width, seed = _value(cfg, "width", int), _value(cfg, "seed", int)
+    # the cell is the one-cell grid at indices (0, 0), so its row is that grid's row
+    cfg.update(alphas=cfg["alpha"], sigma1s=cfg["sigma1"], widths=cfg["width"], seeds=cfg["seed"])
+    grid = _grid_spec(cfg, out="")
     train, test = load_grid_datasets(grid)
-    spec = _model_for(width, train)
-    d = param_count(spec)
-    trace = run_training(spec, train, test, tc, grid.init_scale, rng=RngStream(seed))
+    record, trace = evaluate_cell(grid, train, test, alpha, sigma1, width, seed, 0, 0)
 
-    prefix = [_fmt(alpha), _fmt(sigma1), str(d), str(width), str(train.n), str(seed)]
-    if trace.diverged:
-        row = prefix + [""] * 6 + ["true"]
-        _emit(args, [SIMULATE_HEADER, ",".join(row)])
+    prefix = [_fmt(alpha), _fmt(sigma1), str(record.d), str(width), str(record.n), str(seed)]
+    if record.diverged:
+        _emit(args, [SIMULATE_HEADER, ",".join(prefix + [""] * 6 + ["true"])])
         return 0
 
-    gap = an.robust_gap(trace, grid.window, grid.trim)
-    i_hat = integral_estimate(trace)
+    tc = grid.train
     inputs = BoundInputs(
-        alpha=alpha, d=d, n=train.n, sigma1=sigma1, sigma2=tc.sigma2,
+        alpha=alpha, d=record.d, n=record.n, sigma1=sigma1, sigma2=tc.sigma2,
         gamma=tc.gamma, eta=tc.eta, radius=grid.radius,
-        s=_float(cfg, "s"), zeta=_float(cfg, "zeta"), lam=_float(cfg, "Lambda"),
+        s=_value(cfg, "s", float), zeta=_value(cfg, "zeta", float),
+        lam=_value(cfg, "Lambda", float),
     )
     inputs.validate()
     g_hat = thm = disc = brown = ""
     if sigma1 > 0.0:
-        g_hat = _fmt(bound_estimate(i_hat, inputs))
-        thm = _fmt(stable_bound(i_hat, inputs))
+        g_hat = _fmt(record.g_hat)
+        thm = _fmt(stable_bound(record.i_hat, inputs))
         if 0.0 < tc.gamma * tc.eta < 1.0:
             disc = _fmt(discrete_bound(trace, inputs))
     if tc.sigma2 > 0.0:
-        brown = _fmt(brownian_bound(i_hat, inputs))
-    row = prefix + [_fmt(gap), _fmt(i_hat), g_hat, thm, disc, brown, "false"]
+        brown = _fmt(brownian_bound(record.i_hat, inputs))
+    row = prefix + [_fmt(record.gap), _fmt(record.i_hat), g_hat, thm, disc, brown, "false"]
     _emit(args, [SIMULATE_HEADER, ",".join(row)])
     return 0
 
 
 def _cmd_grid(args) -> int:
     cfg = _cfg_from(args)
-    grid = _grid_spec(cfg, out_override=args.out)
+    out = args.out or cfg.get("out")
+    if not out:
+        raise InvalidParameterError("grid needs an output path (config key 'out' or --out)")
+    grid = _grid_spec(cfg, out)
     print(f"cells: {grid.cell_count}", file=sys.stderr)
     records = execute_grid(grid)
     print(f"wrote {len(records)} records to {grid.out}", file=sys.stderr)
@@ -356,17 +317,9 @@ def _cmd_analyze(args) -> int:
     _emit(args, lines)
 
     if args.long_out:
-        live = [r for r in records if not r.diverged]
         long_lines = ["group,alpha,mean_gap,std_gap"]
         for s in report.groups:
-            rows = [r for r in live if getattr(r, args.group_key) == s.group]
-            for a in sorted({r.alpha for r in rows}):
-                gaps = [r.gap for r in rows if r.alpha == a]
-                long_lines.append(
-                    ",".join(
-                        [_fmt(s.group), _fmt(a), _fmt(float(np.mean(gaps))), _fmt(float(np.std(gaps)))]
-                    )
-                )
+            long_lines.extend(",".join(map(_fmt, (s.group, *row))) for row in s.alpha_gaps)
         with open(args.long_out, "w") as f:
             f.write("\n".join(long_lines) + "\n")
     return 0

@@ -156,20 +156,7 @@ def noise_mixing_constant(
         raise InvalidParameterError("at least one noise scale must be positive")
     heavy = 0.0
     if sigma1 > 0.0:
-        _check_alpha_open(alpha, lo=1.0)
-        # sigma1^alpha / K, assembled in log space like the rest
-        log_heavy = (
-            alpha * math.log(sigma1)
-            + math.log(alpha)
-            + alpha * math.log(2.0)
-            + log_gamma((d + alpha) / 2.0)
-            + (2.0 - alpha) * math.log(radius)
-            - math.log(2.0 - alpha)
-            - log_gamma(1.0 - alpha / 2.0)
-            - math.log(d)
-            - log_gamma(0.5 * d)
-        )
-        heavy = math.exp(log_heavy)
+        heavy = math.exp(alpha * math.log(sigma1) - log_k_alpha_d(alpha, d, radius))
     return 1.0 / (4.0 * sigma2 * sigma2 + heavy)
 
 
@@ -193,16 +180,8 @@ def comparison_rate(alpha: float, d: int) -> tuple[float, float, float]:
     Returns (prior_constant, xi_ours, xi_prior) where the first grows like
     d^((1+alpha)/2) and the ratios are 1 - alpha/2 and (1+alpha)/2.
     """
-    _check_alpha_open(alpha, lo=1.0)
-    if d < 1:
-        raise InvalidParameterError(f"d must be >= 1, got {d}")
-    log_r = (
-        0.5 * math.log(d)
-        + log_gamma((alpha + d) / 2.0)
-        - math.log(2.0 - alpha)
-        - log_gamma(1.0 - alpha / 2.0)
-        - log_gamma(0.5 * d)
-    )
+    log_k_bar = log_k_alpha_d(alpha, d, 1.0)
+    log_r = 1.5 * math.log(d) - math.log(alpha) - alpha * math.log(2.0) - log_k_bar
     return math.exp(log_r), 1.0 - alpha / 2.0, (1.0 + alpha) / 2.0
 
 

@@ -2,11 +2,12 @@
 
 A grid is the cartesian product (alpha values) x (sigma1 values) x
 (widths) x (seeds) over one shared dataset. Cells are independent units
-of work: they may run concurrently on a bounded worker pool, results are
-appended to the output CSV as they complete (so an interrupted sweep
-resumes by skipping rows already on disk), and the final file is
-rewritten sorted by (alpha, sigma1, d, seed) so its content does not
-depend on execution order.
+of work, evaluated one after another by ``evaluate_cell`` (which the
+``simulate`` command also uses for its single cell). Each row is
+appended to the output CSV as soon as its cell finishes, so an
+interrupted sweep resumes by skipping rows already on disk, and the
+final file is rewritten sorted by (alpha, sigma1, d, seed) so its content
+does not depend on execution order.
 
 Each cell's random stream is keyed by the cell seed plus the (sigma,
 width) grid indices only. Alpha is deliberately excluded from the key:
@@ -16,9 +17,8 @@ between alpha and the gap less noisy.
 """
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from threading import Lock
+from itertools import product
 
 from .analysis import RunRecord, robust_gap
 from .bounds import BoundInputs, bound_estimate, integral_estimate
@@ -34,9 +34,7 @@ from .data import (
 from .errors import InvalidParameterError
 from .models import Dataset, ModelSpec, param_count
 from .rng import RngStream, mix64
-from .sde import TrainConfig, run_training
-
-WORKERS_ENV = "LEVYBOUND_WORKERS"
+from .sde import RunTrace, TrainConfig, run_training
 
 
 @dataclass(frozen=True)
@@ -98,44 +96,39 @@ def _model_for(width: int, train: Dataset) -> ModelSpec:
     return ModelSpec((train.input_dim, width, train.num_classes))
 
 
-def _run_cell(grid, train, test, alpha, sigma1, width, seed, i_sigma, i_width) -> RunRecord:
+def evaluate_cell(
+    grid: GridSpec, train: Dataset, test: Dataset,
+    alpha: float, sigma1: float, width: int, seed: int, i_sigma: int, i_width: int,
+) -> tuple[RunRecord, RunTrace]:
+    """Train one cell and reduce its trace to a records row.
+
+    The stream is keyed by the seed and the (sigma1, width) grid indices.
+    Only numerical divergence of the run yields a diverged row; any other
+    error propagates to the caller.
+    """
     spec = _model_for(width, train)
     d = param_count(spec)
     cfg = replace(grid.train, alpha=alpha, sigma1=sigma1, seed=seed)
-    stream = RngStream(seed, mix64(i_sigma, i_width))
+    trace = run_training(
+        spec, train, test, cfg, grid.init_scale, rng=RngStream(seed, mix64(i_sigma, i_width))
+    )
     nan = float("nan")
-    try:
-        trace = run_training(spec, train, test, cfg, grid.init_scale, rng=stream)
-        if trace.diverged:
-            return RunRecord(alpha, sigma1, d, width, train.n, seed, nan, nan, nan, True)
-        gap = robust_gap(trace, grid.window, grid.trim)
-        i_hat = integral_estimate(trace)
-        g_hat = nan
-        if sigma1 > 0.0:
-            inputs = BoundInputs(
-                alpha=alpha, d=d, n=train.n, sigma1=sigma1,
-                gamma=cfg.gamma, eta=cfg.eta, radius=grid.radius,
-            )
-            g_hat = bound_estimate(i_hat, inputs)
-        return RunRecord(alpha, sigma1, d, width, train.n, seed, gap, i_hat, g_hat, False)
-    except Exception:
-        # a failed cell is recorded as diverged, never aborts the sweep
-        return RunRecord(alpha, sigma1, d, width, train.n, seed, nan, nan, nan, True)
+    if trace.diverged:
+        return RunRecord(alpha, sigma1, d, width, train.n, seed, nan, nan, nan, True), trace
+    gap = robust_gap(trace, grid.window, grid.trim)
+    i_hat = integral_estimate(trace)
+    g_hat = nan
+    if sigma1 > 0.0:
+        inputs = BoundInputs(
+            alpha=alpha, d=d, n=train.n, sigma1=sigma1,
+            gamma=cfg.gamma, eta=cfg.eta, radius=grid.radius,
+        )
+        g_hat = bound_estimate(i_hat, inputs)
+    return RunRecord(alpha, sigma1, d, width, train.n, seed, gap, i_hat, g_hat, False), trace
 
 
 def sort_key(r: RunRecord):
     return (r.alpha, r.sigma1, r.d, r.seed)
-
-
-def worker_count() -> int:
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        count = int(raw)
-    except ValueError:
-        raise InvalidParameterError(f"{WORKERS_ENV} must be an integer, got {raw!r}")
-    if count < 1:
-        raise InvalidParameterError(f"{WORKERS_ENV} must be >= 1, got {count}")
-    return count
 
 
 def execute_grid(grid: GridSpec, progress=None) -> list[RunRecord]:
@@ -151,34 +144,16 @@ def execute_grid(grid: GridSpec, progress=None) -> list[RunRecord]:
         for r in read_records(grid.out):
             done[(r.alpha, r.sigma1, r.width, r.seed)] = r
 
-    pending = []
-    for alpha in grid.alphas:
-        for i_sigma, sigma1 in enumerate(grid.sigma1s):
-            for i_width, width in enumerate(grid.widths):
-                for seed in grid.seeds:
-                    if (alpha, sigma1, width, seed) not in done:
-                        pending.append((alpha, sigma1, width, seed, i_sigma, i_width))
-
-    lock = Lock()
-
-    def run_one(cell):
-        alpha, sigma1, width, seed, i_sigma, i_width = cell
-        record = _run_cell(grid, train, test, alpha, sigma1, width, seed, i_sigma, i_width)
-        with lock:
-            append_records(grid.out, [record])
-            done[(alpha, sigma1, width, seed)] = record
-            if progress is not None:
-                progress(record)
-        return record
-
-    workers = worker_count()
-    if pending:
-        if workers == 1:
-            for cell in pending:
-                run_one(cell)
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(run_one, pending))
+    cells = product(grid.alphas, enumerate(grid.sigma1s), enumerate(grid.widths), grid.seeds)
+    for alpha, (i_sigma, sigma1), (i_width, width), seed in cells:
+        key = (alpha, sigma1, width, seed)
+        if key in done:
+            continue
+        record, _ = evaluate_cell(grid, train, test, alpha, sigma1, width, seed, i_sigma, i_width)
+        append_records(grid.out, [record])
+        done[key] = record
+        if progress is not None:
+            progress(record)
 
     records = sorted(done.values(), key=sort_key)
     write_records(grid.out, records)

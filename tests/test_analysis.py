@@ -206,6 +206,21 @@ class TestCorrelationScan:
         (scan,) = correlation_scan(records, "d")
         assert scan.tau_mean_gap == 1.0
 
+    def test_alpha_gaps_are_per_alpha_mean_and_std(self):
+        records = [
+            rec(a, gap=a * (seed + 1), d=d, seed=seed)
+            for a in (1.8, 1.6)
+            for d in (10, 100)
+            for seed in (0, 1)
+        ]
+        records.append(rec(1.7, gap=-99.0, d=10, seed=0, diverged=True))
+        scans = correlation_scan(records, "d")
+        assert [s.group for s in scans] == [10.0, 100.0]
+        for scan in scans:
+            assert [a for a, _, _ in scan.alpha_gaps] == [1.6, 1.8]
+            flat = [v for row in scan.alpha_gaps for v in row]
+            assert flat == pytest.approx([1.6, 2.4, 0.8, 1.8, 2.7, 0.9], rel=1e-12)
+
     def test_single_alpha_group_errors(self):
         records = [rec(1.8, gap=0.1, seed=s) for s in range(3)]
         with pytest.raises(AnalysisPreconditionError):

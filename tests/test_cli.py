@@ -1,6 +1,8 @@
+from pathlib import Path
+
 import pytest
 
-from levybound import RunRecord, k_alpha_d, write_records
+from levybound import RunRecord, k_alpha_d, read_records, write_records
 from levybound.cli import main
 
 
@@ -119,7 +121,47 @@ class TestSimulateCommand:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(BASE_CFG)  # no alpha / sigma1
         code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
-        assert code == 1 and "alpha" in err
+        assert code == 1 and "missing config key 'alpha'" in err
+
+    @pytest.mark.parametrize(
+        "command, setting, message",
+        [
+            ("simulate", "alpha=heavy", "config key 'alpha' is not a number: 'heavy'"),
+            ("simulate", "steps=1.5", "config key 'steps' is not an integer: '1.5'"),
+            ("grid", "alphas=1.6,x", "config key 'alphas' is not a number list: '1.6,x'"),
+            ("grid", "seeds=0,one", "config key 'seeds' is not an integer list: '0,one'"),
+        ],
+        ids=["number", "integer", "number-list", "integer-list"],
+    )
+    def test_bad_values_exit_1(self, capsys, tmp_path, command, setting, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(BASE_CFG + "alpha=1.7\nsigma1=0.1\nsigma1s=0.1\n")
+        code, _, err = run_cli(
+            capsys, command, "--config", str(cfg), "--set", setting,
+            "--out", str(tmp_path / "out.csv"),
+        )
+        assert code == 1 and message in err
+
+    @pytest.mark.parametrize("width", [0, 4])
+    def test_matches_one_cell_grid(self, capsys, tmp_path, width):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(BASE_CFG + f"alpha=1.7\nsigma1=0.1\nseed=2\nwidth={width}\n")
+        code, out, _ = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == 0
+        header, row = out.strip().splitlines()
+        cols = dict(zip(header.split(","), row.split(",")))
+        records_csv = tmp_path / "records.csv"
+        code, _, _ = run_cli(
+            capsys, "grid", "--config", str(cfg), "--out", str(records_csv),
+            "--set", "alphas=1.7", "--set", "sigma1s=0.1", "--set", "seeds=2",
+            "--set", f"widths={width}",
+        )
+        assert code == 0
+        (record,) = read_records(records_csv)
+        assert not record.diverged and cols["diverged"] == "false"
+        assert (int(cols["d"]), int(cols["n"])) == (record.d, record.n)
+        for key in ("gap", "i_hat", "g_hat"):
+            assert float(cols[key]) == getattr(record, key), key
 
 
 class TestGridCommand:
@@ -176,6 +218,17 @@ class TestAnalyzeCommand:
         long_lines = long_csv.read_text().strip().splitlines()
         assert long_lines[0] == "group,alpha,mean_gap,std_gap"
         assert len(long_lines) == 1 + 9
+
+    def test_reference_report_and_long_reproduce(self, capsys, tmp_path):
+        reference = Path(__file__).resolve().parent.parent / "reference"
+        report, long_csv = tmp_path / "report.csv", tmp_path / "long.csv"
+        code, _, _ = run_cli(
+            capsys, "analyze", "--records", str(reference / "phase_transition_records.csv"),
+            "--group-key", "sigma1", "--out", str(report), "--long-out", str(long_csv),
+        )
+        assert code == 0
+        assert report.read_bytes() == (reference / "phase_transition_report.csv").read_bytes()
+        assert long_csv.read_bytes() == (reference / "phase_transition_long.csv").read_bytes()
 
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "analyze", "--records", str(tmp_path / "nope.csv"))

@@ -226,6 +226,33 @@ class TestComparisonRate:
             assert abs(b / a - 1.0) < 0.01
 
 
+def test_mixing_and_prior_constants_against_scipy_gammaln():
+    # oracle: the defining Gamma-ratio formulas, built from scipy's gammaln
+    gammaln = pytest.importorskip("scipy.special").gammaln
+
+    def log_k(alpha, d, radius):
+        return (
+            math.log(2.0 - alpha) + gammaln(1.0 - alpha / 2.0) + math.log(d)
+            + gammaln(0.5 * d) - math.log(alpha) - alpha * math.log(2.0)
+            - gammaln((d + alpha) / 2.0) - (2.0 - alpha) * math.log(radius)
+        )
+
+    for alpha in np.linspace(1.01, 1.999, 12):
+        for d in (1, 2, 3, 10, 864, 7840, 10**5):
+            prior = math.exp(
+                0.5 * math.log(d) + gammaln((alpha + d) / 2.0) - math.log(2.0 - alpha)
+                - gammaln(1.0 - alpha / 2.0) - gammaln(0.5 * d)
+            )
+            assert comparison_rate(alpha, d)[0] == pytest.approx(prior, rel=1e-9)
+            for radius in (1.0, 2.5):
+                k = math.exp(log_k(alpha, d, radius))
+                assert k_alpha_d(alpha, d, radius) == pytest.approx(k, rel=1e-9)
+                for s1, s2 in ((0.05, 0.0), (0.3, 0.1)):
+                    mixing = 1.0 / (4.0 * s2 * s2 + s1**alpha / k)
+                    got = noise_mixing_constant(s1, s2, alpha, d, radius)
+                    assert got == pytest.approx(mixing, rel=1e-9)
+
+
 class TestPhaseRegime:
     def test_heavy(self):
         assert phase_regime(0.01, 100, 1.0) == ("Heavy", "HeavyRefined")

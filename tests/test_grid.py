@@ -12,7 +12,7 @@ from levybound import (
 )
 from levybound.data import write_idx_images, write_idx_labels
 from levybound.errors import InvalidParameterError
-from levybound.grid import WORKERS_ENV, sort_key
+from levybound.grid import sort_key
 
 
 def tiny_grid(out, alphas=(1.6, 2.0), sigma1s=(0.1,), widths=(0,), seeds=(0, 1, 2)):
@@ -77,34 +77,41 @@ def test_noise_free_grid_ignores_alpha(tmp_path):
         assert all(np.isnan(r.g_hat) for r in rows)  # no stable noise, no estimator
 
 
-def test_concurrent_equals_serial_bytes(tmp_path, monkeypatch):
-    grid_a = tiny_grid(tmp_path / "serial.csv", alphas=(1.6, 1.8, 2.0), seeds=(0, 1))
-    monkeypatch.setenv(WORKERS_ENV, "1")
-    execute_grid(grid_a)
-    grid_b = tiny_grid(tmp_path / "parallel.csv", alphas=(1.6, 1.8, 2.0), seeds=(0, 1))
-    monkeypatch.setenv(WORKERS_ENV, "4")
-    execute_grid(grid_b)
-    serial = (tmp_path / "serial.csv").read_bytes()
-    parallel = (tmp_path / "parallel.csv").read_bytes()
-    assert serial == parallel
-
-
 def test_output_sorted(tmp_path):
     grid = tiny_grid(tmp_path / "r.csv", alphas=(2.0, 1.6), sigma1s=(0.2, 0.1), seeds=(1, 0))
     records = execute_grid(grid)
     assert records == sorted(records, key=sort_key)
 
 
-def test_cell_failure_recorded_as_diverged(tmp_path, monkeypatch):
+def test_cell_failure_propagates_and_resumes(tmp_path, monkeypatch):
+    # a bug in a cell is an error, never a diverged row; rows written
+    # before it stay on disk and a re-run finishes the sweep
     import levybound.grid as grid_mod
 
-    def boom(*args, **kwargs):
-        raise RuntimeError("synthetic cell failure")
+    real_run_training = grid_mod.run_training
+    calls = []
 
-    monkeypatch.setattr(grid_mod, "run_training", boom)
-    grid = tiny_grid(tmp_path / "r.csv", alphas=(1.7,), seeds=(0, 1))
-    records = execute_grid(grid)
-    assert len(records) == 2 and all(r.diverged for r in records)
+    def fail_on_second_cell(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise RuntimeError("synthetic cell failure")
+        return real_run_training(*args, **kwargs)
+
+    monkeypatch.setattr(grid_mod, "run_training", fail_on_second_cell)
+    grid = tiny_grid(tmp_path / "r.csv", alphas=(1.7,), seeds=(0, 1, 2))
+    with pytest.raises(RuntimeError, match="synthetic cell failure"):
+        execute_grid(grid)
+    on_disk = read_records(grid.out)
+    assert [r.seed for r in on_disk] == [0]
+    assert not any(r.diverged for r in on_disk)
+
+    monkeypatch.setattr(grid_mod, "run_training", real_run_training)
+    executed = []
+    records = execute_grid(grid, progress=executed.append)
+    assert [r.seed for r in executed] == [1, 2]
+    assert [r.seed for r in records] == [0, 1, 2]
+    assert not any(r.diverged for r in records)
+    assert records == execute_grid(tiny_grid(tmp_path / "fresh.csv", alphas=(1.7,), seeds=(0, 1, 2)))
 
 
 def test_grid_validation():
@@ -146,16 +153,3 @@ def test_idx_source_end_to_end(tmp_path):
     assert records[0].n == 60  # half of 120 training rows
     assert records[0].d == 9 * 2
     assert not records[0].diverged
-
-
-def test_worker_env_validation(monkeypatch):
-    monkeypatch.setenv(WORKERS_ENV, "zero")
-    from levybound.grid import worker_count
-
-    with pytest.raises(InvalidParameterError):
-        worker_count()
-    monkeypatch.setenv(WORKERS_ENV, "0")
-    with pytest.raises(InvalidParameterError):
-        worker_count()
-    monkeypatch.setenv(WORKERS_ENV, "3")
-    assert worker_count() == 3

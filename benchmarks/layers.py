@@ -1,0 +1,201 @@
+"""Per-layer timings of one reference training step, and of one whole cell.
+
+Run from the repository root:
+
+    python3 benchmarks/layers.py --out BENCH_layers.json
+
+The profile is the committed reference (``reference/phase_transition.cfg``:
+ReLU 25 -> 32 -> 2, d = 864, 500 full-batch rows) at alpha = 1.6 in the
+sigma1 * sqrt(d) = 0.1 group, seed 0. Layers timed, each over REPEATS
+repeats of a batch of calls, reported per call as min / median / quartiles
+/ IQR:
+
+- ``loop.*``: what one step of ``run_training`` executes: the full-batch
+  gradient, one isotropic stable draw (subordinator + Gaussian), one EM
+  update, and the train + test 0-1 evaluation of an eval step. On a tree
+  whose loop still calls the public functions (no ``ModelKernel``), those
+  functions are what the loop runs, so they are timed instead.
+- ``public.*``: the validating public functions, as a caller outside the
+  loop sees them.
+- ``cell``: one 3000-step reference cell through ``grid.evaluate_cell``,
+  with its minor page faults.
+
+BLAS is pinned to one thread (the script re-executes itself with the
+variables set); glibc's malloc is left at its defaults, as a user's
+``levybound grid`` runs. The JSON also records the BLAS thread count the
+library reports, the numpy version, ``os.cpu_count()`` and a digest of
+the ``src/`` tree measured.
+"""
+
+import os
+import sys
+
+PINNED_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+if any(os.environ.get(k) != v for k, v in PINNED_ENV.items()):
+    os.execve(sys.executable, [sys.executable, *sys.argv], {**os.environ, **PINNED_ENV})
+
+import argparse  # noqa: E402
+import ctypes  # noqa: E402
+import glob  # noqa: E402
+import hashlib  # noqa: E402
+import json  # noqa: E402
+import platform  # noqa: E402
+import resource  # noqa: E402
+import statistics  # noqa: E402
+import subprocess  # noqa: E402
+import time  # noqa: E402
+from dataclasses import replace  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+import levybound as lb  # noqa: E402
+from levybound import models, sde, stable  # noqa: E402
+from levybound.cli import _grid_spec  # noqa: E402
+from levybound.data import parse_config  # noqa: E402
+from levybound.grid import _model_for, evaluate_cell, load_grid_datasets  # noqa: E402
+
+REPEATS = 25
+CELL_REPEATS = 5
+ALPHA = 1.6
+
+
+def blas_threads():
+    """Thread count the loaded OpenBLAS reports, or None if not found."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*"))
+    for lib in libs:
+        handle = ctypes.CDLL(lib)
+        for sym in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                    "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            fn = getattr(handle, sym, None)
+            if fn is not None:
+                fn.restype, fn.argtypes = ctypes.c_int, []
+                return fn()
+    return None
+
+
+def git(*args):
+    proc = subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def environment():
+    digest = hashlib.sha256()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        digest.update(path.relative_to(ROOT).as_posix().encode() + b"\0" + path.read_bytes())
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas_threads": blas_threads(),
+        "pinned_env": PINNED_ENV,
+        "cpu_count": os.cpu_count(),
+        "cpu": platform.processor() or platform.machine(),
+        "git_head": git("rev-parse", "HEAD"),
+        "src_modified": bool(git("status", "--porcelain", "--", "src")),
+        "src_sha256": digest.hexdigest(),
+    }
+
+
+def summary(samples, unit, scale):
+    q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    return {
+        "unit": unit, "repeats": len(samples),
+        "min": min(samples) * scale, "median": median * scale,
+        "q1": q1 * scale, "q3": q3 * scale, "iqr": (q3 - q1) * scale,
+    }
+
+
+def time_calls(fn, number):
+    """Per-call microseconds of ``number`` back-to-back calls, REPEATS times."""
+    fn()
+    samples = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        for _ in range(number):
+            fn()
+        samples.append((time.perf_counter() - t0) / number)
+    return {**summary(samples, "us", 1e6), "calls_per_repeat": number}
+
+
+def step_layers(spec, train, test, cfg, params):
+    """(name, callable, calls per repeat) for one training step as ``run_training`` runs it."""
+    d = params.size
+    rng = lb.RngStream(0, 1)
+    rows = np.arange(train.n)
+    if hasattr(models, "ModelKernel"):
+        kernel = models.ModelKernel(spec, train.n)
+        train_eval, test_eval = models.ModelKernel(spec, train.n), models.ModelKernel(spec, test.n)
+        x, y = train.features[rows], train.labels[rows]
+        grad = kernel.gradient(params, x, y).copy()
+        noise = stable.StableNoise(cfg.alpha, d)
+        draw = noise.draw(rng).copy()
+        update, out = sde.EulerMaruyama(cfg, d), np.empty(d)
+        return [
+            ("gradient", lambda: kernel.gradient(params, x, y), 200),
+            ("stable_draw", lambda: noise.draw(rng), 1000),
+            ("em_update", lambda: update(params, grad, draw, None, out), 2000),
+            ("eval", lambda: (train_eval.error_rate(params, train.features, train.labels),
+                              test_eval.error_rate(params, test.features, test.labels)), 500),
+        ]
+    return public_layers(spec, train, test, cfg, params)
+
+
+def public_layers(spec, train, test, cfg, params):
+    d = params.size
+    rng = lb.RngStream(0, 2)
+    rows = np.arange(train.n)
+    grad = lb.surrogate_loss_and_grad(spec, params, train, rows)[1]
+    draw = lb.sample_isotropic_stable(cfg.alpha, d, rng)
+    return [
+        ("gradient", lambda: lb.surrogate_loss_and_grad(spec, params, train, rows), 200),
+        ("stable_draw", lambda: lb.sample_isotropic_stable(cfg.alpha, d, rng), 1000),
+        ("em_update", lambda: lb.em_step(params, grad, cfg, draw), 2000),
+        ("eval", lambda: (lb.zero_one_error(spec, params, train),
+                          lb.zero_one_error(spec, params, test)), 500),
+    ]
+
+
+def time_cell(grid, train, test):
+    walls, faults = [], []
+    for _ in range(CELL_REPEATS):
+        f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        t0 = time.perf_counter()
+        evaluate_cell(grid, train, test, ALPHA, grid.sigma1s[0], grid.widths[0], 0, 0, 0)
+        walls.append(time.perf_counter() - t0)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
+    return {**summary(walls, "s", 1.0), "minor_faults_median": statistics.median(faults)}
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", required=True, help="JSON file to write")
+    args = parser.parse_args()
+
+    grid = _grid_spec(parse_config(ROOT / "reference" / "phase_transition.cfg"), os.devnull)
+    train, test = load_grid_datasets(grid)
+    spec = _model_for(grid.widths[0], train)
+    cfg = replace(grid.train, alpha=ALPHA, sigma1=grid.sigma1s[0])
+    params = lb.init_params(spec, grid.init_scale, lb.RngStream(0))
+
+    layers = {}
+    for prefix, make in (("loop", step_layers), ("public", public_layers)):
+        for name, fn, number in make(spec, train, test, cfg, params):
+            key = f"{prefix}.{name}"
+            layers[key] = time_calls(fn, number)
+            print(f"{key}: median {layers[key]['median']:.2f} us", flush=True)
+    layers["cell"] = time_cell(grid, train, test)
+    print(f"cell: median {layers['cell']['median']:.3f} s", flush=True)
+
+    result = {"profile": {"config": "reference/phase_transition.cfg", "alpha": ALPHA,
+                          "sigma1": grid.sigma1s[0], "width": grid.widths[0], "seed": 0,
+                          "d": params.size, "n": train.n},
+              "environment": environment(), "layers": layers}
+    Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

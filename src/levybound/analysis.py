@@ -238,13 +238,16 @@ def alpha_regression(records) -> tuple[float, float, float]:
 
     alpha_hat = 2 - 4 r_hat inverts the d^(1/2 - alpha/4) scaling.
     """
-    live = [r for r in records if not r.diverged]
-    dims = sorted({r.d for r in live})
+    gaps_by_d: dict[int, list[float]] = {}
+    for r in records:
+        if not r.diverged:
+            gaps_by_d.setdefault(r.d, []).append(r.gap)
+    dims = sorted(gaps_by_d)
     if len(dims) < 2:
         raise AnalysisPreconditionError("need at least 2 distinct d values")
     mean_gaps = []
     for d in dims:
-        g = float(np.mean([r.gap for r in live if r.d == d]))
+        g = float(np.mean(gaps_by_d[d]))
         if not g > 0.0:
             raise AnalysisPreconditionError(f"non-positive mean gap {g} at d={d}")
         mean_gaps.append(g)

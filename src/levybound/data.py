@@ -24,6 +24,7 @@ IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
 RECORD_HEADER = ["alpha", "sigma1", "d", "width", "n", "seed", "gap", "i_hat", "g_hat", "diverged"]
+_DIVERGED = {"true": True, "false": False}
 
 
 @dataclass(frozen=True)
@@ -188,6 +189,25 @@ def append_records(path, records) -> None:
             w.writerow(_record_row(r))
 
 
+def drop_torn_row(path) -> bool:
+    """Cut an unterminated last line off a records file.
+
+    Rows are appended a whole line at a time, so a last line without its
+    line terminator is a row torn by a kill in mid-append; the caller
+    recomputes that row. A file left without a complete line (a torn
+    header) is removed. Returns whether the file still exists.
+    """
+    with open(path, "rb+") as f:
+        text = f.read()
+        if text.endswith(b"\n"):
+            return True
+        keep = text.rfind(b"\n") + 1
+        f.truncate(keep)
+    if keep == 0:
+        Path(path).unlink()
+    return keep > 0
+
+
 def read_records(path) -> list[RunRecord]:
     with open(path, newline="") as f:
         reader = csv.reader(f)
@@ -217,7 +237,7 @@ def read_records(path) -> list[RunRecord]:
                         gap=float(row[6]),
                         i_hat=float(row[7]),
                         g_hat=float(row[8]),
-                        diverged={"true": True, "false": False}[row[9]],
+                        diverged=_DIVERGED[row[9]],
                     )
                 )
             except (ValueError, KeyError) as exc:

@@ -5,7 +5,8 @@ A grid is the cartesian product (alpha values) x (sigma1 values) x
 of work, evaluated one after another by ``evaluate_cell`` (which the
 ``simulate`` command also uses for its single cell). Each row is
 appended to the output CSV as soon as its cell finishes, so an
-interrupted sweep resumes by skipping rows already on disk, and the
+interrupted sweep resumes by skipping rows already on disk (a row torn
+by the interruption is dropped and recomputed), and the
 final file is rewritten sorted by (alpha, sigma1, d, seed) so its content
 does not depend on execution order.
 
@@ -25,6 +26,7 @@ from .bounds import BoundInputs, bound_estimate, integral_estimate
 from .data import (
     SyntheticSpec,
     append_records,
+    drop_torn_row,
     generate_synthetic,
     load_idx,
     read_records,
@@ -140,7 +142,7 @@ def execute_grid(grid: GridSpec, progress=None) -> list[RunRecord]:
         )
 
     done: dict[tuple, RunRecord] = {}
-    if os.path.exists(grid.out):
+    if os.path.exists(grid.out) and drop_torn_row(grid.out):
         for r in read_records(grid.out):
             done[(r.alpha, r.sigma1, r.width, r.seed)] = r
 

@@ -7,6 +7,7 @@ matrix, so the optimizer can treat the model as a point in R^d.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -86,32 +87,104 @@ def init_params(spec: ModelSpec, scale: float, rng: RngStream) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def _unpack(spec: ModelSpec, params: np.ndarray) -> list[np.ndarray]:
+def _check_params(spec: ModelSpec, params: np.ndarray) -> None:
     if params.shape != (param_count(spec),):
         raise DimensionMismatchError(
             f"params has shape {params.shape}, spec needs ({param_count(spec)},)"
         )
-    mats = []
-    offset = 0
-    for fan_in, fan_out in zip(spec.widths[:-1], spec.widths[1:]):
-        mats.append(params[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out))
-        offset += fan_in * fan_out
-    return mats
 
 
-def _forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray):
-    """Forward pass; returns (logits, activations per layer input)."""
-    mats = _unpack(spec, params)
-    acts = [x]
-    a = x
-    for w in mats[:-1]:
-        a = np.maximum(a @ w, 0.0)
-        acts.append(a)
-    return acts[-1] @ mats[-1], acts, mats
+def _row_reduce(ufunc, a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce(a, axis=1, keepdims=True)`` into ``out``.
+
+    Below 8 columns numpy's reduction adds the columns in order, so a
+    column-by-column loop gives the same bits without the reduction's
+    set-up cost; from 8 columns on its pairwise order takes over.
+    """
+    if a.shape[1] >= 8:
+        return ufunc.reduce(a, axis=1, keepdims=True, out=out)
+    col = out[:, 0]
+    np.copyto(col, a[:, 0])
+    for j in range(1, a.shape[1]):
+        ufunc(col, a[:, j], out=col)
+    return out
+
+
+class ModelKernel:
+    """Forward pass, 0-1 error and loss gradient of one model over a fixed
+    row count, with the layer layout and every intermediate array set up
+    once.
+
+    Calls do no validation and overwrite the previous call's results: the
+    returned logits and gradient are the kernel's own buffers. The public
+    functions below validate their inputs and then call a fresh kernel;
+    the training loop keeps one per run.
+    """
+
+    def __init__(self, spec: ModelSpec, rows: int):
+        shapes = list(zip(spec.widths[:-1], spec.widths[1:]))
+        ends = list(accumulate(a * b for a, b in shapes))
+        self.slices = [(lo, hi, shape) for lo, hi, shape in zip([0] + ends, ends, shapes)]
+        self.rows = rows
+        self.row_starts = np.arange(rows) * spec.num_classes  # flat index of each row's class 0
+        self.grad = np.empty(ends[-1])
+        self.grads = [self.grad[lo:hi].reshape(shape) for lo, hi, shape in self.slices]
+        self.hidden = [np.empty((rows, w)) for w in spec.widths[1:-1]]
+        self.active = [np.empty((rows, w), dtype=bool) for w in spec.widths[1:-1]]
+        self.back = [np.empty((rows, w)) for w in spec.widths[1:-1]]
+        self.logits = np.empty((rows, spec.num_classes))
+        self.log_p = np.empty((rows, spec.num_classes))
+        self.delta = np.empty((rows, spec.num_classes))
+        self.row_stat = np.empty((rows, 1))
+
+    def weights(self, params: np.ndarray) -> list[np.ndarray]:
+        """Per-layer (fan-in, fan-out) views of the flat parameter vector."""
+        return [params[lo:hi].reshape(shape) for lo, hi, shape in self.slices]
+
+    def forward(self, params: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Logits of the rows of ``x``; hidden activations stay in ``hidden``."""
+        return self._forward(self.weights(params), x)
+
+    def _forward(self, mats: list[np.ndarray], x: np.ndarray) -> np.ndarray:
+        a = x
+        for w, h in zip(mats, self.hidden):
+            np.matmul(a, w, out=h)
+            np.maximum(h, 0.0, out=h)
+            a = h
+        return np.matmul(a, mats[-1], out=self.logits)
+
+    def error_rate(self, params: np.ndarray, x: np.ndarray, labels: np.ndarray) -> float:
+        """Fraction of rows whose argmax logit (lowest index on ties) is not the label."""
+        preds = np.argmax(self.forward(params, x), axis=1)
+        return float(np.mean(preds != labels))
+
+    def gradient(self, params: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Gradient of the mean cross-entropy over the rows; ``log_p`` keeps
+        the log-softmax. Same arithmetic, in the same order, as the
+        unbuffered formulation in ``surrogate_loss_and_grad``'s docstring."""
+        mats = self.weights(params)
+        logits = self._forward(mats, x)
+        logits -= _row_reduce(np.maximum, logits, self.row_stat)
+        np.exp(logits, out=self.delta)
+        log_z = np.log(_row_reduce(np.add, self.delta, self.row_stat), out=self.row_stat)
+        np.subtract(logits, log_z, out=self.log_p)
+
+        delta = np.exp(self.log_p, out=self.delta)
+        delta.reshape(-1)[self.row_starts + y] -= 1.0  # delta[i, y_i] -= 1
+        delta /= self.rows
+        for layer in range(len(mats) - 1, -1, -1):
+            a = self.hidden[layer - 1] if layer > 0 else x
+            np.matmul(a.T, delta, out=self.grads[layer])
+            if layer > 0:
+                back = np.matmul(delta, mats[layer].T, out=self.back[layer - 1])
+                back *= np.greater(a, 0.0, out=self.active[layer - 1])
+                delta = back
+        return self.grad
 
 
 def logits_of(spec: ModelSpec, params: np.ndarray, features: np.ndarray) -> np.ndarray:
-    return _forward(spec, params, features)[0]
+    _check_params(spec, params)
+    return ModelKernel(spec, features.shape[0]).forward(params, features)
 
 
 def surrogate_loss_and_grad(
@@ -121,7 +194,14 @@ def surrogate_loss_and_grad(
 
     Softmax is computed on max-shifted logits; the ReLU subgradient at 0
     is 0. The mean makes the result invariant to the order of ``indices``
-    up to float summation error.
+    up to float summation error. In array terms, with ``acts`` the
+    layer inputs (rows first) and ``mats`` the weight matrices:
+
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        log_p = shifted - log(exp(shifted).sum(axis=1, keepdims=True))
+        delta = exp(log_p); delta[i, y_i] -= 1; delta /= rows
+        grad[l] = acts[l].T @ delta
+        delta = (delta @ mats[l].T) * (acts[l] > 0)      for l > 0
     """
     idx = np.asarray(indices, dtype=np.intp).reshape(-1)
     if idx.size == 0:
@@ -132,29 +212,16 @@ def surrogate_loss_and_grad(
         raise InvalidParameterError("non-finite parameters")
     if data.input_dim != spec.input_dim or data.num_classes != spec.num_classes:
         raise DimensionMismatchError("dataset shape does not match model spec")
+    _check_params(spec, params)
 
-    x = data.features[idx]
     y = data.labels[idx]
-    logits, acts, mats = _forward(spec, params, x)
-
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    log_p = shifted - log_z
-    loss = -float(np.mean(log_p[np.arange(idx.size), y]))
-
-    delta = np.exp(log_p)
-    delta[np.arange(idx.size), y] -= 1.0
-    delta /= idx.size
-
-    grads = [None] * len(mats)
-    for layer in range(len(mats) - 1, -1, -1):
-        grads[layer] = acts[layer].T @ delta
-        if layer > 0:
-            delta = (delta @ mats[layer].T) * (acts[layer] > 0.0)
-    return loss, np.concatenate([g.reshape(-1) for g in grads])
+    kernel = ModelKernel(spec, idx.size)
+    grad = kernel.gradient(params, data.features[idx], y)
+    loss = -float(np.mean(kernel.log_p.reshape(-1)[kernel.row_starts + y]))
+    return loss, grad
 
 
 def zero_one_error(spec: ModelSpec, params: np.ndarray, data: Dataset) -> float:
     """Fraction of misclassified rows; argmax ties go to the lowest class index."""
-    preds = np.argmax(logits_of(spec, params, data.features), axis=1)
-    return float(np.mean(preds != data.labels))
+    _check_params(spec, params)
+    return ModelKernel(spec, data.n).error_rate(params, data.features, data.labels)

@@ -15,21 +15,15 @@ bit-identical to plain gradient descent with weight decay.
 """
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidParameterError
-from .models import (
-    Dataset,
-    ModelSpec,
-    init_params,
-    param_count,
-    surrogate_loss_and_grad,
-    zero_one_error,
-)
+from .models import Dataset, ModelKernel, ModelSpec, init_params, param_count
 from .rng import RngStream
-from .stable import sample_isotropic_stable
+from .stable import StableNoise
 
 DIVERGENCE_NORM = 1e12
 
@@ -91,6 +85,33 @@ def params_hash(params: np.ndarray) -> int:
     )
 
 
+class EulerMaruyama:
+    """The Euler-Maruyama update of one TrainConfig, step constants computed once.
+
+    Evaluates params - gamma grad - (eta gamma) params
+    + (gamma^(1/alpha) sigma1) stable + (sqrt(2 gamma) sigma2) gaussian
+    left to right into ``out``, through one scratch array; a draw passed
+    as None drops its term.
+    """
+
+    def __init__(self, cfg: TrainConfig, d: int):
+        self.gamma = cfg.gamma
+        self.decay = cfg.eta * cfg.gamma
+        self.stable_scale = cfg.gamma ** (1.0 / cfg.alpha) * cfg.sigma1
+        self.gaussian_scale = math.sqrt(2.0 * cfg.gamma) * cfg.sigma2
+        self.scratch = np.empty(d)
+
+    def __call__(self, params, grad, stable_draw, gaussian_draw, out) -> np.ndarray:
+        np.multiply(grad, self.gamma, out=out)
+        np.subtract(params, out, out=out)
+        out -= np.multiply(params, self.decay, out=self.scratch)
+        if stable_draw is not None:
+            out += np.multiply(stable_draw, self.stable_scale, out=self.scratch)
+        if gaussian_draw is not None:
+            out += np.multiply(gaussian_draw, self.gaussian_scale, out=self.scratch)
+        return out
+
+
 def em_step(
     params: np.ndarray,
     grad: np.ndarray,
@@ -101,16 +122,17 @@ def em_step(
     """One Euler-Maruyama update; pure function of its inputs."""
     if grad.shape != params.shape:
         raise DimensionMismatchError("grad shape does not match params")
-    new = params - cfg.gamma * grad - cfg.eta * cfg.gamma * params
-    if cfg.sigma1 > 0.0:
-        if stable_draw is None or stable_draw.shape != params.shape:
-            raise DimensionMismatchError("stable draw missing or mis-shaped")
-        new = new + cfg.gamma ** (1.0 / cfg.alpha) * cfg.sigma1 * stable_draw
-    if cfg.sigma2 > 0.0:
-        if gaussian_draw is None or gaussian_draw.shape != params.shape:
-            raise DimensionMismatchError("gaussian draw missing or mis-shaped")
-        new = new + np.sqrt(2.0 * cfg.gamma) * cfg.sigma2 * gaussian_draw
-    return new
+    if cfg.sigma1 > 0.0 and (stable_draw is None or stable_draw.shape != params.shape):
+        raise DimensionMismatchError("stable draw missing or mis-shaped")
+    if cfg.sigma2 > 0.0 and (gaussian_draw is None or gaussian_draw.shape != params.shape):
+        raise DimensionMismatchError("gaussian draw missing or mis-shaped")
+    return EulerMaruyama(cfg, params.size)(
+        params,
+        grad,
+        stable_draw if cfg.sigma1 > 0.0 else None,
+        gaussian_draw if cfg.sigma2 > 0.0 else None,
+        np.empty(params.shape),
+    )
 
 
 def run_training(
@@ -127,6 +149,11 @@ def run_training(
     full) at every step, and train/test 0-1 errors at the eval cadence.
     A non-finite parameter or a norm above 1e12 stops the run early with
     the diverged flag set; that is a recorded outcome, not an error.
+
+    The kernels, draws and buffers that do not change between steps are
+    set up before the loop. Parameters that reach a step passed the
+    previous step's divergence check, so the loop skips the validation
+    the public gradient, sampler and update functions do.
     """
     if train.input_dim != test.input_dim or train.num_classes != test.num_classes:
         raise DimensionMismatchError("train and test datasets do not match")
@@ -139,32 +166,40 @@ def run_training(
 
     d = param_count(spec)
     params = init_params(spec, init_scale, rng)
+    spare = np.empty(d)
     n = train.n
     full_batch = cfg.batch_size is None
+    model = ModelKernel(spec, n if full_batch else cfg.batch_size)
+    train_eval, test_eval = ModelKernel(spec, n), ModelKernel(spec, test.n)
+    noise = StableNoise(cfg.alpha, d) if cfg.sigma1 > 0.0 else None
+    gaussian_draw = np.empty(d) if cfg.sigma2 > 0.0 else None
+    update = EulerMaruyama(cfg, d)
+    if full_batch:
+        rows = np.arange(n)
+        x, y = train.features[rows], train.labels[rows]
     records: list[StepRecord] = []
     diverged = False
 
     for k in range(1, cfg.steps + 1):
-        if full_batch:
-            idx = np.arange(n)
-        else:
+        if not full_batch:
             idx = rng.gen.choice(n, size=cfg.batch_size, replace=False)
-        _, grad = surrogate_loss_and_grad(spec, params, train, idx)
+            x, y = train.features[idx], train.labels[idx]
+        grad = model.gradient(params, x, y)
         grad_sq = float(grad @ grad)
 
         train_err = test_err = None
         if k % cfg.eval_interval == 0 or k == cfg.steps:
-            train_err = zero_one_error(spec, params, train)
-            test_err = zero_one_error(spec, params, test)
+            train_err = train_eval.error_rate(params, train.features, train.labels)
+            test_err = test_eval.error_rate(params, test.features, test.labels)
         records.append(StepRecord(k, grad_sq, train_err, test_err))
 
-        stable_draw = (
-            sample_isotropic_stable(cfg.alpha, d, rng) if cfg.sigma1 > 0.0 else None
-        )
-        gaussian_draw = rng.gen.standard_normal(d) if cfg.sigma2 > 0.0 else None
-        params = em_step(params, grad, cfg, stable_draw, gaussian_draw)
+        stable_draw = noise.draw(rng) if noise is not None else None
+        if gaussian_draw is not None:
+            rng.gen.standard_normal(out=gaussian_draw)
+        params, spare = update(params, grad, stable_draw, gaussian_draw, spare), params
 
-        if not np.isfinite(params).all() or np.linalg.norm(params) > DIVERGENCE_NORM:
+        # a NaN or overflowed coordinate makes the norm NaN or inf
+        if not math.sqrt(params @ params) <= DIVERGENCE_NORM:
             diverged = True
             break
 

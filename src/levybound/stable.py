@@ -39,28 +39,49 @@ class StableParams:
             raise InvalidParameterError(f"scale must be > 0, got {self.scale}")
 
 
+class _ChambersMallowsStuck:
+    """The CMS transform of one law, with its per-law constants computed once.
+
+    A single draw goes through numpy's scalar functions, not ``math``: on
+    some builds ``np.log`` of a scalar differs from ``math.log`` in the
+    last ulp, and the draws must not depend on which one ran.
+    """
+
+    __slots__ = ("alpha", "b", "sfac", "inv_alpha", "expo", "scale", "location")
+
+    def __init__(self, params: StableParams):
+        alpha, beta = params.alpha, params.beta
+        tan_half = np.tan(np.pi * alpha / 2.0)
+        self.alpha = alpha
+        self.b = float(np.arctan(beta * tan_half) / alpha)
+        self.sfac = float((1.0 + beta * beta * tan_half * tan_half) ** (1.0 / (2.0 * alpha)))
+        self.inv_alpha = 1.0 / alpha
+        self.expo = (1.0 - alpha) / alpha
+        self.scale = float(params.scale)
+        self.location = float(params.location)
+
+    def draws(self, rng: RngStream, size: int | None = None):
+        """A float when ``size`` is None, else an array of ``size`` draws."""
+        u = rng.unit_open(size)
+        w = -np.log(rng.unit_open(size))
+        theta = np.pi * (u - 0.5)  # uniform on the open interval (-pi/2, pi/2)
+        at = self.alpha * (theta + self.b)
+        x = (
+            self.sfac
+            * np.sin(at)
+            / np.cos(theta) ** self.inv_alpha
+            * (np.cos(theta - at) / w) ** self.expo
+        )
+        out = self.location + self.scale * x
+        return float(out) if size is None else out
+
+
 def sample_skewed_stable(params: StableParams, rng: RngStream, size: int | None = None):
     """Draw from S(alpha, beta, scale, location) via the CMS transform.
 
     Returns a float when ``size`` is None, else an array of ``size`` draws.
     """
-    alpha, beta = params.alpha, params.beta
-    u = rng.unit_open(size)
-    w = -np.log(rng.unit_open(size))
-    theta = np.pi * (u - 0.5)  # uniform on the open interval (-pi/2, pi/2)
-
-    tan_half = np.tan(np.pi * alpha / 2.0)
-    b = np.arctan(beta * tan_half) / alpha
-    sfac = (1.0 + beta * beta * tan_half * tan_half) ** (1.0 / (2.0 * alpha))
-
-    x = (
-        sfac
-        * np.sin(alpha * (theta + b))
-        / np.cos(theta) ** (1.0 / alpha)
-        * (np.cos(theta - alpha * (theta + b)) / w) ** ((1.0 - alpha) / alpha)
-    )
-    out = params.location + params.scale * x
-    return float(out) if size is None else out
+    return _ChambersMallowsStuck(params).draws(rng, size)
 
 
 def subordinator_scale(alpha: float) -> float:
@@ -68,19 +89,50 @@ def subordinator_scale(alpha: float) -> float:
     return 2.0 * np.cos(np.pi * alpha / 4.0) ** (2.0 / alpha)
 
 
+def _subordinator_law(alpha: float) -> _ChambersMallowsStuck:
+    return _ChambersMallowsStuck(StableParams(alpha / 2.0, 1.0, subordinator_scale(alpha), 0.0))
+
+
+def _mixer_draw(law: _ChambersMallowsStuck, rng: RngStream) -> float:
+    a = law.draws(rng)
+    if not a > 0.0:
+        raise RuntimeError(f"non-positive subordinator draw {a}: sampler bug")
+    return a
+
+
 def sample_subordinator(alpha: float, rng: RngStream, size: int | None = None):
     """Draw A ~ S(alpha/2, 1, 2 cos(pi alpha/4)^(2/alpha), 0); strictly positive."""
     if not 1.0 < alpha < 2.0:
         raise InvalidParameterError(f"subordinator needs alpha in (1, 2), got {alpha}")
-    params = StableParams(alpha / 2.0, 1.0, subordinator_scale(alpha), 0.0)
-    a = sample_skewed_stable(params, rng, size)
+    law = _subordinator_law(alpha)
     if size is None:
-        if not a > 0.0:
-            raise RuntimeError(f"non-positive subordinator draw {a}: sampler bug")
-        return a
+        return _mixer_draw(law, rng)
+    a = law.draws(rng, size)
     if not (a > 0.0).all():
         raise RuntimeError("non-positive subordinator draw: sampler bug")
     return a
+
+
+class StableNoise:
+    """Single isotropic alpha-stable draws in R^dim for one alpha.
+
+    The subordinator's constants are computed once, and every draw is
+    written into the same output array, which the next draw overwrites.
+    Inputs are not validated; ``sample_isotropic_stable`` does that.
+    """
+
+    def __init__(self, alpha: float, dim: int):
+        self.mixer = None if alpha == 2.0 else _subordinator_law(alpha)
+        self.out = np.empty(dim)
+
+    def draw(self, rng: RngStream) -> np.ndarray:
+        if self.mixer is None:
+            scale = np.sqrt(2.0)
+        else:
+            scale = np.sqrt(_mixer_draw(self.mixer, rng))
+        rng.gen.standard_normal(out=self.out)
+        self.out *= scale
+        return self.out
 
 
 def sample_isotropic_stable(alpha: float, dim: int, rng: RngStream, size: int | None = None):
@@ -94,14 +146,13 @@ def sample_isotropic_stable(alpha: float, dim: int, rng: RngStream, size: int | 
         raise InvalidParameterError(f"alpha must be in (1, 2], got {alpha}")
     if dim < 1:
         raise InvalidParameterError(f"dim must be >= 1, got {dim}")
-    shape = (dim,) if size is None else (size, dim)
+    if size is None:
+        return StableNoise(alpha, dim).draw(rng)
+    shape = (size, dim)
     if alpha == 2.0:
         return np.sqrt(2.0) * rng.gen.standard_normal(shape)
     a = sample_subordinator(alpha, rng, size)
-    g = rng.gen.standard_normal(shape)
-    if size is None:
-        return np.sqrt(a) * g
-    return np.sqrt(a)[:, None] * g
+    return np.sqrt(a)[:, None] * rng.gen.standard_normal(shape)
 
 
 def empirical_char_fn(samples, xi) -> tuple[float, float]:

@@ -11,7 +11,7 @@ from levybound import (
     read_records,
 )
 from levybound.data import write_idx_images, write_idx_labels
-from levybound.errors import InvalidParameterError
+from levybound.errors import DataFormatError, InvalidParameterError
 from levybound.grid import sort_key
 
 
@@ -112,6 +112,34 @@ def test_cell_failure_propagates_and_resumes(tmp_path, monkeypatch):
     assert [r.seed for r in records] == [0, 1, 2]
     assert not any(r.diverged for r in records)
     assert records == execute_grid(tiny_grid(tmp_path / "fresh.csv", alphas=(1.7,), seeds=(0, 1, 2)))
+
+
+@pytest.mark.parametrize("whole_lines, cut", [(3, 17), (0, 9), (5, -1)])
+def test_torn_last_row_is_dropped_on_resume(tmp_path, whole_lines, cut):
+    # a kill in mid-append leaves a last line without its terminator: a
+    # cut row, a cut header, or a whole row missing only its line end
+    grid = tiny_grid(tmp_path / "r.csv")
+    execute_grid(grid)
+    fresh = (tmp_path / "r.csv").read_bytes()
+    lines = fresh.splitlines(keepends=True)
+    torn = lines[whole_lines][:cut]
+    (tmp_path / "r.csv").write_bytes(b"".join(lines[:whole_lines]) + torn)
+    executed = []
+    execute_grid(grid, progress=executed.append)
+    assert len(executed) == len(lines) - max(whole_lines, 1)
+    assert (tmp_path / "r.csv").read_bytes() == fresh
+
+
+@pytest.mark.parametrize("where", ["middle", "last"])
+def test_malformed_terminated_row_still_raises(tmp_path, where):
+    grid = tiny_grid(tmp_path / "r.csv")
+    execute_grid(grid)
+    lines = (tmp_path / "r.csv").read_bytes().splitlines(keepends=True)
+    bad = b"1.6,0.1,10,0,24,0,0.5,1.0\r\n"
+    at = 2 if where == "middle" else len(lines)
+    (tmp_path / "r.csv").write_bytes(b"".join(lines[:at]) + bad + b"".join(lines[at:]))
+    with pytest.raises(DataFormatError, match=f":{at + 1}:"):
+        execute_grid(grid)
 
 
 def test_grid_validation():

@@ -11,10 +11,11 @@ from levybound import (
     init_params,
     run_training,
     sample_isotropic_stable,
+    sample_subordinator,
     surrogate_loss_and_grad,
 )
 from levybound.errors import DimensionMismatchError, InvalidParameterError
-from levybound.sde import params_hash
+from levybound.sde import RunTrace, StepRecord, params_hash
 
 
 def blob_data(seed=0, n=120, dim=6, classes=2, sep=2.0):
@@ -167,3 +168,143 @@ class TestNoiseScaleLaws:
             m_light = np.linalg.norm(gamma ** (1 / 1.9) * sigma1 * light, axis=1).max()
             wins += m_heavy > m_light
         assert wins >= 9
+
+
+# --- Frozen reference: the training loop as it was before its loop
+# invariants were hoisted (per-step validation, allocation and constant
+# recomputation). run_training must reproduce it bit for bit.
+
+
+def _frozen_gradient(spec, params, data, idx):
+    mats, offset = [], 0
+    for fan_in, fan_out in zip(spec.widths[:-1], spec.widths[1:]):
+        mats.append(params[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out))
+        offset += fan_in * fan_out
+    x = data.features[idx]
+    y = data.labels[idx]
+    acts = [x]
+    a = x
+    for w in mats[:-1]:
+        a = np.maximum(a @ w, 0.0)
+        acts.append(a)
+    logits = acts[-1] @ mats[-1]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    log_p = shifted - log_z
+    delta = np.exp(log_p)
+    delta[np.arange(idx.size), y] -= 1.0
+    delta /= idx.size
+    grads = [None] * len(mats)
+    for layer in range(len(mats) - 1, -1, -1):
+        grads[layer] = acts[layer].T @ delta
+        if layer > 0:
+            delta = (delta @ mats[layer].T) * (acts[layer] > 0.0)
+    return np.concatenate([g.reshape(-1) for g in grads]), mats
+
+
+def _frozen_error(spec, params, data):
+    mats, offset = [], 0
+    for fan_in, fan_out in zip(spec.widths[:-1], spec.widths[1:]):
+        mats.append(params[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out))
+        offset += fan_in * fan_out
+    a = data.features
+    for w in mats[:-1]:
+        a = np.maximum(a @ w, 0.0)
+    return float(np.mean(np.argmax(a @ mats[-1], axis=1) != data.labels))
+
+
+def _frozen_subordinator(alpha, rng):
+    """Scalar CMS draw of S(alpha/2, 1, 2 cos(pi alpha/4)^(2/alpha), 0) in numpy scalars."""
+    a_s = alpha / 2.0
+    u = rng.unit_open()
+    w = -np.log(rng.unit_open())
+    theta = np.pi * (u - 0.5)
+    tan_half = np.tan(np.pi * a_s / 2.0)
+    b = np.arctan(1.0 * tan_half) / a_s
+    sfac = (1.0 + 1.0 * 1.0 * tan_half * tan_half) ** (1.0 / (2.0 * a_s))
+    x = (
+        sfac
+        * np.sin(a_s * (theta + b))
+        / np.cos(theta) ** (1.0 / a_s)
+        * (np.cos(theta - a_s * (theta + b)) / w) ** ((1.0 - a_s) / a_s)
+    )
+    scale = 2.0 * np.cos(np.pi * alpha / 4.0) ** (2.0 / alpha)
+    return float(0.0 + scale * x)
+
+
+def _frozen_run(spec, train, test, cfg, init_scale, rng):
+    d = sum(a * b for a, b in zip(spec.widths[:-1], spec.widths[1:]))
+    params = init_params(spec, init_scale, rng)
+    records = []
+    diverged = False
+    for k in range(1, cfg.steps + 1):
+        if cfg.batch_size is None:
+            idx = np.arange(train.n)
+        else:
+            idx = rng.gen.choice(train.n, size=cfg.batch_size, replace=False)
+        grad, _ = _frozen_gradient(spec, params, train, idx)
+        train_err = test_err = None
+        if k % cfg.eval_interval == 0 or k == cfg.steps:
+            train_err = _frozen_error(spec, params, train)
+            test_err = _frozen_error(spec, params, test)
+        records.append(StepRecord(k, float(grad @ grad), train_err, test_err))
+        new = params - cfg.gamma * grad - cfg.eta * cfg.gamma * params
+        if cfg.sigma1 > 0.0:
+            if cfg.alpha == 2.0:
+                draw = np.sqrt(2.0) * rng.gen.standard_normal((d,))
+            else:
+                a = _frozen_subordinator(cfg.alpha, rng)
+                draw = np.sqrt(a) * rng.gen.standard_normal((d,))
+            new = new + cfg.gamma ** (1.0 / cfg.alpha) * cfg.sigma1 * draw
+        if cfg.sigma2 > 0.0:
+            new = new + np.sqrt(2.0 * cfg.gamma) * cfg.sigma2 * rng.gen.standard_normal(d)
+        params = new
+        if not np.isfinite(params).all() or np.linalg.norm(params) > 1e12:
+            diverged = True
+            break
+    return RunTrace(cfg, tuple(records), params_hash(params), diverged)
+
+
+@pytest.mark.parametrize("alpha", [1.6, 1.95, 2.0])
+@pytest.mark.parametrize("sigma2", [0.0, 0.05])
+@pytest.mark.parametrize("sigma1", [0.0, 0.3])
+@pytest.mark.parametrize("classes", [2, 10])
+@pytest.mark.parametrize("batch_size", [None, 16])
+@pytest.mark.parametrize("hidden", [(), (5,)], ids=["linear", "relu"])
+def test_run_training_matches_frozen_loop(hidden, batch_size, classes, sigma1, sigma2, alpha):
+    train = blob_data(30 + classes, n=60, dim=12, classes=classes)
+    test = blob_data(40 + classes, n=25, dim=12, classes=classes)
+    spec = ModelSpec((12, *hidden, classes))
+    cfg = TrainConfig(
+        gamma=0.05, eta=0.01, alpha=alpha, sigma1=sigma1, sigma2=sigma2, steps=25,
+        batch_size=batch_size, eval_interval=4,
+    )
+    trace = run_training(spec, train, test, cfg, 1.0, RngStream(5, 9))
+    assert trace == _frozen_run(spec, train, test, cfg, 1.0, RngStream(5, 9))
+    assert not trace.diverged
+
+
+@pytest.mark.parametrize("hidden", [(), (5,)], ids=["linear", "relu"])
+def test_diverging_run_matches_frozen_loop(hidden):
+    train = blob_data(50, n=60, dim=12)
+    test = blob_data(51, n=25, dim=12)
+    spec = ModelSpec((12, *hidden, 2))
+    cfg = TrainConfig(gamma=0.5, eta=0.0, alpha=1.3, sigma1=3e10, steps=40, eval_interval=3)
+    trace = run_training(spec, train, test, cfg, 1.0, RngStream(6))
+    frozen = _frozen_run(spec, train, test, cfg, 1.0, RngStream(6))
+    assert trace.diverged and frozen.diverged
+    assert 0 < len(trace.records) < cfg.steps
+    assert trace.records == frozen.records
+    assert trace.final_params_hash == frozen.final_params_hash
+
+
+def test_subordinator_draws_match_frozen_scalar_cms():
+    alphas = [float(a) for a in np.linspace(1.6, 2.0, 10)[:-1]]
+    mismatches = 0
+    for seed in range(10_000):
+        new, old = RngStream(seed), RngStream(seed)
+        for alpha in alphas:
+            a = sample_subordinator(alpha, new)
+            assert type(a) is float
+            mismatches += a != _frozen_subordinator(alpha, old)
+    assert mismatches == 0

@@ -145,3 +145,19 @@ def test_scalar_draws_are_floats():
     assert isinstance(x, float)
     v = sample_isotropic_stable(1.5, 4, RngStream(0))
     assert v.shape == (4,)
+
+
+@pytest.mark.parametrize("alpha", [1.2, 1.5, 1.7])
+def test_scalar_subordinator_matches_scipy_levy_stable(alpha):
+    # independent oracle: scipy's S1 stable law S(alpha/2, 1, scale, 0)
+    stats = pytest.importorskip("scipy.stats")
+    from levybound.stable import subordinator_scale
+
+    assert stats.levy_stable.parameterization == "S1"
+    rng = RngStream(11, 3)
+    draws = np.array([sample_subordinator(alpha, rng) for _ in range(2000)])
+    scale = subordinator_scale(alpha)
+    assert stats.kstest(draws, stats.levy_stable(alpha / 2, 1.0, scale=scale).cdf).pvalue > 0.01
+    # the same test rejects a law 20% wider
+    wide = stats.levy_stable(alpha / 2, 1.0, scale=1.2 * scale)
+    assert stats.kstest(draws, wide.cdf).pvalue < 1e-3

@@ -19,6 +19,9 @@ repeats of a batch of calls, reported per call as min / median / quartiles
   loop sees them.
 - ``cell``: one 3000-step reference cell through ``grid.evaluate_cell``,
   with its minor page faults.
+- ``records.*`` and ``analysis.*``: ``write_records`` and ``read_records``
+  on a seeded RECORD_ROWS-row d-scan records file, then ``build_report``
+  (group key d) and ``alpha_regression`` on the records read back.
 
 BLAS is pinned to one thread (the script re-executes itself with the
 variables set); glibc's malloc is left at its defaults, as a user's
@@ -43,6 +46,7 @@ import platform  # noqa: E402
 import resource  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
+import tempfile  # noqa: E402
 import time  # noqa: E402
 from dataclasses import replace  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -61,6 +65,7 @@ from levybound.grid import _model_for, evaluate_cell, load_grid_datasets  # noqa
 REPEATS = 25
 CELL_REPEATS = 5
 ALPHA = 1.6
+RECORD_ROWS = 10_000
 
 
 def blas_threads():
@@ -169,6 +174,42 @@ def time_cell(grid, train, test):
     return {**summary(walls, "s", 1.0), "minor_faults_median": statistics.median(faults)}
 
 
+def d_scan_records(rows):
+    """Seeded records shaped like a d-scan sweep: 10 alphas x 2 sigma1 x
+    50 seeds per width, gap ~ d^(1/2 - alpha/4) with lognormal noise and
+    1% diverged rows."""
+    rng = np.random.default_rng(0)
+    alphas = np.linspace(1.6, 2.0, 10).tolist()
+    records = []
+    for w in range(8, 8 + rows // 1000):
+        d = 27 * w  # ReLU 25 -> w -> 2
+        for alpha in alphas:
+            for sigma1 in (0.003, 0.3):
+                for seed in range(50):
+                    if rng.random() < 0.01:
+                        records.append(lb.RunRecord(alpha, sigma1, d, w, 500, seed,
+                                                    np.nan, np.nan, np.nan, True))
+                        continue
+                    gap = 0.02 * d ** (0.5 - alpha / 4) * float(np.exp(0.2 * rng.standard_normal()))
+                    i_hat = float(rng.lognormal(0.0, 0.5))
+                    records.append(lb.RunRecord(alpha, sigma1, d, w, 500, seed,
+                                                gap, i_hat, 5.0 * i_hat, False))
+    return records
+
+
+def records_layers(path):
+    """(name, callable, calls per repeat) for the records file and its analysis."""
+    records = d_scan_records(RECORD_ROWS)
+    lb.write_records(path, records)
+    read = lb.read_records(path)
+    return [
+        ("records.write", lambda: lb.write_records(path, records), 1),
+        ("records.read", lambda: lb.read_records(path), 1),
+        ("analysis.build_report", lambda: lb.build_report(read, "d"), 1),
+        ("analysis.alpha_regression", lambda: lb.alpha_regression(read), 5),
+    ]
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="JSON file to write")
@@ -188,10 +229,14 @@ def main():
             print(f"{key}: median {layers[key]['median']:.2f} us", flush=True)
     layers["cell"] = time_cell(grid, train, test)
     print(f"cell: median {layers['cell']['median']:.3f} s", flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for key, fn, number in records_layers(Path(tmp) / "records.csv"):
+            layers[key] = time_calls(fn, number)
+            print(f"{key}: median {layers[key]['median']:.0f} us", flush=True)
 
     result = {"profile": {"config": "reference/phase_transition.cfg", "alpha": ALPHA,
                           "sigma1": grid.sigma1s[0], "width": grid.widths[0], "seed": 0,
-                          "d": params.size, "n": train.n},
+                          "d": params.size, "n": train.n, "record_rows": RECORD_ROWS},
               "environment": environment(), "layers": layers}
     Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
     return 0

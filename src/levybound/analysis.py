@@ -11,7 +11,9 @@ changes sign.
 """
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,9 +26,11 @@ from .errors import (
 from .sde import RunTrace
 
 
-@dataclass(frozen=True)
-class RunRecord:
-    """One persisted grid cell; the row format all analysis consumes."""
+class RunRecord(NamedTuple):
+    """One persisted grid cell; the row format all analysis consumes.
+
+    A named tuple: records compare and order as tuples of their fields.
+    """
 
     alpha: float
     sigma1: float
@@ -101,16 +105,38 @@ def robust_gap(trace: RunTrace, window: int = 2000, trim: float = 0.15) -> float
     return math.fsum(kept) / len(kept)
 
 
-def _tie_term(values: np.ndarray) -> int:
-    _, counts = np.unique(values, return_counts=True)
-    return int((counts * (counts - 1) // 2).sum())
+def _tie_pairs(values: list) -> int:
+    """Pairs of equal values in a sorted list: c(c-1)/2 summed over runs."""
+    pairs = run = 0
+    for i in range(1, len(values)):
+        if values[i] == values[i - 1]:
+            run += 1
+            pairs += run
+        else:
+            run = 0
+    return pairs
+
+
+_INSERTION_MAX = 256
 
 
 def _count_inversions(a: list[float]) -> int:
-    """Number of strictly decreasing pairs, by merge sort."""
+    """Number of strictly decreasing pairs; sorts ``a`` in place.
+
+    Merge sort down to _INSERTION_MAX elements, binary insertion below:
+    in Python the insertion's memmove is cheaper than the merge's
+    per-element loop until lists are a few hundred long.
+    """
     n = len(a)
-    if n < 2:
-        return 0
+    if n <= _INSERTION_MAX:
+        done: list[float] = []
+        inv = 0
+        for v in a:
+            k = bisect_right(done, v)
+            inv += len(done) - k
+            done.insert(k, v)
+        a[:] = done
+        return inv
     mid = n // 2
     left, right = a[:mid], a[mid:]
     inv = _count_inversions(left) + _count_inversions(right)
@@ -139,25 +165,19 @@ def kendall_tau(xs, ys) -> float:
     n = x.size
     if n < 2:
         raise AnalysisPreconditionError("need at least 2 pairs")
-    n0 = n * (n - 1) // 2
-    n1 = _tie_term(x)
-    n2 = _tie_term(y)
-    if n1 == n0 or n2 == n0:
-        raise AnalysisPreconditionError("tau undefined: a variable is constant")
+    if np.isnan(x).any() or np.isnan(y).any():
+        raise AnalysisPreconditionError("tau undefined: NaN input")
 
     order = np.lexsort((y, x))
-    xs_, ys_ = x[order], y[order]
-    joint = 0
-    run = 1
-    for i in range(1, n):
-        if xs_[i] == xs_[i - 1] and ys_[i] == ys_[i - 1]:
-            run += 1
-        else:
-            joint += run * (run - 1) // 2
-            run = 1
-    joint += run * (run - 1) // 2
-
-    swaps = _count_inversions(list(ys_))
+    xs_ = x[order].tolist()
+    ys_ = y[order].tolist()
+    n0 = n * (n - 1) // 2
+    n1 = _tie_pairs(xs_)
+    joint = _tie_pairs(list(zip(xs_, ys_)))
+    swaps = _count_inversions(ys_)  # sorts ys_ in place
+    n2 = _tie_pairs(ys_)
+    if n1 == n0 or n2 == n0:
+        raise AnalysisPreconditionError("tau undefined: a variable is constant")
     concordant_minus_discordant = n0 - n1 - n2 + joint - 2 * swaps
     return concordant_minus_discordant / math.sqrt((n0 - n1) * (n0 - n2))
 
@@ -184,7 +204,8 @@ def correlation_scan(records, group_key: str) -> list[GroupScan]:
 
     Two variants per group: the per-seed tau (mean and std across seeds;
     seeds whose gaps are degenerate for tau are skipped) and the tau on
-    seed-averaged gaps. Diverged records never enter.
+    seed-averaged gaps. Diverged records never enter; a non-diverged
+    record with a NaN gap is an error.
     """
     if group_key not in ("d", "sigma1"):
         raise InvalidParameterError(f"group_key must be 'd' or 'sigma1', got {group_key!r}")
@@ -193,6 +214,11 @@ def correlation_scan(records, group_key: str) -> list[GroupScan]:
         raise AnalysisPreconditionError("no non-diverged records")
     groups: dict[float, list[RunRecord]] = {}
     for r in live:
+        if math.isnan(r.gap):
+            raise AnalysisPreconditionError(
+                f"non-diverged record with NaN gap: alpha={r.alpha} seed={r.seed} "
+                f"{group_key}={getattr(r, group_key)}"
+            )
         groups.setdefault(getattr(r, group_key), []).append(r)
     scans = []
     for g in sorted(groups):

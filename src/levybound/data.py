@@ -226,20 +226,10 @@ def read_records(path) -> list[RunRecord]:
             if len(row) != len(RECORD_HEADER):
                 raise DataFormatError(f"{path}:{lineno}: expected {len(RECORD_HEADER)} fields")
             try:
-                records.append(
-                    RunRecord(
-                        alpha=float(row[0]),
-                        sigma1=float(row[1]),
-                        d=int(row[2]),
-                        width=int(row[3]),
-                        n=int(row[4]),
-                        seed=int(row[5]),
-                        gap=float(row[6]),
-                        i_hat=float(row[7]),
-                        g_hat=float(row[8]),
-                        diverged=_DIVERGED[row[9]],
-                    )
-                )
+                records.append(RunRecord(
+                    float(row[0]), float(row[1]), int(row[2]), int(row[3]), int(row[4]),
+                    int(row[5]), float(row[6]), float(row[7]), float(row[8]), _DIVERGED[row[9]],
+                ))
             except (ValueError, KeyError) as exc:
                 raise DataFormatError(f"{path}:{lineno}: {exc}") from None
         return records

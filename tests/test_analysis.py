@@ -134,6 +134,44 @@ class TestKendallTau:
         with pytest.raises(AnalysisPreconditionError):
             kendall_tau([1.0, 1.0, 1.0], [1, 2, 3])
 
+    def test_merge_path_matches_brute_force(self):
+        # longer than the insertion-sort cutoff, so the merge step runs
+        rng = np.random.default_rng(8)
+        x = rng.integers(0, 30, size=700).astype(float)
+        y = rng.integers(0, 30, size=700).astype(float)
+        assert kendall_tau(x, y) == kendall_brute_force(x, y)
+
+    def test_nan_input_errors(self):
+        nan = float("nan")
+        with pytest.raises(AnalysisPreconditionError, match="NaN"):
+            kendall_tau([1, 2, 3, 4], [nan, nan, 3, 2])
+        with pytest.raises(AnalysisPreconditionError, match="NaN"):
+            kendall_tau([1, nan, 3], [1, 2, 3])
+
+
+def test_small_n_kendall_tau_matches_oracles():
+    """n = 2..25 drawn from a few values, so x, y and joint ties are common."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    stats = pytest.importorskip("scipy.stats")
+    values = st.sampled_from([-math.inf, -1.5, -0.0, 0.0, 0.25, 1.0, 3.0, math.inf])
+
+    @hypothesis.settings(max_examples=400, deadline=None)
+    @hypothesis.given(st.integers(2, 25).flatmap(
+        lambda n: st.tuples(st.lists(values, min_size=n, max_size=n),
+                            st.lists(values, min_size=n, max_size=n))))
+    def check(pair):
+        x, y = pair
+        if len(set(x)) == 1 or len(set(y)) == 1:
+            with pytest.raises(AnalysisPreconditionError):
+                kendall_tau(x, y)
+            return
+        tau = kendall_tau(x, y)
+        assert tau == kendall_brute_force(x, y)
+        assert abs(tau - stats.kendalltau(x, y, variant="b").statistic) <= 1e-12
+
+    check()
+
 
 class TestPearson:
     def test_affine_positive(self):
@@ -220,6 +258,12 @@ class TestCorrelationScan:
             assert [a for a, _, _ in scan.alpha_gaps] == [1.6, 1.8]
             flat = [v for row in scan.alpha_gaps for v in row]
             assert flat == pytest.approx([1.6, 2.4, 0.8, 1.8, 2.7, 0.9], rel=1e-12)
+
+    def test_nan_gap_in_live_record_errors(self):
+        records = [rec(a, gap=a, d=10, seed=s) for a in (1.6, 1.8, 2.0) for s in (0, 1)]
+        records.append(rec(1.7, gap=float("nan"), d=10, seed=1))
+        with pytest.raises(AnalysisPreconditionError, match="alpha=1.7 seed=1 d=10"):
+            correlation_scan(records, "d")
 
     def test_single_alpha_group_errors(self):
         records = [rec(1.8, gap=0.1, seed=s) for s in range(3)]

@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import pytest
@@ -242,6 +243,14 @@ class TestAnalyzeCommand:
         )
         code, _, err = run_cli(capsys, "analyze", "--records", str(records_csv))
         assert code == 3 and "analysis error" in err
+
+    def test_nan_gap_exits_3(self, capsys, tmp_path):
+        records_csv = tmp_path / "records.csv"
+        records = [RunRecord(a, 0.1, 10, 0, 50, 0, a, 1.0, 1.0, False) for a in (1.6, 1.8, 2.0)]
+        records.append(RunRecord(1.7, 0.1, 10, 0, 50, 0, math.nan, 1.0, 1.0, False))
+        write_records(records_csv, records)
+        code, _, err = run_cli(capsys, "analyze", "--records", str(records_csv))
+        assert code == 3 and "NaN gap: alpha=1.7 seed=0 d=10" in err
 
 
 class TestRegressAlphaCommand:

@@ -1,3 +1,9 @@
+import csv
+import math
+import struct
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -212,6 +218,114 @@ class TestRecordsCsv:
         append_records(path, records[:2])
         append_records(path, records[2:])
         assert read_records(path) == records
+
+
+def reference_read_records(path):
+    """The row-by-row reader records were first read with, kept verbatim
+    as the oracle for ``read_records``."""
+    diverged_literal = {"true": True, "false": False}
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataFormatError(f"{path}: empty records file") from None
+        if header != RECORD_HEADER:
+            raise DataFormatError(
+                f"{path}: header mismatch, expected {','.join(RECORD_HEADER)}"
+            )
+        records = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(RECORD_HEADER):
+                raise DataFormatError(f"{path}:{lineno}: expected {len(RECORD_HEADER)} fields")
+            try:
+                records.append(
+                    RunRecord(
+                        alpha=float(row[0]),
+                        sigma1=float(row[1]),
+                        d=int(row[2]),
+                        width=int(row[3]),
+                        n=int(row[4]),
+                        seed=int(row[5]),
+                        gap=float(row[6]),
+                        i_hat=float(row[7]),
+                        g_hat=float(row[8]),
+                        diverged=diverged_literal[row[9]],
+                    )
+                )
+            except (ValueError, KeyError) as exc:
+                raise DataFormatError(f"{path}:{lineno}: {exc}") from None
+        return records
+
+
+def same_field(a, b) -> bool:
+    """Equal type and value; floats bit for bit, except that any NaN matches any NaN."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return (math.isnan(a) and math.isnan(b)) or struct.pack("<d", a) == struct.pack("<d", b)
+    return a == b
+
+
+def same_records(got, want) -> bool:
+    return len(got) == len(want) and all(
+        type(g) is RunRecord and all(map(same_field, g, w)) for g, w in zip(got, want)
+    )
+
+
+def test_records_roundtrip_matches_reference_reader():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    floats = st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+        st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, -2.2250738585072014e-308]),
+    )
+    ints = st.one_of(st.integers(-(2**70), 2**70), st.sampled_from([2**63, 2**64 + 1, -(2**63) - 1]))
+    record = st.builds(RunRecord, floats, floats, ints, ints, ints, ints,
+                       floats, floats, floats, st.booleans())
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(st.lists(record, max_size=12), st.lists(record, max_size=6))
+    def check(written, appended):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "records.csv"
+            write_records(path, written)
+            append_records(path, appended)
+            got = read_records(path)
+            assert same_records(got, written + appended)
+            assert same_records(got, reference_read_records(path))
+
+    check()
+
+
+GOOD_ROW = "1.5,0.1,10,0,50,0,0.25,1.0,2.0,false"
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        pytest.param(GOOD_ROW + "\n1.5,0.1,10,0,50,0,0.25,1.0,2.0\n", id="too-few-fields"),
+        pytest.param(GOOD_ROW + ",extra\n", id="too-many-fields"),
+        pytest.param("1.5,0.1,1.5,0,50,0,0.25,1.0,2.0,false\n", id="float-in-int-field"),
+        pytest.param(GOOD_ROW[: -len("false")] + "True\n", id="python-bool-literal"),
+        pytest.param("1.5,0.1,10,0,50,0,0.25,one,2.0,false\n", id="non-numeric-float"),
+        pytest.param(GOOD_ROW + "\n\n" + GOOD_ROW + "\n", id="blank-line-mid-file"),
+        pytest.param('"1.5",0.1,1_0,0,50,0,-0,inf,nan,true\n', id="quoted-underscore-specials"),
+    ],
+)
+def test_malformed_records_match_reference_reader(tmp_path, body):
+    path = tmp_path / "records.csv"
+    path.write_text(",".join(RECORD_HEADER) + "\n" + body)
+    try:
+        want = reference_read_records(path)
+    except DataFormatError as exc:
+        with pytest.raises(DataFormatError) as got:
+            read_records(path)
+        assert str(got.value) == str(exc)
+    else:
+        assert same_records(read_records(path), want)
 
 
 class TestParseConfig:

@@ -12,9 +12,7 @@ repeats of a batch of calls, reported per call as min / median / quartiles
 
 - ``loop.*``: what one step of ``run_training`` executes: the full-batch
   gradient, one isotropic stable draw (subordinator + Gaussian), one EM
-  update, and the train + test 0-1 evaluation of an eval step. On a tree
-  whose loop still calls the public functions (no ``ModelKernel``), those
-  functions are what the loop runs, so they are timed instead.
+  update, and the train + test 0-1 evaluation of an eval step.
 - ``public.*``: the validating public functions, as a caller outside the
   loop sees them.
 - ``cell``: one 3000-step reference cell through ``grid.evaluate_cell``,
@@ -130,22 +128,20 @@ def step_layers(spec, train, test, cfg, params):
     d = params.size
     rng = lb.RngStream(0, 1)
     rows = np.arange(train.n)
-    if hasattr(models, "ModelKernel"):
-        kernel = models.ModelKernel(spec, train.n)
-        train_eval, test_eval = models.ModelKernel(spec, train.n), models.ModelKernel(spec, test.n)
-        x, y = train.features[rows], train.labels[rows]
-        grad = kernel.gradient(params, x, y).copy()
-        noise = stable.StableNoise(cfg.alpha, d)
-        draw = noise.draw(rng).copy()
-        update, out = sde.EulerMaruyama(cfg, d), np.empty(d)
-        return [
-            ("gradient", lambda: kernel.gradient(params, x, y), 200),
-            ("stable_draw", lambda: noise.draw(rng), 1000),
-            ("em_update", lambda: update(params, grad, draw, None, out), 2000),
-            ("eval", lambda: (train_eval.error_rate(params, train.features, train.labels),
-                              test_eval.error_rate(params, test.features, test.labels)), 500),
-        ]
-    return public_layers(spec, train, test, cfg, params)
+    kernel = models.ModelKernel(spec, train.n)
+    train_eval, test_eval = models.ModelKernel(spec, train.n), models.ModelKernel(spec, test.n)
+    x, y = train.features[rows], train.labels[rows]
+    grad = kernel.gradient(params, x, y).copy()
+    noise = stable.StableNoise(cfg.alpha, d)
+    draw = noise.draw(rng).copy()
+    update, out = sde.EulerMaruyama(cfg, d), np.empty(d)
+    return [
+        ("gradient", lambda: kernel.gradient(params, x, y), 200),
+        ("stable_draw", lambda: noise.draw(rng), 1000),
+        ("em_update", lambda: update(params, grad, draw, None, out), 2000),
+        ("eval", lambda: (train_eval.error_rate(params, train.features, train.labels),
+                          test_eval.error_rate(params, test.features, test.labels)), 500),
+    ]
 
 
 def public_layers(spec, train, test, cfg, params):

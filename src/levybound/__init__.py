@@ -10,7 +10,6 @@ high-probability generalization bounds, and runs the grid / correlation
 from .analysis import (
     AnalysisReport,
     GroupScan,
-    RunRecord,
     alpha_regression,
     build_report,
     correlation_scan,
@@ -43,6 +42,7 @@ from .constants import (
     stable_levy_constant,
 )
 from .data import (
+    RunRecord,
     SyntheticSpec,
     generate_synthetic,
     load_idx,

@@ -13,35 +13,17 @@ changes sign.
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .constants import phase_regime
+from .data import RunRecord
 from .errors import (
     AnalysisPreconditionError,
     DimensionMismatchError,
     InvalidParameterError,
 )
 from .sde import RunTrace
-
-
-class RunRecord(NamedTuple):
-    """One persisted grid cell; the row format all analysis consumes.
-
-    A named tuple: records compare and order as tuples of their fields.
-    """
-
-    alpha: float
-    sigma1: float
-    d: int
-    width: int
-    n: int
-    seed: int
-    gap: float
-    i_hat: float
-    g_hat: float
-    diverged: bool
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,7 @@ class BoundInputs:
             raise InvalidParameterError(f"alpha must be in [1, 2], got {self.alpha}")
         if self.d < 1 or self.n < 1:
             raise InvalidParameterError("d and n must be >= 1")
-        if self.sigma1 < 0.0 or self.sigma2 < 0.0:
+        if not (self.sigma1 >= 0.0 and self.sigma2 >= 0.0):
             raise InvalidParameterError("noise scales must be >= 0")
         if not self.radius > 0.0:
             raise InvalidParameterError("radius must be > 0")
@@ -56,7 +56,7 @@ class BoundInputs:
             raise InvalidParameterError("s must be > 0")
         if not 0.0 < self.zeta < 1.0:
             raise InvalidParameterError(f"zeta must be in (0, 1), got {self.zeta}")
-        if self.lam < 0.0:
+        if not self.lam >= 0.0:
             raise InvalidParameterError("Lambda must be >= 0")
 
 

@@ -8,6 +8,7 @@ flag overrides, and emits CSV to stdout or ``--out``. Exit codes:
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -65,10 +66,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
-
-
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
 
 
 def _cfg_from(args) -> dict[str, str]:
@@ -166,10 +163,20 @@ def _grid_spec(cfg, out: str) -> GridSpec:
     )
 
 
-def _emit(args, lines) -> None:
+def _field(v) -> str:
+    """One table field: floats at 17 significant digits, None (not applicable) empty."""
+    if isinstance(v, float):
+        return format(v, ".17g")
+    return "" if v is None else str(v)
+
+
+def _emit(path, header, rows, sep=",") -> None:
+    """Write ``header`` (None for none), then one line per row, to ``path`` or stdout."""
+    lines = [] if header is None else [header]
+    lines += [sep.join(map(_field, row)) for row in rows]
     text = "\n".join(lines) + "\n"
-    if getattr(args, "out", None):
-        with open(args.out, "w") as f:
+    if path:
+        with open(path, "w") as f:
             f.write(text)
     else:
         sys.stdout.write(text)
@@ -185,42 +192,22 @@ def _cmd_constants(args) -> int:
     bc = bound_constants(args.alpha, args.d, args.radius)
     coarse, refined = phase_regime(args.sigma1, args.d, args.radius)
     prior, xi_ours, xi_prior = comparison_rate(args.alpha, args.d)
-    row = ",".join(
-        [
-            _fmt(args.alpha),
-            str(args.d),
-            _fmt(args.radius),
-            _fmt(args.sigma1),
-            _fmt(bc.k),
-            _fmt(bc.k_bar),
-            _fmt(bc.p),
-            _fmt(bc.c),
-            _fmt(bc.sphere),
-            _fmt(bc.log_c),
-            _fmt(bc.log_sphere),
-            coarse,
-            refined,
-            _fmt(prior),
-            _fmt(xi_ours),
-            _fmt(xi_prior),
-        ]
+    row = (
+        args.alpha, args.d, args.radius, args.sigma1, bc.k, bc.k_bar, bc.p, bc.c, bc.sphere,
+        bc.log_c, bc.log_sphere, coarse, refined, prior, xi_ours, xi_prior,
     )
-    _emit(args, [CONSTANTS_HEADER, row])
+    _emit(args.out, CONSTANTS_HEADER, [row])
     return 0
 
 
 def _cmd_sample(args) -> int:
     rng = RngStream(args.seed, args.stream)
-    lines = []
     if args.dim is not None:
         draws = sample_isotropic_stable(args.alpha, args.dim, rng, size=args.count)
-        for row in draws:
-            lines.append(" ".join(_fmt(v) for v in row))
     else:
         params = StableParams(args.alpha, args.beta, args.scale, args.loc)
-        draws = sample_skewed_stable(params, rng, size=args.count)
-        lines.extend(_fmt(v) for v in draws)
-    _emit(args, lines)
+        draws = sample_skewed_stable(params, rng, size=args.count)[:, None]
+    _emit(args.out, None, draws, sep=" ")
     return 0
 
 
@@ -237,32 +224,31 @@ def _cmd_simulate(args) -> int:
     # the cell is the one-cell grid at indices (0, 0), so its row is that grid's row
     cfg.update(alphas=cfg["alpha"], sigma1s=cfg["sigma1"], widths=cfg["width"], seeds=cfg["seed"])
     grid = _grid_spec(cfg, out="")
-    train, test = load_grid_datasets(grid)
-    record, trace = evaluate_cell(grid, train, test, alpha, sigma1, width, seed, 0, 0)
-
-    prefix = [_fmt(alpha), _fmt(sigma1), str(record.d), str(width), str(record.n), str(seed)]
-    if record.diverged:
-        _emit(args, [SIMULATE_HEADER, ",".join(prefix + [""] * 6 + ["true"])])
-        return 0
-
     tc = grid.train
+    # validated before training; the cell's row supplies d and n
     inputs = BoundInputs(
-        alpha=alpha, d=record.d, n=record.n, sigma1=sigma1, sigma2=tc.sigma2,
+        alpha=alpha, d=1, n=1, sigma1=sigma1, sigma2=tc.sigma2,
         gamma=tc.gamma, eta=tc.eta, radius=grid.radius,
         s=_value(cfg, "s", float), zeta=_value(cfg, "zeta", float),
         lam=_value(cfg, "Lambda", float),
     )
     inputs.validate()
-    g_hat = thm = disc = brown = ""
-    if sigma1 > 0.0:
-        g_hat = _fmt(record.g_hat)
-        thm = _fmt(stable_bound(record.i_hat, inputs))
-        if 0.0 < tc.gamma * tc.eta < 1.0:
-            disc = _fmt(discrete_bound(trace, inputs))
-    if tc.sigma2 > 0.0:
-        brown = _fmt(brownian_bound(record.i_hat, inputs))
-    row = prefix + [_fmt(record.gap), _fmt(record.i_hat), g_hat, thm, disc, brown, "false"]
-    _emit(args, [SIMULATE_HEADER, ",".join(row)])
+    train, test = load_grid_datasets(grid)
+    record, trace = evaluate_cell(grid, train, test, alpha, sigma1, width, seed, 0, 0)
+
+    # fields that do not apply to the cell stay None (empty)
+    gap = i_hat = g_hat = thm = disc = brown = None
+    if not record.diverged:
+        gap, i_hat = record.gap, record.i_hat
+        inputs = replace(inputs, d=record.d, n=record.n)
+        if sigma1 > 0.0:
+            g_hat, thm = record.g_hat, stable_bound(i_hat, inputs)
+            if 0.0 < tc.gamma * tc.eta < 1.0:
+                disc = discrete_bound(trace, inputs)
+        if tc.sigma2 > 0.0:
+            brown = brownian_bound(i_hat, inputs)
+    row = (*record[:6], gap, i_hat, g_hat, thm, disc, brown, "true" if record.diverged else "false")
+    _emit(args.out, SIMULATE_HEADER, [row])
     return 0
 
 
@@ -292,43 +278,22 @@ def _cmd_analyze(args) -> int:
     if report.radius_note:
         print(f"radius estimate unavailable: {report.radius_note}", file=sys.stderr)
 
-    opt = lambda v: "" if v is None else _fmt(v)
-    lines = [REPORT_HEADER]
-    for s, (coarse, refined) in zip(report.groups, report.regimes):
-        lines.append(
-            ",".join(
-                [
-                    report.group_key,
-                    _fmt(s.group),
-                    str(s.n_seeds),
-                    _fmt(s.tau_seed_mean),
-                    _fmt(s.tau_seed_std),
-                    _fmt(s.tau_mean_gap),
-                    _fmt(s.pearson_mean_gap),
-                    coarse,
-                    refined,
-                    opt(report.r_hat),
-                    opt(report.intercept),
-                    opt(report.alpha_hat),
-                    opt(report.radius_estimate),
-                ]
-            )
-        )
-    _emit(args, lines)
-
+    estimates = (report.r_hat, report.intercept, report.alpha_hat, report.radius_estimate)
+    rows = [
+        (report.group_key, s.group, s.n_seeds, s.tau_seed_mean, s.tau_seed_std, s.tau_mean_gap,
+         s.pearson_mean_gap, *regime, *estimates)
+        for s, regime in zip(report.groups, report.regimes)
+    ]
+    _emit(args.out, REPORT_HEADER, rows)
     if args.long_out:
-        long_lines = ["group,alpha,mean_gap,std_gap"]
-        for s in report.groups:
-            long_lines.extend(",".join(map(_fmt, (s.group, *row))) for row in s.alpha_gaps)
-        with open(args.long_out, "w") as f:
-            f.write("\n".join(long_lines) + "\n")
+        long_rows = [(s.group, *row) for s in report.groups for row in s.alpha_gaps]
+        _emit(args.long_out, "group,alpha,mean_gap,std_gap", long_rows)
     return 0
 
 
 def _cmd_regress_alpha(args) -> int:
     records = read_records(args.records)
-    r_hat, intercept, alpha_hat = an.alpha_regression(records)
-    _emit(args, ["r_hat,intercept,alpha_hat", ",".join([_fmt(r_hat), _fmt(intercept), _fmt(alpha_hat)])])
+    _emit(args.out, "r_hat,intercept,alpha_hat", [an.alpha_regression(records)])
     return 0
 
 

@@ -12,10 +12,10 @@ import csv
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .analysis import RunRecord
 from .errors import DataFormatError, InvalidParameterError
 from .models import Dataset
 from .rng import RngStream
@@ -23,8 +23,31 @@ from .rng import RngStream
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
-RECORD_HEADER = ["alpha", "sigma1", "d", "width", "n", "seed", "gap", "i_hat", "g_hat", "diverged"]
+
+class RunRecord(NamedTuple):
+    """One persisted grid cell; the row format all analysis consumes.
+
+    A named tuple: records compare and order as tuples of their fields.
+    """
+
+    alpha: float
+    sigma1: float
+    d: int
+    width: int
+    n: int
+    seed: int
+    gap: float
+    i_hat: float
+    g_hat: float
+    diverged: bool
+
+
+RECORD_HEADER = list(RunRecord._fields)
 _DIVERGED = {"true": True, "false": False}
+# One records row: floats at 17 significant digits (lossless), ints as
+# str, the flag as true/false. Lines end in CRLF, the csv module's
+# default, so records files stay byte-identical across versions.
+_ROW = "{:.17g},{:.17g},{},{},{},{},{:.17g},{:.17g},{:.17g},{}\r\n"
 
 
 @dataclass(frozen=True)
@@ -150,43 +173,21 @@ def subsample(data: Dataset, fraction: float, seed: int) -> Dataset:
     return Dataset(data.features[idx], data.labels[idx], data.num_classes)
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
 def write_records(path, records) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(RECORD_HEADER)
-        for r in records:
-            w.writerow(_record_row(r))
-
-
-def _record_row(r: RunRecord) -> list[str]:
-    return [
-        _fmt(r.alpha),
-        _fmt(r.sigma1),
-        str(r.d),
-        str(r.width),
-        str(r.n),
-        str(r.seed),
-        _fmt(r.gap),
-        _fmt(r.i_hat),
-        _fmt(r.g_hat),
-        "true" if r.diverged else "false",
-    ]
+    _write_rows(path, "w", records)
 
 
 def append_records(path, records) -> None:
-    """Append rows, writing the header first if the file does not exist."""
-    path = Path(path)
-    new_file = not path.exists()
-    with open(path, "a", newline="") as f:
-        w = csv.writer(f)
-        if new_file:
-            w.writerow(RECORD_HEADER)
+    """Append rows, writing the header first if the file is new or empty."""
+    _write_rows(path, "a", records)
+
+
+def _write_rows(path, mode: str, records) -> None:
+    with open(path, mode, newline="") as f:
+        if f.tell() == 0:
+            f.write(",".join(RECORD_HEADER) + "\r\n")
         for r in records:
-            w.writerow(_record_row(r))
+            f.write(_ROW.format(*r[:9], "true" if r.diverged else "false"))
 
 
 def drop_torn_row(path) -> bool:

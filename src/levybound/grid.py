@@ -21,9 +21,10 @@ import os
 from dataclasses import dataclass, replace
 from itertools import product
 
-from .analysis import RunRecord, robust_gap
+from .analysis import robust_gap
 from .bounds import BoundInputs, bound_estimate, integral_estimate
 from .data import (
+    RunRecord,
     SyntheticSpec,
     append_records,
     drop_torn_row,
@@ -33,7 +34,7 @@ from .data import (
     subsample,
     write_records,
 )
-from .errors import InvalidParameterError
+from .errors import DataFormatError, InvalidParameterError
 from .models import Dataset, ModelSpec, param_count
 from .rng import RngStream, mix64
 from .sde import RunTrace, TrainConfig, run_training
@@ -71,10 +72,14 @@ class GridSpec:
                 raise InvalidParameterError(f"grid list {name} must be nonempty")
         if any(not 1.0 < a <= 2.0 for a in self.alphas):
             raise InvalidParameterError("grid alphas must be in (1, 2]")
-        if any(s < 0.0 for s in self.sigma1s):
+        if any(not s >= 0.0 for s in self.sigma1s):
             raise InvalidParameterError("grid sigma1 values must be >= 0")
         if any(w < 0 for w in self.widths):
             raise InvalidParameterError("grid widths must be >= 0 (0 = linear)")
+        if not self.init_scale >= 0.0:
+            raise InvalidParameterError(f"init_scale must be >= 0, got {self.init_scale}")
+        if not self.radius > 0.0:
+            raise InvalidParameterError(f"radius R must be > 0, got {self.radius}")
 
     @property
     def cell_count(self) -> int:
@@ -86,7 +91,12 @@ def load_grid_datasets(grid: GridSpec) -> tuple[Dataset, Dataset]:
         return generate_synthetic(grid.data)
     src = grid.data
     train = load_idx(src.train_images, src.train_labels)
-    test = load_idx(src.test_images, src.test_labels)
+    test = load_idx(src.test_images, src.test_labels, num_classes=train.num_classes)
+    if test.input_dim != train.input_dim:
+        raise DataFormatError(
+            f"{src.test_images}: {test.input_dim} pixels per image, but "
+            f"{src.train_images} has {train.input_dim}"
+        )
     if src.subsample_fraction < 1.0:
         train = subsample(train, src.subsample_fraction, src.subsample_seed)
     return train, test

@@ -28,10 +28,6 @@ class ModelSpec:
             raise InvalidParameterError(f"widths must be positive, got {self.widths}")
 
     @property
-    def kind(self) -> str:
-        return "linear" if len(self.widths) == 2 else "fcn"
-
-    @property
     def num_classes(self) -> int:
         return self.widths[-1]
 
@@ -75,7 +71,7 @@ def param_count(spec: ModelSpec) -> int:
 
 def init_params(spec: ModelSpec, scale: float, rng: RngStream) -> np.ndarray:
     """Gaussian init with per-layer std scale / sqrt(fan-in); scale 0 gives zeros."""
-    if scale < 0.0:
+    if not scale >= 0.0:
         raise InvalidParameterError(f"scale must be >= 0, got {scale}")
     d = param_count(spec)
     if scale == 0.0:

@@ -45,13 +45,13 @@ class TrainConfig:
     def __post_init__(self):
         if not self.gamma > 0.0:
             raise InvalidParameterError(f"gamma must be > 0, got {self.gamma}")
-        if self.eta < 0.0:
+        if not self.eta >= 0.0:
             raise InvalidParameterError(f"eta must be >= 0, got {self.eta}")
         if not self.gamma * self.eta < 1.0:
             raise InvalidParameterError("gamma * eta must be < 1")
         if not 1.0 < self.alpha <= 2.0:
             raise InvalidParameterError(f"alpha must be in (1, 2], got {self.alpha}")
-        if self.sigma1 < 0.0 or self.sigma2 < 0.0:
+        if not (self.sigma1 >= 0.0 and self.sigma2 >= 0.0):
             raise InvalidParameterError("noise scales must be >= 0")
         if self.steps < 1:
             raise InvalidParameterError("steps must be >= 1")

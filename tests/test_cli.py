@@ -3,8 +3,33 @@ from pathlib import Path
 
 import pytest
 
-from levybound import RunRecord, k_alpha_d, read_records, write_records
+import levybound.grid
+from levybound import (
+    BoundInputs,
+    GridSpec,
+    ModelSpec,
+    RngStream,
+    RunRecord,
+    StableParams,
+    SyntheticSpec,
+    TrainConfig,
+    alpha_regression,
+    bound_constants,
+    brownian_bound,
+    comparison_rate,
+    discrete_bound,
+    init_params,
+    k_alpha_d,
+    phase_regime,
+    read_records,
+    sample_isotropic_stable,
+    sample_skewed_stable,
+    stable_bound,
+    write_records,
+)
 from levybound.cli import main
+from levybound.errors import InvalidParameterError
+from levybound.grid import evaluate_cell, load_grid_datasets
 
 
 def run_cli(capsys, *argv):
@@ -293,3 +318,200 @@ def test_out_flag_writes_file(capsys, tmp_path):
     )
     assert code == 0 and out == ""
     assert out_path.read_text().startswith("alpha,")
+
+
+def _f(v):
+    return format(v, ".17g")
+
+
+class TestTablesMatchLibrary:
+    """Each CLI table, byte for byte, against the row rebuilt from the library API.
+
+    Column names, the .17g float format, the empty not-applicable fields
+    and the true/false flag are spelled out here, apart from the CLI code.
+    """
+
+    @pytest.mark.parametrize(
+        "alpha, d, radius, sigma1", [(1.5, 100, 1.0, 0.05), (1.7, 79400, 2.5, 0.01)]
+    )
+    def test_constants(self, capsys, alpha, d, radius, sigma1):
+        code, out, err = run_cli(
+            capsys, "constants", "--alpha", str(alpha), "--d", str(d), "--radius", str(radius),
+            "--sigma1", str(sigma1),
+        )
+        bc = bound_constants(alpha, d, radius)
+        coarse, refined = phase_regime(sigma1, d, radius)
+        prior, xi_ours, xi_prior = comparison_rate(alpha, d)
+        row = [_f(alpha), str(d), _f(radius), _f(sigma1)]
+        row += map(_f, [bc.k, bc.k_bar, bc.p, bc.c, bc.sphere, bc.log_c, bc.log_sphere])
+        row += [coarse, refined, _f(prior), _f(xi_ours), _f(xi_prior)]
+        header = (
+            "alpha,d,radius,sigma1,k,k_bar,p,c,sphere_area,log_c,log_sphere_area,"
+            "regime,regime_refined,prior_constant,xi_ours,xi_prior"
+        )
+        assert (code, err) == (0, "")
+        assert out == header + "\n" + ",".join(row) + "\n"
+        if d == 79400:
+            assert (row[7], row[8]) == ("inf", "0")
+
+    def test_sample_scalar(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sample", "--alpha", "1.5", "--count", "6", "--seed", "3", "--stream", "2",
+            "--beta", "0.5", "--scale", "2", "--loc", "-1",
+        )
+        draws = sample_skewed_stable(StableParams(1.5, 0.5, 2.0, -1.0), RngStream(3, 2), size=6)
+        assert code == 0
+        assert out == "".join(_f(v) + "\n" for v in draws)
+
+    @pytest.mark.parametrize("alpha", [1.8, 2.0])
+    def test_sample_vector(self, capsys, alpha):
+        code, out, _ = run_cli(
+            capsys, "sample", "--alpha", str(alpha), "--dim", "3", "--count", "4", "--seed", "5"
+        )
+        draws = sample_isotropic_stable(alpha, 3, RngStream(5, 0), size=4)
+        assert code == 0
+        assert out == "".join(" ".join(map(_f, row)) + "\n" for row in draws)
+
+    @pytest.mark.parametrize(
+        "sigma1, sigma2, eta, width, init_scale",
+        [
+            (0.1, 0.0, 0.001, 0, 1.0),
+            (0.0, 0.1, 0.001, 0, 1.0),
+            (0.2, 0.1, 0.001, 4, 1.0),
+            (0.1, 0.0, 0.0, 0, 1.0),
+            (0.1, 0.0, 0.001, 0, 1e13),
+        ],
+        ids=["sigma1", "sigma2-only", "both-noises", "eta-zero", "diverged"],
+    )
+    def test_simulate(self, capsys, tmp_path, sigma1, sigma2, eta, width, init_scale):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(BASE_CFG + "alpha=1.7\nseed=2\n")
+        code, out, err = run_cli(
+            capsys, "simulate", "--config", str(cfg), "--set", f"sigma1={sigma1}",
+            "--set", f"sigma2={sigma2}", "--set", f"eta={eta}", "--set", f"width={width}",
+            "--set", f"init_scale={init_scale}",
+        )
+        grid = GridSpec(
+            alphas=(1.7,), sigma1s=(sigma1,), widths=(width,), seeds=(2,),
+            train=TrainConfig(gamma=0.05, eta=eta, alpha=2.0, sigma1=0.0, sigma2=sigma2,
+                              steps=40, eval_interval=5),
+            data=SyntheticSpec(30, 5, 2, 2.0, 1.0, seed=7), out="", init_scale=init_scale,
+            window=30,
+        )
+        train, test = load_grid_datasets(grid)
+        r, trace = evaluate_cell(grid, train, test, 1.7, sigma1, width, 2, 0, 0)
+        row = [_f(1.7), _f(sigma1), str(r.d), str(width), str(r.n), "2"]
+        if r.diverged:
+            row += [""] * 6 + ["true"]
+        else:
+            inputs = BoundInputs(1.7, r.d, r.n, sigma1, sigma2, 0.05, eta, radius=1.0, s=0.5,
+                                 zeta=0.05, lam=0.0)
+            row += [_f(r.gap), _f(r.i_hat)]
+            row += [_f(r.g_hat), _f(stable_bound(r.i_hat, inputs))] if sigma1 > 0 else ["", ""]
+            row += [_f(discrete_bound(trace, inputs)) if sigma1 > 0 and eta > 0 else ""]
+            row += [_f(brownian_bound(r.i_hat, inputs)) if sigma2 > 0 else "", "false"]
+        header = (
+            "alpha,sigma1,d,width,n,seed,gap,i_hat,g_hat,"
+            "stable_bound,discrete_bound,brownian_bound,diverged"
+        )
+        assert (code, err) == (0, "")
+        assert r.diverged == (init_scale > 1.0)
+        assert out == header + "\n" + ",".join(row) + "\n"
+
+    def test_regress_alpha(self, capsys, tmp_path):
+        records_csv = tmp_path / "records.csv"
+        records = [
+            RunRecord(1.7, 0.01, d, 0, 500, seed, d ** (0.5 - 1.7 / 4) * (1 + 0.1 * seed),
+                      1.0, 1.0, False)
+            for d in (100, 300, 1000) for seed in (0, 1)
+        ]
+        write_records(records_csv, records)
+        code, out, _ = run_cli(capsys, "regress-alpha", "--records", str(records_csv))
+        assert code == 0
+        assert out == "r_hat,intercept,alpha_hat\n" + ",".join(
+            map(_f, alpha_regression(records))) + "\n"
+
+
+class TestDivergedRows:
+    def test_grid_diverged_rows_end_to_end(self, capsys, tmp_path, monkeypatch):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(BASE_CFG + "alphas=1.6,1.8,2.0\nsigma1s=0.1\nwidths=0\nseeds=0,1\n")
+        live_csv, diverged_csv = tmp_path / "live.csv", tmp_path / "diverged.csv"
+        code, _, _ = run_cli(capsys, "grid", "--config", str(cfg), "--out", str(live_csv))
+        assert code == 0
+        code, _, _ = run_cli(
+            capsys, "grid", "--config", str(cfg), "--set", "seeds=7",
+            "--set", "init_scale=1e13", "--out", str(diverged_csv),
+        )
+        assert code == 0
+        diverged = diverged_csv.read_bytes()
+        rows = diverged.split(b"\r\n")
+        assert rows[-1] == b"" and len(rows) == 1 + 3 + 1
+        for alpha, row in zip(("1.6000000000000001", "1.8", "2"), rows[1:4]):
+            assert row == f"{alpha},0.10000000000000001,10,0,48,7,nan,nan,nan,true".encode()
+
+        # a re-run resumes: no cell is trained again and the file is unchanged
+        def no_training(*args, **kwargs):
+            raise AssertionError("a cell was recomputed")
+
+        monkeypatch.setattr(levybound.grid, "run_training", no_training)
+        code, _, _ = run_cli(
+            capsys, "grid", "--config", str(cfg), "--set", "seeds=7",
+            "--set", "init_scale=1e13", "--out", str(diverged_csv),
+        )
+        assert code == 0 and diverged_csv.read_bytes() == diverged
+
+        # analyze skips diverged rows in a file that also has live rows
+        mixed_csv = tmp_path / "mixed.csv"
+        live = live_csv.read_bytes()
+        mixed_csv.write_bytes(live + diverged.split(b"\r\n", 1)[1])
+        assert len(read_records(mixed_csv)) == 6 + 3
+        code, live_out, live_err = run_cli(capsys, "analyze", "--records", str(live_csv))
+        assert code == 0
+        code, mixed_out, mixed_err = run_cli(capsys, "analyze", "--records", str(mixed_csv))
+        assert code == 0 and (mixed_out, mixed_err) == (live_out, live_err)
+
+
+class TestConfigErrors:
+    """Values that cannot describe a run are rejected before any cell trains."""
+
+    @pytest.mark.parametrize(
+        "command, setting, message",
+        [
+            ("grid", "R=-1", "radius R must be > 0"),
+            ("grid", "R=0", "radius R must be > 0"),
+            ("grid", "R=nan", "radius R must be > 0"),
+            ("grid", "sigma1s=nan", "sigma1 values must be >= 0"),
+            ("grid", "sigma2=nan", "noise scales must be >= 0"),
+            ("grid", "eta=nan", "eta must be >= 0"),
+            ("grid", "init_scale=nan", "init_scale must be >= 0"),
+            ("grid", "init_scale=-1", "init_scale must be >= 0"),
+            ("simulate", "R=-1", "radius R must be > 0"),
+            ("simulate", "sigma1=nan", "sigma1 values must be >= 0"),
+            ("simulate", "init_scale=nan", "init_scale must be >= 0"),
+            ("simulate", "s=0", "s must be > 0"),
+            ("simulate", "zeta=1", "zeta must be in (0, 1)"),
+            ("simulate", "Lambda=-1", "Lambda must be >= 0"),
+            ("simulate", "Lambda=nan", "Lambda must be >= 0"),
+        ],
+    )
+    def test_rejected_before_training(self, capsys, tmp_path, monkeypatch, command, setting,
+                                      message):
+        def no_training(*args, **kwargs):
+            raise AssertionError("a cell was trained")
+
+        monkeypatch.setattr(levybound.grid, "run_training", no_training)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(BASE_CFG + "alpha=1.7\nsigma1=0.1\nalphas=1.6,2.0\nsigma1s=0.1\n")
+        out_csv = tmp_path / "records.csv"
+        code, out, err = run_cli(
+            capsys, command, "--config", str(cfg), "--set", setting, "--out", str(out_csv),
+        )
+        assert code == 1
+        assert err.startswith("config error:") and message in err
+        assert "Traceback" not in err and out == ""
+        assert not out_csv.exists()
+
+    def test_nan_init_scale_rejected_by_init_params(self):
+        with pytest.raises(InvalidParameterError):
+            init_params(ModelSpec((3, 2)), math.nan, RngStream(0))

@@ -181,3 +181,43 @@ def test_idx_source_end_to_end(tmp_path):
     assert records[0].n == 60  # half of 120 training rows
     assert records[0].d == 9 * 2
     assert not records[0].diverged
+
+
+def _idx_grid(tmp_path, train_shape, test_shape, test_labels):
+    rng = RngStream(5)
+    paths = []
+    for stem, (n, side), labels in (
+        ("train", train_shape, rng.gen.integers(0, 3, size=train_shape[0])),
+        ("test", test_shape, test_labels),
+    ):
+        images = rng.gen.integers(0, 256, size=(n, side, side)).astype(np.uint8)
+        write_idx_images(tmp_path / f"{stem}-images.idx", images)
+        write_idx_labels(tmp_path / f"{stem}-labels.idx", np.asarray(labels))
+        paths += [str(tmp_path / f"{stem}-images.idx"), str(tmp_path / f"{stem}-labels.idx")]
+    return GridSpec(
+        alphas=(1.8,), sigma1s=(0.05,), widths=(0,), seeds=(0,),
+        train=TrainConfig(gamma=0.1, eta=0.001, alpha=2.0, sigma1=0.0, steps=20, eval_interval=5),
+        data=IdxSource(*paths),
+        out=str(tmp_path / "records.csv"),
+        window=15,
+    )
+
+
+def test_idx_test_images_of_another_size_are_a_data_error(tmp_path):
+    grid = _idx_grid(tmp_path, (60, 4), (20, 3), np.zeros(20))
+    with pytest.raises(DataFormatError, match="pixels per image") as info:
+        execute_grid(grid)
+    assert "train-images.idx" in str(info.value) and "test-images.idx" in str(info.value)
+    assert not (tmp_path / "records.csv").exists()
+
+
+def test_idx_test_labels_without_the_top_class_run(tmp_path):
+    grid = _idx_grid(tmp_path, (60, 3), (20, 3), np.zeros(20))
+    (record,) = execute_grid(grid)
+    assert record.d == 9 * 3 and not record.diverged
+
+
+def test_idx_test_label_beyond_train_classes_is_a_data_error(tmp_path):
+    grid = _idx_grid(tmp_path, (60, 3), (20, 3), np.full(20, 3))
+    with pytest.raises(DataFormatError, match="test-labels.idx: label value 3 out of range for 3"):
+        execute_grid(grid)

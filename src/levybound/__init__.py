@@ -27,9 +27,7 @@ from .bounds import (
     stable_bound,
 )
 from .constants import (
-    BoundConstants,
     REFINED_THRESHOLD,
-    bound_constants,
     comparison_rate,
     discrete_prefactor,
     k_alpha_d,
@@ -72,7 +70,6 @@ from .stable import (
 
 __all__ = [
     "AnalysisReport",
-    "BoundConstants",
     "BoundInputs",
     "Dataset",
     "GridSpec",
@@ -88,7 +85,6 @@ __all__ = [
     "SyntheticSpec",
     "TrainConfig",
     "alpha_regression",
-    "bound_constants",
     "build_report",
     "bound_estimate",
     "brownian_bound",

@@ -13,8 +13,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import analysis as an
+from . import constants as co
 from .bounds import BoundInputs, brownian_bound, discrete_bound, stable_bound
-from .constants import bound_constants, comparison_rate, phase_regime
 from .data import SyntheticSpec, parse_config, read_records
 from .errors import (
     AnalysisPreconditionError,
@@ -189,12 +189,13 @@ CONSTANTS_HEADER = (
 
 
 def _cmd_constants(args) -> int:
-    bc = bound_constants(args.alpha, args.d, args.radius)
-    coarse, refined = phase_regime(args.sigma1, args.d, args.radius)
-    prior, xi_ours, xi_prior = comparison_rate(args.alpha, args.d)
+    alpha, d, radius = args.alpha, args.d, args.radius
+    k = co.k_alpha_d(alpha, d, radius)  # first: its checks decide what a bad input reports
     row = (
-        args.alpha, args.d, args.radius, args.sigma1, bc.k, bc.k_bar, bc.p, bc.c, bc.sphere,
-        bc.log_c, bc.log_sphere, coarse, refined, prior, xi_ours, xi_prior,
+        alpha, d, radius, args.sigma1, k, k * radius ** (2.0 - alpha), co.p_alpha(alpha),
+        co.stable_levy_constant(alpha, d), co.sphere_area(d),
+        co.log_stable_levy_constant(alpha, d), co.log_sphere_area(d),
+        *co.phase_regime(args.sigma1, d, radius), *co.comparison_rate(alpha, d),
     )
     _emit(args.out, CONSTANTS_HEADER, [row])
     return 0

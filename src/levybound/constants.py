@@ -19,7 +19,6 @@ sqrt(pi/2) at alpha=1 to the limit 1/2 at alpha=2.
 """
 
 import math
-from dataclasses import dataclass
 
 from .errors import InvalidParameterError
 
@@ -198,39 +197,3 @@ def phase_regime(sigma1: float, d: int, radius: float) -> tuple[str, str]:
     refined = "HeavyRefined" if ratio < REFINED_THRESHOLD else "LightRefined"
     return coarse, refined
 
-
-@dataclass(frozen=True)
-class BoundConstants:
-    """Bundle of every constant the bounds need at one (alpha, d, R).
-
-    The bound prefactors k, k_bar, p stay moderate at any d; c and
-    sphere saturate to inf/0 outside double range, so their logs are
-    carried alongside.
-    """
-
-    alpha: float
-    d: int
-    radius: float
-    k: float
-    k_bar: float
-    p: float
-    c: float
-    sphere: float
-    log_c: float
-    log_sphere: float
-
-
-def bound_constants(alpha: float, d: int, radius: float) -> BoundConstants:
-    k = k_alpha_d(alpha, d, radius)
-    return BoundConstants(
-        alpha=alpha,
-        d=d,
-        radius=radius,
-        k=k,
-        k_bar=k * radius ** (2.0 - alpha),
-        p=p_alpha(alpha),
-        c=stable_levy_constant(alpha, d),
-        sphere=sphere_area(d),
-        log_c=log_stable_levy_constant(alpha, d),
-        log_sphere=log_sphere_area(d),
-    )

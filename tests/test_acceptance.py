@@ -2,13 +2,12 @@
 line with its runtime (run with ``pytest -s`` to see them inline).
 
 The final criterion is qualitative: it checks the committed reference
-run's report rather than re-running the ~minutes-long grid; set
-LEVYBOUND_RUN_REFERENCE=1 to regenerate and re-check from scratch.
+run's report rather than re-running the ~minutes-long grid;
+reference/RUN_LOG.md has the recipe that regenerates it.
 """
 
 import csv
 import math
-import os
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -233,25 +232,8 @@ def _report_taus(report_path):
 
 
 def test_13_reference_phase_transition_report():
-    # qualitative, desk scale: the committed reference run's seed-averaged
-    # tau must carry opposite signs between the two sigma groups; the grid
-    # itself is only re-run when explicitly requested
-    if os.environ.get("LEVYBOUND_RUN_REFERENCE") == "1":
-        import subprocess
-        import sys
-
-        start = time.perf_counter()
-        out = REFERENCE_DIR / "phase_transition_records.csv"
-        out.unlink(missing_ok=True)
-        for cmd in (
-            ["grid", "--config", str(REFERENCE_DIR / "phase_transition.cfg"), "--out", str(out)],
-            ["analyze", "--records", str(out), "--group-key", "sigma1",
-             "--out", str(REFERENCE_DIR / "phase_transition_report.csv")],
-        ):
-            subprocess.run([sys.executable, "-m", "levybound", *cmd], check=True)
-        elapsed = time.perf_counter() - start
-        assert elapsed < 600.0, f"reference grid took {elapsed:.0f}s, budget 600s"
-
+    # qualitative, desk scale: the committed reference run's tau of the
+    # seed-averaged gap must carry opposite signs between the two sigma groups
     report = REFERENCE_DIR / "phase_transition_report.csv"
     assert report.exists(), "committed reference report is missing"
     taus = _report_taus(report)

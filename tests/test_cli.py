@@ -14,20 +14,23 @@ from levybound import (
     SyntheticSpec,
     TrainConfig,
     alpha_regression,
-    bound_constants,
     brownian_bound,
     comparison_rate,
     discrete_bound,
     init_params,
     k_alpha_d,
+    p_alpha,
     phase_regime,
     read_records,
     sample_isotropic_stable,
     sample_skewed_stable,
+    sphere_area,
     stable_bound,
+    stable_levy_constant,
     write_records,
 )
 from levybound.cli import main
+from levybound.constants import log_sphere_area, log_stable_levy_constant
 from levybound.errors import InvalidParameterError
 from levybound.grid import evaluate_cell, load_grid_datasets
 
@@ -339,11 +342,14 @@ class TestTablesMatchLibrary:
             capsys, "constants", "--alpha", str(alpha), "--d", str(d), "--radius", str(radius),
             "--sigma1", str(sigma1),
         )
-        bc = bound_constants(alpha, d, radius)
+        k = k_alpha_d(alpha, d, radius)
         coarse, refined = phase_regime(sigma1, d, radius)
         prior, xi_ours, xi_prior = comparison_rate(alpha, d)
         row = [_f(alpha), str(d), _f(radius), _f(sigma1)]
-        row += map(_f, [bc.k, bc.k_bar, bc.p, bc.c, bc.sphere, bc.log_c, bc.log_sphere])
+        row += map(_f, [
+            k, k * radius ** (2 - alpha), p_alpha(alpha), stable_levy_constant(alpha, d),
+            sphere_area(d), log_stable_levy_constant(alpha, d), log_sphere_area(d),
+        ])
         row += [coarse, refined, _f(prior), _f(xi_ours), _f(xi_prior)]
         header = (
             "alpha,d,radius,sigma1,k,k_bar,p,c,sphere_area,log_c,log_sphere_area,"

@@ -5,7 +5,6 @@ import pytest
 
 from levybound import (
     REFINED_THRESHOLD,
-    bound_constants,
     comparison_rate,
     discrete_prefactor,
     k_alpha_d,
@@ -289,12 +288,6 @@ class TestCrossIdentity:
                     + (2 - alpha) * math.log(2.0)
                 )
                 assert total == pytest.approx(math.log(d * (2 - alpha)), abs=1e-8)
-
-
-def test_bound_constants_bundle():
-    bc = bound_constants(1.5, 50, 2.0)
-    assert bc.k > 0 and bc.k_bar > 0 and bc.p > 0 and bc.c > 0 and bc.sphere > 0
-    assert bc.k == pytest.approx(bc.k_bar / 2.0 ** (2 - 1.5), rel=1e-12)
 
 
 def test_endpoint_comparison_flips_at_refined_threshold():

@@ -113,6 +113,16 @@ def sample_subordinator(alpha: float, rng: RngStream, size: int | None = None):
     return a
 
 
+def _skip_mixer_draw(rng: RngStream, size: int | None = None) -> None:
+    """Consume the two uniforms a subordinator draw takes, and discard them.
+
+    alpha = 2 needs no mixer, but skipping its uniforms keeps the Gaussian
+    draws of a stream key the same at every alpha (common random numbers).
+    """
+    rng.unit_open(size)
+    rng.unit_open(size)
+
+
 class StableNoise:
     """Single isotropic alpha-stable draws in R^dim for one alpha.
 
@@ -127,6 +137,7 @@ class StableNoise:
 
     def draw(self, rng: RngStream) -> np.ndarray:
         if self.mixer is None:
+            _skip_mixer_draw(rng)
             scale = np.sqrt(2.0)
         else:
             scale = np.sqrt(_mixer_draw(self.mixer, rng))
@@ -140,7 +151,9 @@ def sample_isotropic_stable(alpha: float, dim: int, rng: RngStream, size: int | 
 
     For alpha < 2 uses sqrt(A) * G subordination; alpha = 2 is handled
     analytically as sqrt(2) * G because the subordinator scale
-    degenerates to 0 there. Output shape is (dim,) or (size, dim).
+    degenerates to 0 there. Every alpha consumes the same uniforms before
+    G, so one stream key gives the same G at every alpha. Output shape is
+    (dim,) or (size, dim).
     """
     if not 1.0 < alpha <= 2.0:
         raise InvalidParameterError(f"alpha must be in (1, 2], got {alpha}")
@@ -148,11 +161,12 @@ def sample_isotropic_stable(alpha: float, dim: int, rng: RngStream, size: int | 
         raise InvalidParameterError(f"dim must be >= 1, got {dim}")
     if size is None:
         return StableNoise(alpha, dim).draw(rng)
-    shape = (size, dim)
     if alpha == 2.0:
-        return np.sqrt(2.0) * rng.gen.standard_normal(shape)
-    a = sample_subordinator(alpha, rng, size)
-    return np.sqrt(a)[:, None] * rng.gen.standard_normal(shape)
+        _skip_mixer_draw(rng, size)
+        scale = np.sqrt(2.0)
+    else:
+        scale = np.sqrt(sample_subordinator(alpha, rng, size))[:, None]
+    return scale * rng.gen.standard_normal((size, dim))
 
 
 def empirical_char_fn(samples, xi) -> tuple[float, float]:

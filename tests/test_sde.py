@@ -251,6 +251,8 @@ def _frozen_run(spec, train, test, cfg, init_scale, rng):
         new = params - cfg.gamma * grad - cfg.eta * cfg.gamma * params
         if cfg.sigma1 > 0.0:
             if cfg.alpha == 2.0:
+                rng.unit_open()  # the two subordinator uniforms, drawn and discarded
+                rng.unit_open()
                 draw = np.sqrt(2.0) * rng.gen.standard_normal((d,))
             else:
                 a = _frozen_subordinator(cfg.alpha, rng)

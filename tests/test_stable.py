@@ -161,3 +161,37 @@ def test_scalar_subordinator_matches_scipy_levy_stable(alpha):
     # the same test rejects a law 20% wider
     wide = stats.levy_stable(alpha / 2, 1.0, scale=1.2 * scale)
     assert stats.kstest(draws, wide.cdf).pvalue < 1e-3
+
+
+@pytest.mark.parametrize("alpha", [1.2, 1.6, 1.9, 2.0])
+def test_isotropic_projection_matches_scipy(alpha):
+    # independent oracle: u . X for a unit vector u is S(alpha, 0, 1, 0) in
+    # scipy's S1 parameterization, and N(0, 2) at alpha = 2
+    stats = pytest.importorskip("scipy.stats")
+    u = np.array([0.5, -0.1, 0.3, 0.8, -0.2])
+    u /= np.linalg.norm(u)
+    projected = sample_isotropic_stable(alpha, 5, RngStream(13, 7), size=2000) @ u
+
+    def law(scale):
+        if alpha == 2.0:
+            return stats.norm(scale=math.sqrt(2.0) * scale)
+        return stats.levy_stable(alpha, 0.0, scale=scale)
+
+    assert stats.kstest(projected, law(1.0).cdf).pvalue > 0.01
+    # the same test rejects a law 20% wider
+    assert stats.kstest(projected, law(1.2).cdf).pvalue < 1e-3
+
+
+@pytest.mark.parametrize("size", [None, 4])
+def test_alpha_two_uses_the_gaussians_of_alpha_below_two(size):
+    # common random numbers: one stream key gives the same Gaussian vector at
+    # alpha = 2 and alpha = 1.6, scaled by sqrt(2) and sqrt(A) respectively
+    heavy_rng, gauss_rng = RngStream(21, 5), RngStream(21, 5)
+    for _ in range(3):
+        heavy = sample_isotropic_stable(1.6, 6, heavy_rng, size=size)
+        gauss = sample_isotropic_stable(2.0, 6, gauss_rng, size=size)
+        ratio = np.atleast_2d(heavy / gauss)
+        assert (ratio > 0.0).all()
+        np.testing.assert_allclose(ratio / ratio[:, :1], 1.0, rtol=1e-12)
+    # and both streams stand at the same position afterwards
+    assert heavy_rng.gen.random() == gauss_rng.gen.random()

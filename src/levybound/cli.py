@@ -7,6 +7,7 @@ flag overrides, and emits CSV to stdout or ``--out``. Exit codes:
 """
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 
@@ -84,17 +85,24 @@ def _cfg_from(args) -> dict[str, str]:
 
 
 def _value(cfg, key, convert, many=False):
-    """Config value ``key`` through ``convert`` (float or int); a tuple if ``many``."""
+    """Config value ``key`` through ``convert`` (float or int); a tuple if ``many``.
+
+    An infinite float is rejected here; a NaN is left to the check of the
+    spec that receives it, which names the field's valid range.
+    """
     try:
         raw = cfg[key]
     except KeyError:
         raise InvalidParameterError(f"missing config key {key!r}") from None
     try:
-        return tuple(convert(v) for v in raw.split(",")) if many else convert(raw)
+        values = tuple(convert(v) for v in raw.split(",")) if many else (convert(raw),)
     except ValueError:
         kind = "an integer" if convert is int else "a number"
         kind += " list" if many else ""
         raise InvalidParameterError(f"config key {key!r} is not {kind}: {raw!r}") from None
+    if any(math.isinf(v) for v in values):
+        raise InvalidParameterError(f"config key {key!r} must be finite, got {raw!r}")
+    return values if many else values[0]
 
 
 def _train_config(cfg) -> TrainConfig:

@@ -83,8 +83,10 @@ def stable_levy_constant(alpha: float, d: int) -> float:
     Saturates to inf once the true value exceeds double range (d above
     ~350); use the log variant there.
     """
-    log_c = log_stable_levy_constant(alpha, d)
-    return math.exp(log_c) if log_c < 709.0 else math.inf
+    try:
+        return math.exp(log_stable_levy_constant(alpha, d))
+    except OverflowError:
+        return math.inf
 
 
 def log_sphere_area(d: int) -> float:

@@ -64,7 +64,7 @@ class SyntheticSpec:
             raise InvalidParameterError("n_per_class and input_dim must be positive")
         if self.classes < 2:
             raise InvalidParameterError("need at least 2 classes")
-        if self.separation < 0.0 or self.noise_std <= 0.0:
+        if not (self.separation >= 0.0 and self.noise_std > 0.0):
             raise InvalidParameterError("separation must be >= 0 and noise_std > 0")
 
 

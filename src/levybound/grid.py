@@ -17,6 +17,7 @@ cells see common underlying randomness, which makes the correlation
 between alpha and the gap less noisy.
 """
 
+import math
 import os
 from dataclasses import dataclass, replace
 from itertools import product
@@ -49,6 +50,12 @@ class IdxSource:
     subsample_fraction: float = 1.0
     subsample_seed: int = 0
 
+    def __post_init__(self):
+        if not 0.0 < self.subsample_fraction <= 1.0:
+            raise InvalidParameterError(
+                f"subsample must be in (0, 1], got {self.subsample_fraction}"
+            )
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -80,6 +87,19 @@ class GridSpec:
             raise InvalidParameterError(f"init_scale must be >= 0, got {self.init_scale}")
         if not self.radius > 0.0:
             raise InvalidParameterError(f"radius R must be > 0, got {self.radius}")
+        if self.window < 1:
+            raise InvalidParameterError(f"window must be >= 1, got {self.window}")
+        if not 0.0 <= self.trim < 1.0:
+            raise InvalidParameterError(f"trim must be in [0, 1), got {self.trim}")
+        # robust_gap averages the evals (every eval_interval steps, and the
+        # last step) in the window, less the ceil(trim * count) largest
+        steps, every = self.train.steps, self.train.eval_interval
+        evals = steps // every - max(steps - self.window, 0) // every + (steps % every > 0)
+        if math.ceil(self.trim * evals) >= evals:
+            raise InvalidParameterError(
+                f"window {self.window} holds {evals} eval(s) at eval_interval {every}, "
+                f"and trim {self.trim} removes all of them"
+            )
 
     @property
     def cell_count(self) -> int:

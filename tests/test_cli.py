@@ -1,12 +1,14 @@
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import levybound.grid
 from levybound import (
     BoundInputs,
     GridSpec,
+    IdxSource,
     ModelSpec,
     RngStream,
     RunRecord,
@@ -17,6 +19,7 @@ from levybound import (
     brownian_bound,
     comparison_rate,
     discrete_bound,
+    execute_grid,
     init_params,
     k_alpha_d,
     p_alpha,
@@ -31,6 +34,7 @@ from levybound import (
 )
 from levybound.cli import main
 from levybound.constants import log_sphere_area, log_stable_levy_constant
+from levybound.data import write_idx_images, write_idx_labels
 from levybound.errors import InvalidParameterError
 from levybound.grid import evaluate_cell, load_grid_datasets
 
@@ -521,3 +525,153 @@ class TestConfigErrors:
     def test_nan_init_scale_rejected_by_init_params(self):
         with pytest.raises(InvalidParameterError):
             init_params(ModelSpec((3, 2)), math.nan, RngStream(0))
+
+
+def _write_idx_files(tmp_path):
+    """A 3x3 two-class IDX train/test pair; returns the four config lines."""
+    rng = RngStream(41)
+    lines = []
+    for stem, n in (("train", 48), ("test", 20)):
+        images = rng.gen.integers(0, 256, size=(n, 3, 3)).astype(np.uint8)
+        labels = rng.gen.integers(0, 2, size=n).astype(np.uint8)
+        images[labels == 1, 0, 0] = 255
+        write_idx_images(tmp_path / f"{stem}-images.idx", images)
+        write_idx_labels(tmp_path / f"{stem}-labels.idx", labels)
+        lines += [f"{stem}_images={tmp_path / f'{stem}-images.idx'}",
+                  f"{stem}_labels={tmp_path / f'{stem}-labels.idx'}"]
+    return lines
+
+
+class TestRunConfigErrors:
+    """Config numbers that cannot describe a run exit 1 before data loads or a cell trains."""
+
+    @pytest.fixture
+    def no_training(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a cell was trained")
+
+        monkeypatch.setattr(levybound.grid, "run_training", fail)
+
+    @pytest.mark.parametrize(
+        "command, settings, message",
+        [
+            ("grid", ["init_scale=inf"], "config key 'init_scale' must be finite, got 'inf'"),
+            ("grid", ["sigma1s=0.1,inf"], "config key 'sigma1s' must be finite"),
+            ("grid", ["sigma2=inf"], "config key 'sigma2' must be finite"),
+            ("grid", ["separation=inf"], "config key 'separation' must be finite"),
+            ("grid", ["noise_std=-inf"], "config key 'noise_std' must be finite"),
+            ("grid", ["R=inf"], "config key 'R' must be finite"),
+            ("grid", ["separation=nan"], "separation must be >= 0"),
+            ("grid", ["noise_std=nan"], "noise_std > 0"),
+            ("grid", ["data=idx", "subsample=nan"], "subsample must be in (0, 1], got nan"),
+            ("grid", ["data=idx", "subsample=2"], "subsample must be in (0, 1], got 2.0"),
+            ("grid", ["data=idx", "subsample=inf"], "config key 'subsample' must be finite"),
+            ("grid", ["trim=2"], "trim must be in [0, 1), got 2.0"),
+            ("grid", ["trim=nan"], "trim must be in [0, 1), got nan"),
+            ("grid", ["window=0"], "window must be >= 1, got 0"),
+            ("grid", ["steps=20", "window=10"], "window 10 holds 1 eval(s) at eval_interval 10"),
+            ("simulate", ["sigma1=inf"], "config key 'sigma1' must be finite"),
+            ("simulate", ["trim=1"], "trim must be in [0, 1), got 1.0"),
+        ],
+    )
+    def test_rejected_before_data_or_training(self, capsys, tmp_path, no_training, command,
+                                              settings, message):
+        cfg = tmp_path / "run.cfg"
+        lines = _write_idx_files(tmp_path)
+        cfg.write_text(BASE_CFG + "alpha=1.7\nsigma1=0.1\nalphas=1.6,2.0\nsigma1s=0.1\n"
+                       "eval_interval=10\n" + "\n".join(lines) + "\n")
+        out_csv = tmp_path / "records.csv"
+        argv = [command, "--config", str(cfg), "--out", str(out_csv)]
+        for setting in settings:
+            argv += ["--set", setting]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert err.startswith("config error:") and message in err
+        assert "Traceback" not in err and out == ""
+        assert not out_csv.exists()
+
+    def test_trim_that_keeps_one_eval_runs(self, capsys, tmp_path):
+        # the boundary of the check above: two evals in the window, one trimmed
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(BASE_CFG + "alphas=1.6\nsigma1s=0.1\n")
+        out_csv = tmp_path / "records.csv"
+        code, _, err = run_cli(
+            capsys, "grid", "--config", str(cfg), "--out", str(out_csv),
+            "--set", "steps=20", "--set", "window=10", "--set", "eval_interval=5",
+            "--set", "trim=0.5",
+        )
+        assert (code, err) == (0, "cells: 1\nwrote 1 records to " + str(out_csv) + "\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--set", "alphas"], "--set needs key=value, got 'alphas'"),
+            (["--set", "batch_size=abc"], "batch_size must be an integer or 'full', got 'abc'"),
+            (["--set", "batch_size=999"], "batch_size 999 exceeds training rows 48"),
+        ],
+        ids=["set-without-equals", "batch-not-integer", "batch-too-large"],
+    )
+    def test_malformed_input_exits_1(self, capsys, tmp_path, no_training, argv, message):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(BASE_CFG + "alphas=1.6\nsigma1s=0.1\n")
+        out_csv = tmp_path / "records.csv"
+        code, out, err = run_cli(capsys, "grid", "--config", str(cfg), "--out", str(out_csv),
+                                 *argv)
+        assert code == 1 and out == ""
+        assert err.endswith(f"config error: {message}\n") and "Traceback" not in err
+        assert not out_csv.exists()
+
+    def test_unparsable_config_exits_1(self, capsys, tmp_path, no_training):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(BASE_CFG + "alphas 1.6\n")
+        code, out, err = run_cli(capsys, "grid", "--config", str(cfg),
+                                 "--out", str(tmp_path / "records.csv"))
+        assert code == 1 and out == ""
+        assert err.startswith("config error: ") and "expected key=value" in err
+
+
+class TestGridRunsItsInputs:
+    def test_idx_data_matches_library_grid(self, capsys, tmp_path):
+        cfg = tmp_path / "idx.cfg"
+        cfg.write_text(BASE_CFG + "data=idx\nsubsample=0.5\nsubsample_seed=3\n"
+                       "alphas=1.6,2.0\nsigma1s=0.1\nseeds=0,1\n"
+                       + "\n".join(_write_idx_files(tmp_path)) + "\n")
+        out_csv = tmp_path / "records.csv"
+        code, _, _ = run_cli(capsys, "grid", "--config", str(cfg), "--out", str(out_csv))
+        assert code == 0
+        paths = [str(tmp_path / f"{s}-{k}.idx") for s in ("train", "test")
+                 for k in ("images", "labels")]
+        grid = GridSpec(
+            alphas=(1.6, 2.0), sigma1s=(0.1,), widths=(0,), seeds=(0, 1),
+            train=TrainConfig(gamma=0.05, eta=0.001, alpha=2.0, sigma1=0.0, steps=40,
+                              eval_interval=5),
+            data=IdxSource(*paths, subsample_fraction=0.5, subsample_seed=3),
+            out=str(tmp_path / "library.csv"), window=30,
+        )
+        expected = execute_grid(grid)
+        assert [r.n for r in expected] == [24] * 4
+        assert read_records(out_csv) == expected
+        assert out_csv.read_bytes() == (tmp_path / "library.csv").read_bytes()
+
+    def test_integer_batch_size_matches_library_grid(self, capsys, tmp_path):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(BASE_CFG + "alphas=1.6,2.0\nsigma1s=0.1\nbatch_size=8\n")
+        out_csv = tmp_path / "records.csv"
+        code, _, _ = run_cli(capsys, "grid", "--config", str(cfg), "--out", str(out_csv))
+        assert code == 0
+        grid = GridSpec(
+            alphas=(1.6, 2.0), sigma1s=(0.1,), widths=(0,), seeds=(0,),
+            train=TrainConfig(gamma=0.05, eta=0.001, alpha=2.0, sigma1=0.0, steps=40,
+                              batch_size=8, eval_interval=5),
+            data=SyntheticSpec(30, 5, 2, 2.0, 1.0, seed=7),
+            out=str(tmp_path / "library.csv"), window=30,
+        )
+        assert read_records(out_csv) == execute_grid(grid)
+        assert out_csv.read_bytes() == (tmp_path / "library.csv").read_bytes()
+
+    def test_constants_c_is_finite_below_the_double_limit(self, capsys):
+        code, out, _ = run_cli(capsys, "constants", "--alpha", "1.1", "--d", "437")
+        assert code == 0
+        header, row = out.strip().splitlines()
+        cols = dict(zip(header.split(","), row.split(",")))
+        assert float(cols["c"]) == math.exp(float(cols["log_c"])) < math.inf

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -301,3 +302,12 @@ def test_endpoint_comparison_flips_at_refined_threshold():
     assert endpoint_diff(0.3) > 0  # heavy side: bound grows toward alpha = 2
     assert endpoint_diff(0.5) < 0  # light side
     assert 0.3 < REFINED_THRESHOLD < 0.5
+
+
+def test_levy_constant_stays_finite_up_to_the_double_limit():
+    # log C = 709.065 lies between 709 and log(DBL_MAX) = 709.78, so C ~ 1.1e308
+    log_c = log_stable_levy_constant(1.1, 437)
+    assert 709.0 < log_c < math.log(sys.float_info.max)
+    c = stable_levy_constant(1.1, 437)
+    assert math.isfinite(c) and c == math.exp(log_c)
+    assert stable_levy_constant(1.7, 79400) == math.inf

@@ -114,11 +114,7 @@ def sample_subordinator(alpha: float, rng: RngStream, size: int | None = None):
 
 
 def _skip_mixer_draw(rng: RngStream, size: int | None = None) -> None:
-    """Consume the two uniforms a subordinator draw takes, and discard them.
-
-    alpha = 2 needs no mixer, but skipping its uniforms keeps the Gaussian
-    draws of a stream key the same at every alpha (common random numbers).
-    """
+    """Draw and discard the two uniforms of a subordinator draw (alpha = 2 needs none)."""
     rng.unit_open(size)
     rng.unit_open(size)
 

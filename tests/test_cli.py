@@ -630,7 +630,7 @@ class TestRunConfigErrors:
         assert err.startswith("config error: ") and "expected key=value" in err
 
 
-class TestGridRunsItsInputs:
+class TestGridInputs:
     def test_idx_data_matches_library_grid(self, capsys, tmp_path):
         cfg = tmp_path / "idx.cfg"
         cfg.write_text(BASE_CFG + "data=idx\nsubsample=0.5\nsubsample_seed=3\n"
@@ -668,10 +668,3 @@ class TestGridRunsItsInputs:
         )
         assert read_records(out_csv) == execute_grid(grid)
         assert out_csv.read_bytes() == (tmp_path / "library.csv").read_bytes()
-
-    def test_constants_c_is_finite_below_the_double_limit(self, capsys):
-        code, out, _ = run_cli(capsys, "constants", "--alpha", "1.1", "--d", "437")
-        assert code == 0
-        header, row = out.strip().splitlines()
-        cols = dict(zip(header.split(","), row.split(",")))
-        assert float(cols["c"]) == math.exp(float(cols["log_c"])) < math.inf

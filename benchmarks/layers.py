@@ -12,11 +12,18 @@ repeats of a batch of calls, reported per call as min / median / quartiles
 
 - ``loop.*``: what one step of ``run_training`` executes: the full-batch
   gradient, one isotropic stable draw (subordinator + Gaussian), one EM
-  update, and the train + test 0-1 evaluation of an eval step.
+  update, and what an eval step adds: the train error as the argmax of
+  the gradient's own logits, and the test set's forward pass and argmax.
+  A tree whose gradient takes the labels (``gradient(params, x, y)``)
+  evaluates the train set in a pass of its own, and is timed that way.
 - ``public.*``: the validating public functions, as a caller outside the
   loop sees them.
 - ``cell``: one 3000-step reference cell through ``grid.evaluate_cell``,
   with its minor page faults.
+- ``cell.mnist``: one 200-step cell of the MNIST-shaped profile of
+  ``perfbench``'s ``mnist-linear-minibatch`` workload (linear softmax,
+  784 -> 10, d = 7840, 2504 train rows, batch 64, sigma2 = 0.01, evals
+  every 10 steps, window 150), data seed 0.
 - ``records.*`` and ``analysis.*``: ``write_records`` and ``read_records``
   on a seeded RECORD_ROWS-row d-scan records file, then ``build_report``
   (group key d) and ``alpha_regression`` on the records read back.
@@ -39,6 +46,7 @@ import argparse  # noqa: E402
 import ctypes  # noqa: E402
 import glob  # noqa: E402
 import hashlib  # noqa: E402
+import inspect  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import resource  # noqa: E402
@@ -62,6 +70,7 @@ from levybound.grid import _model_for, evaluate_cell, load_grid_datasets  # noqa
 
 REPEATS = 25
 CELL_REPEATS = 5
+MNIST_CELL_REPEATS = 15
 ALPHA = 1.6
 RECORD_ROWS = 10_000
 
@@ -128,18 +137,34 @@ def step_layers(spec, train, test, cfg, params):
     d = params.size
     rng = lb.RngStream(0, 1)
     rows = np.arange(train.n)
-    kernel = models.ModelKernel(spec, train.n)
-    train_eval, test_eval = models.ModelKernel(spec, train.n), models.ModelKernel(spec, test.n)
+    kernel, test_eval = models.ModelKernel(spec, train.n), models.ModelKernel(spec, test.n)
     x, y = train.features[rows], train.labels[rows]
-    grad = kernel.gradient(params, x, y).copy()
+    if "preds" in inspect.signature(kernel.gradient).parameters:
+        label_index, preds = kernel.row_starts + y, np.empty(train.n, dtype=np.intp)
+
+        def gradient():
+            return kernel.gradient(params, x, label_index)
+
+        def train_error():
+            return float(np.mean(np.argmax(kernel.logits, axis=1, out=preds) != y))
+    else:
+        train_eval = models.ModelKernel(spec, train.n)
+
+        def gradient():
+            return kernel.gradient(params, x, y)
+
+        def train_error():
+            return train_eval.error_rate(params, train.features, train.labels)
+
+    grad = gradient().copy()
     noise = stable.StableNoise(cfg.alpha, d)
     draw = noise.draw(rng).copy()
     update, out = sde.EulerMaruyama(cfg, d), np.empty(d)
     return [
-        ("gradient", lambda: kernel.gradient(params, x, y), 200),
+        ("gradient", gradient, 200),
         ("stable_draw", lambda: noise.draw(rng), 1000),
         ("em_update", lambda: update(params, grad, draw, None, out), 2000),
-        ("eval", lambda: (train_eval.error_rate(params, train.features, train.labels),
+        ("eval", lambda: (train_error(),
                           test_eval.error_rate(params, test.features, test.labels)), 500),
     ]
 
@@ -159,9 +184,20 @@ def public_layers(spec, train, test, cfg, params):
     ]
 
 
-def time_cell(grid, train, test):
+def mnist_grid():
+    """One cell of perfbench's mnist-linear-minibatch profile."""
+    return lb.GridSpec(
+        alphas=(ALPHA,), sigma1s=(0.01,), widths=(0,), seeds=(0,),
+        train=lb.TrainConfig(gamma=0.01, eta=0.001, alpha=ALPHA, sigma1=0.01, sigma2=0.01,
+                             steps=200, batch_size=64, eval_interval=10),
+        data=lb.SyntheticSpec(313, 784, 10, 3.0, 1.0, seed=0), out=os.devnull,
+        window=150, trim=0.15,
+    )
+
+
+def time_cell(grid, train, test, repeats):
     walls, faults = [], []
-    for _ in range(CELL_REPEATS):
+    for _ in range(repeats):
         f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         t0 = time.perf_counter()
         evaluate_cell(grid, train, test, ALPHA, grid.sigma1s[0], grid.widths[0], 0, 0, 0)
@@ -223,8 +259,11 @@ def main():
             key = f"{prefix}.{name}"
             layers[key] = time_calls(fn, number)
             print(f"{key}: median {layers[key]['median']:.2f} us", flush=True)
-    layers["cell"] = time_cell(grid, train, test)
+    layers["cell"] = time_cell(grid, train, test, CELL_REPEATS)
     print(f"cell: median {layers['cell']['median']:.3f} s", flush=True)
+    mnist = mnist_grid()
+    layers["cell.mnist"] = time_cell(mnist, *load_grid_datasets(mnist), MNIST_CELL_REPEATS)
+    print(f"cell.mnist: median {layers['cell.mnist']['median']:.3f} s", flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         for key, fn, number in records_layers(Path(tmp) / "records.csv"):
             layers[key] = time_calls(fn, number)

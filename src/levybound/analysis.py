@@ -80,6 +80,11 @@ def robust_gap(trace: RunTrace, window: int = 2000, trim: float = 0.15) -> float
     ]
     if not gaps:
         raise AnalysisPreconditionError("no evaluated gaps in the window")
+    return trimmed_mean(gaps, trim)
+
+
+def trimmed_mean(gaps: list[float], trim: float) -> float:
+    """Mean of ``gaps`` less their ceil(trim * count) largest, by ``fsum``."""
     drop = math.ceil(trim * len(gaps))
     kept = sorted(gaps)[: len(gaps) - drop] if drop else gaps
     if not kept:

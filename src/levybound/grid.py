@@ -10,6 +10,11 @@ by the interruption is dropped and recomputed), and the
 final file is rewritten sorted by (alpha, sigma1, d, seed) so its content
 does not depend on execution order.
 
+A cell keeps only what its row reads: every step's squared gradient
+norm, and the test - train gaps of the eval steps inside the trailing
+``window`` (steps > steps - window). Eval steps before the window are
+not evaluated at all; they would not change the row.
+
 Each cell's random stream is keyed by the cell seed plus the (sigma,
 width) grid indices only. Alpha is deliberately excluded from the key:
 noise-free cells then share their trajectory across alpha, and noisy
@@ -22,8 +27,10 @@ import os
 from dataclasses import dataclass, replace
 from itertools import product
 
-from .analysis import robust_gap
-from .bounds import BoundInputs, bound_estimate, integral_estimate
+import numpy as np
+
+from .analysis import trimmed_mean
+from .bounds import BoundInputs, bound_estimate
 from .data import (
     RunRecord,
     SyntheticSpec,
@@ -38,7 +45,7 @@ from .data import (
 from .errors import DataFormatError, InvalidParameterError
 from .models import Dataset, ModelSpec, param_count
 from .rng import RngStream, mix64
-from .sde import RunTrace, TrainConfig, run_training
+from .sde import TrainConfig, run_training
 
 
 @dataclass(frozen=True)
@@ -75,8 +82,12 @@ class GridSpec:
 
     def __post_init__(self):
         for name in ("alphas", "sigma1s", "widths", "seeds"):
-            if not getattr(self, name):
+            values = getattr(self, name)
+            if not values:
                 raise InvalidParameterError(f"grid list {name} must be nonempty")
+            # a repeated value names a cell twice, and resume would skip the second
+            if len(set(values)) != len(values):
+                raise InvalidParameterError(f"grid list {name} repeats a value: {values}")
         if any(not 1.0 < a <= 2.0 for a in self.alphas):
             raise InvalidParameterError("grid alphas must be in (1, 2]")
         if any(not s >= 0.0 for s in self.sigma1s):
@@ -128,27 +139,56 @@ def _model_for(width: int, train: Dataset) -> ModelSpec:
     return ModelSpec((train.input_dim, width, train.num_classes))
 
 
+class _CellReducer:
+    """Run observer for one records row: every step's squared gradient
+    norm, in order, and the test - train gap of each eval step that
+    ``robust_gap`` would read (step > steps - window)."""
+
+    def __init__(self, cfg: TrainConfig, window: int):
+        self.every, self.last = cfg.eval_interval, cfg.steps
+        self.after = cfg.steps - window
+        self.grad_sq = np.empty(cfg.steps)
+        self.gaps: list[float] = []
+
+    def wants_eval(self, step: int) -> bool:
+        return step > self.after and (step % self.every == 0 or step == self.last)
+
+    def observe(self, step, grad_sq, train_error, test_error) -> None:
+        self.grad_sq[step - 1] = grad_sq
+        if train_error is not None:
+            self.gaps.append(test_error - train_error)
+
+
 def evaluate_cell(
     grid: GridSpec, train: Dataset, test: Dataset,
     alpha: float, sigma1: float, width: int, seed: int, i_sigma: int, i_width: int,
-) -> tuple[RunRecord, RunTrace]:
-    """Train one cell and reduce its trace to a records row.
+) -> tuple[RunRecord, float]:
+    """Train one cell and reduce it to a records row, plus the compensated
+    sum of its squared gradient norms (NaN for a diverged cell), the
+    gradient sum of ``discrete_bound``.
 
     The stream is keyed by the seed and the (sigma1, width) grid indices.
-    Only numerical divergence of the run yields a diverged row; any other
+    The row's gap, i_hat and g_hat are bit for bit those of
+    ``robust_gap``, ``integral_estimate`` and ``bound_estimate`` on the
+    cell's default ``run_training`` trace, but the run keeps no trace and
+    skips the evaluations that ``robust_gap`` does not read. Only
+    numerical divergence of the run yields a diverged row; any other
     error propagates to the caller.
     """
     spec = _model_for(width, train)
     d = param_count(spec)
     cfg = replace(grid.train, alpha=alpha, sigma1=sigma1, seed=seed)
+    run = _CellReducer(cfg, grid.window)
     trace = run_training(
-        spec, train, test, cfg, grid.init_scale, rng=RngStream(seed, mix64(i_sigma, i_width))
+        spec, train, test, cfg, grid.init_scale,
+        rng=RngStream(seed, mix64(i_sigma, i_width)), observer=run,
     )
     nan = float("nan")
     if trace.diverged:
-        return RunRecord(alpha, sigma1, d, width, train.n, seed, nan, nan, nan, True), trace
-    gap = robust_gap(trace, grid.window, grid.trim)
-    i_hat = integral_estimate(trace)
+        return RunRecord(alpha, sigma1, d, width, train.n, seed, nan, nan, nan, True), nan
+    gap = trimmed_mean(run.gaps, grid.trim)
+    grad_sum = math.fsum(run.grad_sq.tolist())
+    i_hat = cfg.gamma * grad_sum
     g_hat = nan
     if sigma1 > 0.0:
         inputs = BoundInputs(
@@ -156,7 +196,7 @@ def evaluate_cell(
             gamma=cfg.gamma, eta=cfg.eta, radius=grid.radius,
         )
         g_hat = bound_estimate(i_hat, inputs)
-    return RunRecord(alpha, sigma1, d, width, train.n, seed, gap, i_hat, g_hat, False), trace
+    return RunRecord(alpha, sigma1, d, width, train.n, seed, gap, i_hat, g_hat, False), grad_sum
 
 
 def sort_key(r: RunRecord):

@@ -154,19 +154,30 @@ class ModelKernel:
         preds = np.argmax(self.forward(params, x), axis=1)
         return float(np.mean(preds != labels))
 
-    def gradient(self, params: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def gradient(
+        self, params: np.ndarray, x: np.ndarray, label_index: np.ndarray,
+        preds: np.ndarray | None = None,
+    ) -> np.ndarray:
         """Gradient of the mean cross-entropy over the rows; ``log_p`` keeps
         the log-softmax. Same arithmetic, in the same order, as the
-        unbuffered formulation in ``surrogate_loss_and_grad``'s docstring."""
+        unbuffered formulation in ``surrogate_loss_and_grad``'s docstring.
+
+        ``label_index`` is ``row_starts + y``, the flat index of each row's
+        label in the logits. A ``preds`` array (intp, one per row) receives
+        each row's argmax logit, lowest index on ties, as ``error_rate``
+        picks it from the same forward pass.
+        """
         mats = self.weights(params)
         logits = self._forward(mats, x)
+        if preds is not None:
+            np.argmax(logits, axis=1, out=preds)
         logits -= _row_reduce(np.maximum, logits, self.row_stat)
         np.exp(logits, out=self.delta)
         log_z = np.log(_row_reduce(np.add, self.delta, self.row_stat), out=self.row_stat)
         np.subtract(logits, log_z, out=self.log_p)
 
         delta = np.exp(self.log_p, out=self.delta)
-        delta.reshape(-1)[self.row_starts + y] -= 1.0  # delta[i, y_i] -= 1
+        delta.reshape(-1)[label_index] -= 1.0  # delta[i, y_i] -= 1
         delta /= self.rows
         for layer in range(len(mats) - 1, -1, -1):
             a = self.hidden[layer - 1] if layer > 0 else x
@@ -210,10 +221,10 @@ def surrogate_loss_and_grad(
         raise DimensionMismatchError("dataset shape does not match model spec")
     _check_params(spec, params)
 
-    y = data.labels[idx]
     kernel = ModelKernel(spec, idx.size)
-    grad = kernel.gradient(params, data.features[idx], y)
-    loss = -float(np.mean(kernel.log_p.reshape(-1)[kernel.row_starts + y]))
+    label_index = kernel.row_starts + data.labels[idx]
+    grad = kernel.gradient(params, data.features[idx], label_index)
+    loss = -float(np.mean(kernel.log_p.reshape(-1)[label_index]))
     return loss, grad
 
 

@@ -135,6 +135,22 @@ def em_step(
     )
 
 
+class TraceRecorder:
+    """The default observer of ``run_training``: evaluates every
+    ``eval_interval`` steps and at the last step, and keeps one StepRecord
+    per step."""
+
+    def __init__(self, cfg: TrainConfig):
+        self.every, self.last = cfg.eval_interval, cfg.steps
+        self.records: list[StepRecord] = []
+
+    def wants_eval(self, step: int) -> bool:
+        return step % self.every == 0 or step == self.last
+
+    def observe(self, step, grad_sq, train_error, test_error) -> None:
+        self.records.append(StepRecord(step, grad_sq, train_error, test_error))
+
+
 def run_training(
     spec: ModelSpec,
     train: Dataset,
@@ -142,18 +158,29 @@ def run_training(
     cfg: TrainConfig,
     init_scale: float = 1.0,
     rng: RngStream | None = None,
+    observer=None,
 ) -> RunTrace:
-    """Run the discretized dynamics and record per-step instrumentation.
+    """Run the discretized dynamics and report per-step instrumentation.
 
-    Records the squared norm of the gradient actually used (batch or
-    full) at every step, and train/test 0-1 errors at the eval cadence.
-    A non-finite parameter or a norm above 1e12 stops the run early with
-    the diverged flag set; that is a recorded outcome, not an error.
+    Every step reports the squared norm of the gradient actually used
+    (batch or full), and the steps the observer asks for also report the
+    train/test 0-1 errors. The default observer, a TraceRecorder, asks
+    at the eval cadence and keeps the StepRecords the returned trace
+    holds. A caller's ``observer`` replaces it: before each step's
+    gradient the loop calls ``observer.wants_eval(step)``, after it
+    ``observer.observe(step, grad_sq, train_error, test_error)`` (errors
+    None on steps not evaluated), and the returned trace has no records.
+    The observer does not change the dynamics. A non-finite parameter
+    or a norm above 1e12 stops the run early with the diverged flag set;
+    that is a recorded outcome, not an error.
 
     The kernels, draws and buffers that do not change between steps are
     set up before the loop. Parameters that reach a step passed the
     previous step's divergence check, so the loop skips the validation
-    the public gradient, sampler and update functions do.
+    the public gradient, sampler and update functions do. In a full-batch
+    run the train error is the argmax of the gradient's own forward
+    logits: the same arithmetic on the same rows as a separate
+    evaluation, so the same value.
     """
     if train.input_dim != test.input_dim or train.num_classes != test.num_classes:
         raise DimensionMismatchError("train and test datasets do not match")
@@ -163,6 +190,7 @@ def run_training(
         )
     if rng is None:
         rng = RngStream(cfg.seed)
+    recorder = TraceRecorder(cfg) if observer is None else observer
 
     d = param_count(spec)
     params = init_params(spec, init_scale, rng)
@@ -170,28 +198,35 @@ def run_training(
     n = train.n
     full_batch = cfg.batch_size is None
     model = ModelKernel(spec, n if full_batch else cfg.batch_size)
-    train_eval, test_eval = ModelKernel(spec, n), ModelKernel(spec, test.n)
+    test_eval = ModelKernel(spec, test.n)
     noise = StableNoise(cfg.alpha, d) if cfg.sigma1 > 0.0 else None
     gaussian_draw = np.empty(d) if cfg.sigma2 > 0.0 else None
     update = EulerMaruyama(cfg, d)
     if full_batch:
         rows = np.arange(n)
         x, y = train.features[rows], train.labels[rows]
-    records: list[StepRecord] = []
+        label_index = model.row_starts + y
+        preds = np.empty(n, dtype=np.intp)
+    else:
+        train_eval, preds = ModelKernel(spec, n), None
     diverged = False
 
     for k in range(1, cfg.steps + 1):
         if not full_batch:
             idx = rng.gen.choice(n, size=cfg.batch_size, replace=False)
             x, y = train.features[idx], train.labels[idx]
-        grad = model.gradient(params, x, y)
-        grad_sq = float(grad @ grad)
+            label_index = model.row_starts + y
+        evaluate = recorder.wants_eval(k)
+        grad = model.gradient(params, x, label_index, preds if evaluate else None)
 
         train_err = test_err = None
-        if k % cfg.eval_interval == 0 or k == cfg.steps:
-            train_err = train_eval.error_rate(params, train.features, train.labels)
+        if evaluate:
+            if full_batch:
+                train_err = float(np.mean(preds != y))
+            else:
+                train_err = train_eval.error_rate(params, train.features, train.labels)
             test_err = test_eval.error_rate(params, test.features, test.labels)
-        records.append(StepRecord(k, grad_sq, train_err, test_err))
+        recorder.observe(k, float(grad @ grad), train_err, test_err)
 
         stable_draw = noise.draw(rng) if noise is not None else None
         if gaussian_draw is not None:
@@ -203,4 +238,5 @@ def run_training(
             diverged = True
             break
 
-    return RunTrace(cfg, tuple(records), params_hash(params), diverged)
+    records = tuple(recorder.records) if observer is None else ()
+    return RunTrace(cfg, records, params_hash(params), diverged)

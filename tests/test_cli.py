@@ -18,7 +18,6 @@ from levybound import (
     alpha_regression,
     brownian_bound,
     comparison_rate,
-    discrete_bound,
     execute_grid,
     init_params,
     k_alpha_d,
@@ -32,6 +31,7 @@ from levybound import (
     stable_levy_constant,
     write_records,
 )
+from levybound.bounds import discrete_bound_from_sum
 from levybound.cli import main
 from levybound.constants import log_sphere_area, log_stable_levy_constant
 from levybound.data import write_idx_images, write_idx_labels
@@ -409,7 +409,7 @@ class TestTablesMatchLibrary:
             window=30,
         )
         train, test = load_grid_datasets(grid)
-        r, trace = evaluate_cell(grid, train, test, 1.7, sigma1, width, 2, 0, 0)
+        r, grad_sum = evaluate_cell(grid, train, test, 1.7, sigma1, width, 2, 0, 0)
         row = [_f(1.7), _f(sigma1), str(r.d), str(width), str(r.n), "2"]
         if r.diverged:
             row += [""] * 6 + ["true"]
@@ -418,7 +418,7 @@ class TestTablesMatchLibrary:
                                  zeta=0.05, lam=0.0)
             row += [_f(r.gap), _f(r.i_hat)]
             row += [_f(r.g_hat), _f(stable_bound(r.i_hat, inputs))] if sigma1 > 0 else ["", ""]
-            row += [_f(discrete_bound(trace, inputs)) if sigma1 > 0 and eta > 0 else ""]
+            row += [_f(discrete_bound_from_sum(grad_sum, inputs)) if sigma1 > 0 and eta > 0 else ""]
             row += [_f(brownian_bound(r.i_hat, inputs)) if sigma2 > 0 else "", "false"]
         header = (
             "alpha,sigma1,d,width,n,seed,gap,i_hat,g_hat,"
@@ -572,6 +572,10 @@ class TestRunConfigErrors:
             ("grid", ["steps=20", "window=10"], "window 10 holds 1 eval(s) at eval_interval 10"),
             ("simulate", ["sigma1=inf"], "config key 'sigma1' must be finite"),
             ("simulate", ["trim=1"], "trim must be in [0, 1), got 1.0"),
+            ("grid", ["alphas=1.6,2.0,1.6"], "grid list alphas repeats a value"),
+            ("grid", ["sigma1s=0.1,0.1"], "grid list sigma1s repeats a value"),
+            ("grid", ["widths=0,3,3"], "grid list widths repeats a value"),
+            ("grid", ["seeds=4,4"], "grid list seeds repeats a value"),
         ],
     )
     def test_rejected_before_data_or_training(self, capsys, tmp_path, no_training, command,

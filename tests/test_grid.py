@@ -1,18 +1,33 @@
+import math
+import struct
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from levybound import (
+    BoundInputs,
     GridSpec,
     IdxSource,
     RngStream,
+    RunRecord,
     SyntheticSpec,
     TrainConfig,
+    bound_estimate,
+    discrete_bound,
     execute_grid,
+    integral_estimate,
+    mix64,
+    param_count,
     read_records,
+    robust_gap,
+    run_training,
 )
+from levybound.bounds import discrete_bound_from_sum
 from levybound.data import write_idx_images, write_idx_labels
 from levybound.errors import DataFormatError, InvalidParameterError
-from levybound.grid import sort_key
+from levybound.grid import _model_for, evaluate_cell, load_grid_datasets, sort_key
+from levybound.models import ModelKernel
 
 
 def tiny_grid(out, alphas=(1.6, 2.0), sigma1s=(0.1,), widths=(0,), seeds=(0, 1, 2)):
@@ -221,3 +236,115 @@ def test_idx_test_label_beyond_train_classes_is_a_data_error(tmp_path):
     grid = _idx_grid(tmp_path, (60, 3), (20, 3), np.full(20, 3))
     with pytest.raises(DataFormatError, match="test-labels.idx: label value 3 out of range for 3"):
         execute_grid(grid)
+
+
+# --- The cell reducer against the default trace: evaluate_cell keeps no
+# StepRecords and skips the evals robust_gap never reads, so its row is
+# checked against the row rebuilt from the full RunTrace with the public
+# reducers.
+
+
+def _reducer_grid(batch_size=None, width=0, steps=40, eval_interval=5, window=30,
+                  trim=0.15, sigma2=0.0, init_scale=1.0):
+    return GridSpec(
+        alphas=(1.7,), sigma1s=(0.1,), widths=(width,), seeds=(3,),
+        train=TrainConfig(gamma=0.05, eta=0.001, alpha=2.0, sigma1=0.0, sigma2=sigma2,
+                          steps=steps, batch_size=batch_size, eval_interval=eval_interval),
+        data=SyntheticSpec(20, 5, 3, 1.0, 1.0, seed=7), out="", init_scale=init_scale,
+        window=window, trim=trim,
+    )
+
+
+def _bits(record):
+    return [struct.pack("<d", v) if isinstance(v, float) else v for v in record]
+
+
+def _row_from_trace(grid, train, test, alpha, sigma1, width, seed):
+    """The records row and gradient sum of the default trace of grid index (0, 0)."""
+    spec = _model_for(width, train)
+    d = param_count(spec)
+    cfg = replace(grid.train, alpha=alpha, sigma1=sigma1, seed=seed)
+    trace = run_training(spec, train, test, cfg, grid.init_scale, RngStream(seed, mix64(0, 0)))
+    nan = float("nan")
+    if trace.diverged:
+        return RunRecord(alpha, sigma1, d, width, train.n, seed, nan, nan, nan, True), trace
+    i_hat = integral_estimate(trace)
+    g_hat = nan
+    if sigma1 > 0.0:
+        inputs = BoundInputs(alpha=alpha, d=d, n=train.n, sigma1=sigma1, gamma=cfg.gamma,
+                             eta=cfg.eta, radius=grid.radius)
+        g_hat = bound_estimate(i_hat, inputs)
+    gap = robust_gap(trace, grid.window, grid.trim)
+    return RunRecord(alpha, sigma1, d, width, train.n, seed, gap, i_hat, g_hat, False), trace
+
+
+# window 23 of 40 steps holds the evals at steps 20, 25, ..., 40; trim 0.8
+# drops 4 of the 5, and the next float up would drop all 5
+LARGEST_TRIM = 0.8
+
+REDUCER_CASES = {
+    "window-covers-run": dict(window=40),
+    "window-beyond-run": dict(window=100),
+    "ragged-last-eval": dict(steps=43),
+    "ragged-window": dict(window=23),
+    "largest-trim": dict(window=23, trim=LARGEST_TRIM),
+    "sigma1-zero": dict(sigma1=0.0),
+    "both-noises": dict(sigma2=0.05),
+    "diverged": dict(init_scale=1e13),
+}
+
+
+@pytest.mark.parametrize("case", REDUCER_CASES)
+@pytest.mark.parametrize("batch_size", [None, 16], ids=["full", "batch16"])
+@pytest.mark.parametrize("width", [0, 4], ids=["linear", "relu"])
+def test_evaluate_cell_matches_trace_reducers(case, batch_size, width):
+    settings = dict(REDUCER_CASES[case])
+    sigma1 = settings.pop("sigma1", 0.1)
+    grid = _reducer_grid(batch_size=batch_size, width=width, **settings)
+    train, test = load_grid_datasets(grid)
+    record, grad_sum = evaluate_cell(grid, train, test, 1.7, sigma1, width, 3, 0, 0)
+    expected, trace = _row_from_trace(grid, train, test, 1.7, sigma1, width, 3)
+    assert _bits(record) == _bits(expected)
+    assert record.diverged == (case == "diverged") == trace.diverged
+    if not trace.diverged:
+        assert grad_sum == math.fsum(r.grad_sq for r in trace.records)
+        if sigma1 > 0.0:
+            inputs = BoundInputs(alpha=1.7, d=record.d, n=record.n, sigma1=sigma1,
+                                 gamma=0.05, eta=0.001)
+            assert discrete_bound_from_sum(grad_sum, inputs) == discrete_bound(trace, inputs)
+
+
+def test_largest_trim_is_the_boundary():
+    _reducer_grid(window=23, trim=LARGEST_TRIM)
+    with pytest.raises(InvalidParameterError, match="removes all of them"):
+        _reducer_grid(window=23, trim=float(np.nextafter(LARGEST_TRIM, 1.0)))
+
+
+@pytest.mark.parametrize("batch_size", [None, 16], ids=["full", "batch16"])
+@pytest.mark.parametrize("steps, window", [(40, 30), (43, 23), (40, 100)])
+def test_evaluate_cell_evaluates_only_in_window_eval_steps(monkeypatch, batch_size, steps,
+                                                             window):
+    # count the 0-1 evaluations: the eval kernel on either data set, and a
+    # full-batch gradient asked for its argmax, each tagged with its step
+    grid = _reducer_grid(batch_size=batch_size, steps=steps, window=window)
+    train, test = load_grid_datasets(grid)
+    step, evals = [0], []
+    real_gradient, real_error_rate = ModelKernel.gradient, ModelKernel.error_rate
+
+    def gradient(self, params, x, label_index, preds=None):
+        step[0] += 1
+        if preds is not None:
+            evals.append((step[0], "train"))
+        return real_gradient(self, params, x, label_index, preds)
+
+    def error_rate(self, params, x, labels):
+        evals.append((step[0], "train" if x is train.features else "test"))
+        return real_error_rate(self, params, x, labels)
+
+    monkeypatch.setattr(ModelKernel, "gradient", gradient)
+    monkeypatch.setattr(ModelKernel, "error_rate", error_rate)
+    evaluate_cell(grid, train, test, 1.7, 0.1, 0, 3, 0, 0)
+    in_window = [k for k in range(1, steps + 1)
+                 if k > steps - window and (k % 5 == 0 or k == steps)]
+    assert step[0] == steps
+    assert evals == [(k, data) for k in in_window for data in ("train", "test")]

@@ -13,8 +13,10 @@ from levybound import (
     sample_isotropic_stable,
     sample_subordinator,
     surrogate_loss_and_grad,
+    zero_one_error,
 )
 from levybound.errors import DimensionMismatchError, InvalidParameterError
+from levybound.models import ModelKernel
 from levybound.sde import RunTrace, StepRecord, params_hash
 
 
@@ -145,6 +147,34 @@ class TestRunTraining:
         cfg = TrainConfig(gamma=0.1, eta=0.0, alpha=1.5, sigma1=0.0, batch_size=999)
         with pytest.raises(InvalidParameterError):
             run_training(ModelSpec((6, 2)), data, data, cfg)
+
+    @pytest.mark.parametrize("classes", [3, 10])
+    @pytest.mark.parametrize("hidden", [(), (5,)], ids=["linear", "relu"])
+    def test_full_batch_train_error_breaks_ties_like_zero_one_error(self, monkeypatch,
+                                                                    hidden, classes):
+        # zero init ties every logit at step 1; a zero ReLU net stays at
+        # zero, so its logits tie at every step. The train error taken from
+        # the gradient's forward pass must still pick the lowest class.
+        train = blob_data(60 + classes, n=50, dim=12, classes=classes)
+        test = blob_data(70 + classes, n=20, dim=12, classes=classes)
+        spec = ModelSpec((12, *hidden, classes))
+        cfg = TrainConfig(gamma=0.05, eta=0.01, alpha=1.5, sigma1=0.0, steps=12,
+                          eval_interval=1)
+        step_params = []
+        real_gradient = ModelKernel.gradient
+
+        def gradient(self, params, *args):
+            step_params.append(params.copy())
+            return real_gradient(self, params, *args)
+
+        monkeypatch.setattr(ModelKernel, "gradient", gradient)
+        trace = run_training(spec, train, test, cfg, init_scale=0.0)
+        assert len(step_params) == len(trace.records) == cfg.steps
+        assert trace.records[0].train_error == float(np.mean(train.labels != 0))
+        for record, params in zip(trace.records, step_params):
+            assert record.train_error == zero_one_error(spec, params, train)
+        if hidden:
+            assert not step_params[-1].any()
 
 
 class TestNoiseScaleLaws:

@@ -1,4 +1,4 @@
-"""Per-layer timings of one reference training step, and of one whole cell.
+"""Per-layer timings of a reference training step, of a whole cell and of a group.
 
 Run from the repository root:
 
@@ -24,6 +24,11 @@ repeats of a batch of calls, reported per call as min / median / quartiles
   ``perfbench``'s ``mnist-linear-minibatch`` workload (linear softmax,
   784 -> 10, d = 7840, 2504 train rows, batch 64, sigma2 = 0.01, evals
   every 10 steps, window 150), data seed 0.
+- ``group.ref`` and ``group.mnist``: one (sigma1, width, seed) group of
+  the 10 reference alphas through ``execute_grid`` on a fresh records
+  file, data set-up included: the reference profile's first sigma1 at
+  seed 0, and the MNIST-shaped profile above. A tree that trains a
+  group's alphas one cell at a time is timed the same way.
 - ``records.*`` and ``analysis.*``: ``write_records`` and ``read_records``
   on a seeded RECORD_ROWS-row d-scan records file, then ``build_report``
   (group key d) and ``alpha_regression`` on the records read back.
@@ -71,6 +76,8 @@ from levybound.grid import _model_for, evaluate_cell, load_grid_datasets  # noqa
 REPEATS = 25
 CELL_REPEATS = 5
 MNIST_CELL_REPEATS = 15
+GROUP_REPEATS = 5
+MNIST_GROUP_REPEATS = 10
 ALPHA = 1.6
 RECORD_ROWS = 10_000
 
@@ -206,6 +213,18 @@ def time_cell(grid, train, test, repeats):
     return {**summary(walls, "s", 1.0), "minor_faults_median": statistics.median(faults)}
 
 
+def time_group(grid, repeats):
+    """Wall time of ``execute_grid`` on a one-group grid, a new file each repeat."""
+    walls = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for i in range(repeats):
+            out = str(Path(tmp) / f"group-{i}.csv")
+            t0 = time.perf_counter()
+            lb.execute_grid(replace(grid, out=out))
+            walls.append(time.perf_counter() - t0)
+    return summary(walls, "s", 1.0)
+
+
 def d_scan_records(rows):
     """Seeded records shaped like a d-scan sweep: 10 alphas x 2 sigma1 x
     50 seeds per width, gap ~ d^(1/2 - alpha/4) with lognormal noise and
@@ -264,6 +283,12 @@ def main():
     mnist = mnist_grid()
     layers["cell.mnist"] = time_cell(mnist, *load_grid_datasets(mnist), MNIST_CELL_REPEATS)
     print(f"cell.mnist: median {layers['cell.mnist']['median']:.3f} s", flush=True)
+    for key, group, repeats in (
+        ("group.ref", replace(grid, sigma1s=grid.sigma1s[:1], seeds=(0,)), GROUP_REPEATS),
+        ("group.mnist", replace(mnist, alphas=grid.alphas), MNIST_GROUP_REPEATS),
+    ):
+        layers[key] = time_group(group, repeats)
+        print(f"{key}: median {layers[key]['median']:.3f} s", flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         for key, fn, number in records_layers(Path(tmp) / "records.csv"):
             layers[key] = time_calls(fn, number)

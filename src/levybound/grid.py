@@ -1,14 +1,16 @@
 """Experiment grid execution.
 
 A grid is the cartesian product (alpha values) x (sigma1 values) x
-(widths) x (seeds) over one shared dataset. Cells are independent units
-of work, evaluated one after another by ``evaluate_cell`` (which the
-``simulate`` command also uses for its single cell). Each row is
-appended to the output CSV as soon as its cell finishes, so an
-interrupted sweep resumes by skipping rows already on disk (a row torn
-by the interruption is dropped and recomputed), and the
-final file is rewritten sorted by (alpha, sigma1, d, seed) so its content
-does not depend on execution order.
+(widths) x (seeds) over one shared dataset. Cells run group by group:
+the pending alphas of one (sigma1, width, seed) group train together in
+lockstep through ``evaluate_group``, and each row is, bit for bit, the
+row ``evaluate_cell`` (which the ``simulate`` command uses for its
+single cell) gives that alpha alone. A group's rows are appended to the
+output CSV when the group finishes, so an interrupted sweep loses at
+most one group's unfinished cells and resumes by skipping rows already
+on disk (a row torn by the interruption is dropped and recomputed). The
+final file is rewritten sorted by (alpha, sigma1, d, seed) so its
+content does not depend on execution order.
 
 A cell keeps only what its row reads: every step's squared gradient
 norm, and the test - train gaps of the eval steps inside the trailing
@@ -19,7 +21,8 @@ Each cell's random stream is keyed by the cell seed plus the (sigma,
 width) grid indices only. Alpha is deliberately excluded from the key:
 noise-free cells then share their trajectory across alpha, and noisy
 cells see common underlying randomness, which makes the correlation
-between alpha and the gap less noisy.
+between alpha and the gap less noisy. It is also what lets a group
+draw its stream once for all its alphas.
 """
 
 import math
@@ -45,7 +48,7 @@ from .data import (
 from .errors import DataFormatError, InvalidParameterError
 from .models import Dataset, ModelSpec, param_count
 from .rng import RngStream, mix64
-from .sde import TrainConfig, run_training
+from .sde import TrainConfig, run_group
 
 
 @dataclass(frozen=True)
@@ -159,6 +162,43 @@ class _CellReducer:
             self.gaps.append(test_error - train_error)
 
 
+def evaluate_group(
+    grid: GridSpec, train: Dataset, test: Dataset,
+    alphas, sigma1: float, width: int, seed: int, i_sigma: int, i_width: int,
+) -> list[tuple[RunRecord, float]]:
+    """Train the cells of ``alphas`` in one (sigma1, width, seed) group in
+    lockstep (``run_group``) and reduce each to what ``evaluate_cell``
+    returns for it alone, in the order of ``alphas``."""
+    spec = _model_for(width, train)
+    d = param_count(spec)
+    cfg = replace(grid.train, sigma1=sigma1, seed=seed)
+    reducers = [_CellReducer(cfg, grid.window) for _ in alphas]
+    traces = run_group(
+        spec, train, test, cfg, alphas, grid.init_scale,
+        rng=RngStream(seed, mix64(i_sigma, i_width)), observers=reducers,
+    )
+    return [_row(grid, train.n, d, width, t, r) for t, r in zip(traces, reducers)]
+
+
+def _row(grid: GridSpec, n: int, d: int, width: int, trace, reducer: _CellReducer):
+    cfg = trace.config
+    alpha, sigma1, seed = cfg.alpha, cfg.sigma1, cfg.seed
+    nan = float("nan")
+    if trace.diverged:
+        return RunRecord(alpha, sigma1, d, width, n, seed, nan, nan, nan, True), nan
+    gap = trimmed_mean(reducer.gaps, grid.trim)
+    grad_sum = math.fsum(reducer.grad_sq.tolist())
+    i_hat = cfg.gamma * grad_sum
+    g_hat = nan
+    if sigma1 > 0.0:
+        inputs = BoundInputs(
+            alpha=alpha, d=d, n=n, sigma1=sigma1,
+            gamma=cfg.gamma, eta=cfg.eta, radius=grid.radius,
+        )
+        g_hat = bound_estimate(i_hat, inputs)
+    return RunRecord(alpha, sigma1, d, width, n, seed, gap, i_hat, g_hat, False), grad_sum
+
+
 def evaluate_cell(
     grid: GridSpec, train: Dataset, test: Dataset,
     alpha: float, sigma1: float, width: int, seed: int, i_sigma: int, i_width: int,
@@ -167,36 +207,17 @@ def evaluate_cell(
     sum of its squared gradient norms (NaN for a diverged cell), the
     gradient sum of ``discrete_bound``.
 
-    The stream is keyed by the seed and the (sigma1, width) grid indices.
-    The row's gap, i_hat and g_hat are bit for bit those of
-    ``robust_gap``, ``integral_estimate`` and ``bound_estimate`` on the
-    cell's default ``run_training`` trace, but the run keeps no trace and
-    skips the evaluations that ``robust_gap`` does not read. Only
-    numerical divergence of the run yields a diverged row; any other
+    This is ``evaluate_group`` with one alpha; a grid runs its cells
+    group by group. The stream is keyed by the seed and the (sigma1,
+    width) grid indices. The row's gap, i_hat and g_hat are bit for bit
+    those of ``robust_gap``, ``integral_estimate`` and ``bound_estimate``
+    on the cell's default ``run_training`` trace, but the run keeps no
+    trace and skips the evaluations that ``robust_gap`` does not read.
+    Only numerical divergence of the run yields a diverged row; any other
     error propagates to the caller.
     """
-    spec = _model_for(width, train)
-    d = param_count(spec)
-    cfg = replace(grid.train, alpha=alpha, sigma1=sigma1, seed=seed)
-    run = _CellReducer(cfg, grid.window)
-    trace = run_training(
-        spec, train, test, cfg, grid.init_scale,
-        rng=RngStream(seed, mix64(i_sigma, i_width)), observer=run,
-    )
-    nan = float("nan")
-    if trace.diverged:
-        return RunRecord(alpha, sigma1, d, width, train.n, seed, nan, nan, nan, True), nan
-    gap = trimmed_mean(run.gaps, grid.trim)
-    grad_sum = math.fsum(run.grad_sq.tolist())
-    i_hat = cfg.gamma * grad_sum
-    g_hat = nan
-    if sigma1 > 0.0:
-        inputs = BoundInputs(
-            alpha=alpha, d=d, n=train.n, sigma1=sigma1,
-            gamma=cfg.gamma, eta=cfg.eta, radius=grid.radius,
-        )
-        g_hat = bound_estimate(i_hat, inputs)
-    return RunRecord(alpha, sigma1, d, width, train.n, seed, gap, i_hat, g_hat, False), grad_sum
+    (row,) = evaluate_group(grid, train, test, (alpha,), sigma1, width, seed, i_sigma, i_width)
+    return row
 
 
 def sort_key(r: RunRecord):
@@ -216,16 +237,17 @@ def execute_grid(grid: GridSpec, progress=None) -> list[RunRecord]:
         for r in read_records(grid.out):
             done[(r.alpha, r.sigma1, r.width, r.seed)] = r
 
-    cells = product(grid.alphas, enumerate(grid.sigma1s), enumerate(grid.widths), grid.seeds)
-    for alpha, (i_sigma, sigma1), (i_width, width), seed in cells:
-        key = (alpha, sigma1, width, seed)
-        if key in done:
+    groups = product(enumerate(grid.sigma1s), enumerate(grid.widths), grid.seeds)
+    for (i_sigma, sigma1), (i_width, width), seed in groups:
+        pending = [a for a in grid.alphas if (a, sigma1, width, seed) not in done]
+        if not pending:
             continue
-        record, _ = evaluate_cell(grid, train, test, alpha, sigma1, width, seed, i_sigma, i_width)
-        append_records(grid.out, [record])
-        done[key] = record
-        if progress is not None:
-            progress(record)
+        rows = evaluate_group(grid, train, test, pending, sigma1, width, seed, i_sigma, i_width)
+        append_records(grid.out, [record for record, _ in rows])
+        for record, _ in rows:
+            done[(record.alpha, sigma1, width, seed)] = record
+            if progress is not None:
+                progress(record)
 
     records = sorted(done.values(), key=sort_key)
     write_records(grid.out, records)

@@ -11,19 +11,21 @@ size draws a fresh without-replacement subset each step, so batch = n
 matches full batch up to summation order. Each run consumes a single
 RngStream in the fixed order (indices, stable, gaussian) per step; terms
 whose scale is zero are skipped entirely, which keeps noise-free runs
-bit-identical to plain gradient descent with weight decay.
+bit-identical to plain gradient descent with weight decay. No draw
+depends on alpha, so ``run_group`` trains several alphas of one stream
+in lockstep and draws each step once for all of them.
 """
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidParameterError
 from .models import Dataset, ModelKernel, ModelSpec, init_params, param_count
 from .rng import RngStream
-from .stable import StableNoise
+from .stable import StableNoise, cms_uniforms
 
 DIVERGENCE_NORM = 1e12
 
@@ -151,6 +153,123 @@ class TraceRecorder:
         self.records.append(StepRecord(step, grad_sq, train_error, test_error))
 
 
+class _Run:
+    """One alpha's own state in a group: parameters, update, noise scale
+    and observer."""
+
+    __slots__ = ("cfg", "params", "spare", "update", "noise", "observer", "diverged")
+
+    def __init__(self, cfg: TrainConfig, params: np.ndarray, observer):
+        d = params.size
+        self.cfg, self.params, self.spare = cfg, params, np.empty(d)
+        self.update = EulerMaruyama(cfg, d)
+        self.noise = StableNoise(cfg.alpha, d) if cfg.sigma1 > 0.0 else None
+        self.observer = observer
+        self.diverged = False
+
+
+def run_group(
+    spec: ModelSpec,
+    train: Dataset,
+    test: Dataset,
+    cfg: TrainConfig,
+    alphas,
+    init_scale: float = 1.0,
+    rng: RngStream | None = None,
+    observers=None,
+) -> list[RunTrace]:
+    """Run ``cfg`` at each of ``alphas`` in lockstep on one random stream.
+
+    The runs differ only in alpha, and alpha changes no draw: each step
+    draws the batch indices, the subordinator's uniforms, the Gaussian G
+    and the Brownian vector once, and every live run then takes its
+    gradient, observer call, update and divergence check in turn. Only
+    the scale sqrt(A) of the stable draw is computed per alpha. Each run
+    keeps its own parameters, update and observer (``observers``, one per
+    alpha, None for the default; see ``run_training``), and the runs
+    share the model kernels and draw buffers. A run that diverges stops
+    while the others go on. Each returned trace is, bit for bit, the
+    trace ``run_training`` gives its alpha alone on a stream of the same
+    key.
+    """
+    if train.input_dim != test.input_dim or train.num_classes != test.num_classes:
+        raise DimensionMismatchError("train and test datasets do not match")
+    if cfg.batch_size is not None and cfg.batch_size > train.n:
+        raise InvalidParameterError(
+            f"batch_size {cfg.batch_size} exceeds training rows {train.n}"
+        )
+    if rng is None:
+        rng = RngStream(cfg.seed)
+    cfgs = [replace(cfg, alpha=alpha) for alpha in alphas]
+    if observers is None:
+        observers = [None] * len(cfgs)
+
+    d = param_count(spec)
+    init = init_params(spec, init_scale, rng)
+    runs = [
+        _Run(c, init.copy(), TraceRecorder(c) if observer is None else observer)
+        for c, observer in zip(cfgs, observers, strict=True)
+    ]
+    n = train.n
+    full_batch = cfg.batch_size is None
+    model = ModelKernel(spec, n if full_batch else cfg.batch_size)
+    test_eval = ModelKernel(spec, test.n)
+    gaussian = np.empty(d) if cfg.sigma1 > 0.0 else None
+    brownian = np.empty(d) if cfg.sigma2 > 0.0 else None
+    if full_batch:
+        rows = np.arange(n)
+        x, y = train.features[rows], train.labels[rows]
+        label_index = model.row_starts + y
+        preds = np.empty(n, dtype=np.intp)
+    else:
+        train_eval, preds = ModelKernel(spec, n), None
+    live = runs
+
+    for k in range(1, cfg.steps + 1):
+        if not full_batch:
+            idx = rng.gen.choice(n, size=cfg.batch_size, replace=False)
+            x, y = train.features[idx], train.labels[idx]
+            label_index = model.row_starts + y
+        if gaussian is not None:
+            u, w = cms_uniforms(rng)
+            rng.gen.standard_normal(out=gaussian)
+        if brownian is not None:
+            rng.gen.standard_normal(out=brownian)
+
+        for run in live:
+            recorder = run.observer
+            evaluate = recorder.wants_eval(k)
+            grad = model.gradient(run.params, x, label_index, preds if evaluate else None)
+            train_err = test_err = None
+            if evaluate:
+                if full_batch:
+                    train_err = float(np.mean(preds != y))
+                else:
+                    train_err = train_eval.error_rate(run.params, train.features, train.labels)
+                test_err = test_eval.error_rate(run.params, test.features, test.labels)
+            recorder.observe(k, float(grad @ grad), train_err, test_err)
+
+            stable_draw = None
+            if gaussian is not None:
+                noise = run.noise
+                stable_draw = np.multiply(gaussian, noise.scale(u, w), out=noise.out)
+            params = run.update(run.params, grad, stable_draw, brownian, run.spare)
+            run.params, run.spare = params, run.params
+            # a NaN or overflowed coordinate makes the norm NaN or inf
+            run.diverged = not math.sqrt(params @ params) <= DIVERGENCE_NORM
+
+        if any(run.diverged for run in live):
+            live = [run for run in live if not run.diverged]
+            if not live:
+                break
+
+    return [
+        RunTrace(run.cfg, tuple(run.observer.records) if observer is None else (),
+                 params_hash(run.params), run.diverged)
+        for run, observer in zip(runs, observers)
+    ]
+
+
 def run_training(
     spec: ModelSpec,
     train: Dataset,
@@ -174,69 +293,14 @@ def run_training(
     or a norm above 1e12 stops the run early with the diverged flag set;
     that is a recorded outcome, not an error.
 
-    The kernels, draws and buffers that do not change between steps are
-    set up before the loop. Parameters that reach a step passed the
-    previous step's divergence check, so the loop skips the validation
-    the public gradient, sampler and update functions do. In a full-batch
-    run the train error is the argmax of the gradient's own forward
-    logits: the same arithmetic on the same rows as a separate
-    evaluation, so the same value.
+    This is ``run_group`` with the one alpha ``cfg.alpha``. The kernels,
+    draws and buffers that do not change between steps are set up before
+    the loop. Parameters that reach a step passed the previous step's
+    divergence check, so the loop skips the validation the public
+    gradient, sampler and update functions do. In a full-batch run the
+    train error is the argmax of the gradient's own forward logits: the
+    same arithmetic on the same rows as a separate evaluation, so the
+    same value.
     """
-    if train.input_dim != test.input_dim or train.num_classes != test.num_classes:
-        raise DimensionMismatchError("train and test datasets do not match")
-    if cfg.batch_size is not None and cfg.batch_size > train.n:
-        raise InvalidParameterError(
-            f"batch_size {cfg.batch_size} exceeds training rows {train.n}"
-        )
-    if rng is None:
-        rng = RngStream(cfg.seed)
-    recorder = TraceRecorder(cfg) if observer is None else observer
-
-    d = param_count(spec)
-    params = init_params(spec, init_scale, rng)
-    spare = np.empty(d)
-    n = train.n
-    full_batch = cfg.batch_size is None
-    model = ModelKernel(spec, n if full_batch else cfg.batch_size)
-    test_eval = ModelKernel(spec, test.n)
-    noise = StableNoise(cfg.alpha, d) if cfg.sigma1 > 0.0 else None
-    gaussian_draw = np.empty(d) if cfg.sigma2 > 0.0 else None
-    update = EulerMaruyama(cfg, d)
-    if full_batch:
-        rows = np.arange(n)
-        x, y = train.features[rows], train.labels[rows]
-        label_index = model.row_starts + y
-        preds = np.empty(n, dtype=np.intp)
-    else:
-        train_eval, preds = ModelKernel(spec, n), None
-    diverged = False
-
-    for k in range(1, cfg.steps + 1):
-        if not full_batch:
-            idx = rng.gen.choice(n, size=cfg.batch_size, replace=False)
-            x, y = train.features[idx], train.labels[idx]
-            label_index = model.row_starts + y
-        evaluate = recorder.wants_eval(k)
-        grad = model.gradient(params, x, label_index, preds if evaluate else None)
-
-        train_err = test_err = None
-        if evaluate:
-            if full_batch:
-                train_err = float(np.mean(preds != y))
-            else:
-                train_err = train_eval.error_rate(params, train.features, train.labels)
-            test_err = test_eval.error_rate(params, test.features, test.labels)
-        recorder.observe(k, float(grad @ grad), train_err, test_err)
-
-        stable_draw = noise.draw(rng) if noise is not None else None
-        if gaussian_draw is not None:
-            rng.gen.standard_normal(out=gaussian_draw)
-        params, spare = update(params, grad, stable_draw, gaussian_draw, spare), params
-
-        # a NaN or overflowed coordinate makes the norm NaN or inf
-        if not math.sqrt(params @ params) <= DIVERGENCE_NORM:
-            diverged = True
-            break
-
-    records = tuple(recorder.records) if observer is None else ()
-    return RunTrace(cfg, records, params_hash(params), diverged)
+    (trace,) = run_group(spec, train, test, cfg, (cfg.alpha,), init_scale, rng, [observer])
+    return trace

@@ -39,6 +39,13 @@ class StableParams:
             raise InvalidParameterError(f"scale must be > 0, got {self.scale}")
 
 
+def cms_uniforms(rng: RngStream, size: int | None = None):
+    """The stream's part of a CMS draw: u uniform on (0, 1) and the
+    exponential w = -log(u'), floats when ``size`` is None."""
+    u = rng.unit_open(size)
+    return u, -np.log(rng.unit_open(size))
+
+
 class _ChambersMallowsStuck:
     """The CMS transform of one law, with its per-law constants computed once.
 
@@ -60,10 +67,8 @@ class _ChambersMallowsStuck:
         self.scale = float(params.scale)
         self.location = float(params.location)
 
-    def draws(self, rng: RngStream, size: int | None = None):
-        """A float when ``size`` is None, else an array of ``size`` draws."""
-        u = rng.unit_open(size)
-        w = -np.log(rng.unit_open(size))
+    def transform(self, u, w):
+        """The draw that uniforms ``(u, w)`` from ``cms_uniforms`` give."""
         theta = np.pi * (u - 0.5)  # uniform on the open interval (-pi/2, pi/2)
         at = self.alpha * (theta + self.b)
         x = (
@@ -72,7 +77,11 @@ class _ChambersMallowsStuck:
             / np.cos(theta) ** self.inv_alpha
             * (np.cos(theta - at) / w) ** self.expo
         )
-        out = self.location + self.scale * x
+        return self.location + self.scale * x
+
+    def draws(self, rng: RngStream, size: int | None = None):
+        """A float when ``size`` is None, else an array of ``size`` draws."""
+        out = self.transform(*cms_uniforms(rng, size))
         return float(out) if size is None else out
 
 
@@ -93,8 +102,8 @@ def _subordinator_law(alpha: float) -> _ChambersMallowsStuck:
     return _ChambersMallowsStuck(StableParams(alpha / 2.0, 1.0, subordinator_scale(alpha), 0.0))
 
 
-def _mixer_draw(law: _ChambersMallowsStuck, rng: RngStream) -> float:
-    a = law.draws(rng)
+def _mixer_value(law: _ChambersMallowsStuck, u: float, w: float) -> float:
+    a = float(law.transform(u, w))
     if not a > 0.0:
         raise RuntimeError(f"non-positive subordinator draw {a}: sampler bug")
     return a
@@ -106,40 +115,37 @@ def sample_subordinator(alpha: float, rng: RngStream, size: int | None = None):
         raise InvalidParameterError(f"subordinator needs alpha in (1, 2), got {alpha}")
     law = _subordinator_law(alpha)
     if size is None:
-        return _mixer_draw(law, rng)
+        return _mixer_value(law, *cms_uniforms(rng))
     a = law.draws(rng, size)
     if not (a > 0.0).all():
         raise RuntimeError("non-positive subordinator draw: sampler bug")
     return a
 
 
-def _skip_mixer_draw(rng: RngStream, size: int | None = None) -> None:
-    """Draw and discard the two uniforms of a subordinator draw (alpha = 2 needs none)."""
-    rng.unit_open(size)
-    rng.unit_open(size)
-
-
 class StableNoise:
-    """Single isotropic alpha-stable draws in R^dim for one alpha.
+    """Single isotropic alpha-stable draws sqrt(A) G in R^dim for one alpha.
 
-    The subordinator's constants are computed once, and every draw is
-    written into the same output array, which the next draw overwrites.
-    Inputs are not validated; ``sample_isotropic_stable`` does that.
+    Only the factor sqrt(A) depends on alpha: ``scale`` computes it from
+    the subordinator's uniforms (``cms_uniforms``), which every alpha
+    draws, so a caller may draw the uniforms and G once for several
+    alphas. The subordinator's constants are computed once, and every
+    draw is written into ``out``, which the next draw overwrites. Inputs
+    are not validated; ``sample_isotropic_stable`` does that.
     """
 
     def __init__(self, alpha: float, dim: int):
         self.mixer = None if alpha == 2.0 else _subordinator_law(alpha)
         self.out = np.empty(dim)
 
-    def draw(self, rng: RngStream) -> np.ndarray:
+    def scale(self, u: float, w: float):
+        """sqrt(A) of the subordinator draw of ``(u, w)``; sqrt(2) at alpha = 2."""
         if self.mixer is None:
-            _skip_mixer_draw(rng)
-            scale = np.sqrt(2.0)
-        else:
-            scale = np.sqrt(_mixer_draw(self.mixer, rng))
-        rng.gen.standard_normal(out=self.out)
-        self.out *= scale
-        return self.out
+            return np.sqrt(2.0)
+        return np.sqrt(_mixer_value(self.mixer, u, w))
+
+    def draw(self, rng: RngStream) -> np.ndarray:
+        scale = self.scale(*cms_uniforms(rng))
+        return np.multiply(rng.gen.standard_normal(out=self.out), scale, out=self.out)
 
 
 def sample_isotropic_stable(alpha: float, dim: int, rng: RngStream, size: int | None = None):
@@ -158,7 +164,7 @@ def sample_isotropic_stable(alpha: float, dim: int, rng: RngStream, size: int | 
     if size is None:
         return StableNoise(alpha, dim).draw(rng)
     if alpha == 2.0:
-        _skip_mixer_draw(rng, size)
+        cms_uniforms(rng, size)
         scale = np.sqrt(2.0)
     else:
         scale = np.sqrt(sample_subordinator(alpha, rng, size))[:, None]

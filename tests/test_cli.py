@@ -464,7 +464,7 @@ class TestDivergedRows:
         def no_training(*args, **kwargs):
             raise AssertionError("a cell was recomputed")
 
-        monkeypatch.setattr(levybound.grid, "run_training", no_training)
+        monkeypatch.setattr(levybound.grid, "run_group", no_training)
         code, _, _ = run_cli(
             capsys, "grid", "--config", str(cfg), "--set", "seeds=7",
             "--set", "init_scale=1e13", "--out", str(diverged_csv),
@@ -510,7 +510,7 @@ class TestConfigErrors:
         def no_training(*args, **kwargs):
             raise AssertionError("a cell was trained")
 
-        monkeypatch.setattr(levybound.grid, "run_training", no_training)
+        monkeypatch.setattr(levybound.grid, "run_group", no_training)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(BASE_CFG + "alpha=1.7\nsigma1=0.1\nalphas=1.6,2.0\nsigma1s=0.1\n")
         out_csv = tmp_path / "records.csv"
@@ -550,7 +550,7 @@ class TestRunConfigErrors:
         def fail(*args, **kwargs):
             raise AssertionError("a cell was trained")
 
-        monkeypatch.setattr(levybound.grid, "run_training", fail)
+        monkeypatch.setattr(levybound.grid, "run_group", fail)
 
     @pytest.mark.parametrize(
         "command, settings, message",

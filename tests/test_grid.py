@@ -1,6 +1,8 @@
 import math
 import struct
+from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,9 +26,16 @@ from levybound import (
     run_training,
 )
 from levybound.bounds import discrete_bound_from_sum
-from levybound.data import write_idx_images, write_idx_labels
+from levybound.cli import _grid_spec
+from levybound.data import _ROW, parse_config, write_idx_images, write_idx_labels, write_records
 from levybound.errors import DataFormatError, InvalidParameterError
-from levybound.grid import _model_for, evaluate_cell, load_grid_datasets, sort_key
+from levybound.grid import (
+    _model_for,
+    evaluate_cell,
+    evaluate_group,
+    load_grid_datasets,
+    sort_key,
+)
 from levybound.models import ModelKernel
 
 
@@ -68,8 +77,6 @@ def test_partial_file_resumes(tmp_path):
     grid = tiny_grid(tmp_path / "r.csv")
     full = execute_grid(grid)
     # keep only half the rows and resume
-    from levybound.data import write_records
-
     write_records(grid.out, full[: len(full) // 2])
     executed = []
     resumed = execute_grid(grid, progress=executed.append)
@@ -103,16 +110,16 @@ def test_cell_failure_propagates_and_resumes(tmp_path, monkeypatch):
     # before it stay on disk and a re-run finishes the sweep
     import levybound.grid as grid_mod
 
-    real_run_training = grid_mod.run_training
+    real_run_group = grid_mod.run_group
     calls = []
 
     def fail_on_second_cell(*args, **kwargs):
         calls.append(1)
         if len(calls) == 2:
             raise RuntimeError("synthetic cell failure")
-        return real_run_training(*args, **kwargs)
+        return real_run_group(*args, **kwargs)
 
-    monkeypatch.setattr(grid_mod, "run_training", fail_on_second_cell)
+    monkeypatch.setattr(grid_mod, "run_group", fail_on_second_cell)
     grid = tiny_grid(tmp_path / "r.csv", alphas=(1.7,), seeds=(0, 1, 2))
     with pytest.raises(RuntimeError, match="synthetic cell failure"):
         execute_grid(grid)
@@ -120,7 +127,7 @@ def test_cell_failure_propagates_and_resumes(tmp_path, monkeypatch):
     assert [r.seed for r in on_disk] == [0]
     assert not any(r.diverged for r in on_disk)
 
-    monkeypatch.setattr(grid_mod, "run_training", real_run_training)
+    monkeypatch.setattr(grid_mod, "run_group", real_run_group)
     executed = []
     records = execute_grid(grid, progress=executed.append)
     assert [r.seed for r in executed] == [1, 2]
@@ -348,3 +355,120 @@ def test_evaluate_cell_evaluates_only_in_window_eval_steps(monkeypatch, batch_si
                  if k > steps - window and (k % 5 == 0 or k == steps)]
     assert step[0] == steps
     assert evals == [(k, data) for k in in_window for data in ("train", "test")]
+
+
+# --- Groups: the alphas of one (sigma1, width, seed) group train in
+# lockstep on one stream; each row must be its one-alpha cell's row.
+
+GROUP_ALPHAS = (1.3, 1.6, 1.8, 2.0)
+
+# (width, sigma1, seed, settings, diverged flags of GROUP_ALPHAS)
+GROUP_CASES = {
+    "relu-mixed-divergence": (4, 1e11, 0, {}, [True, True, False, False]),
+    "linear-mixed-divergence": (0, 5e10, 0, {}, [True, True, True, False]),
+    "linear-all-diverged": (0, 1.5e11, 2, {}, [True] * 4),
+    "linear-sigma1-zero": (0, 0.0, 3, {}, [False] * 4),
+    "relu-sigma1-zero": (4, 0.0, 3, {}, [False] * 4),
+    "linear-minibatch-brownian": (0, 0.1, 3, dict(batch_size=16, sigma2=0.05), [False] * 4),
+    "relu-minibatch-brownian": (4, 0.1, 3, dict(batch_size=16, sigma2=0.05), [False] * 4),
+}
+
+
+@pytest.mark.parametrize("case", GROUP_CASES)
+def test_group_rows_are_the_one_alpha_cell_rows(case):
+    width, sigma1, seed, settings, diverged = GROUP_CASES[case]
+    grid = _reducer_grid(width=width, **settings)
+    train, test = load_grid_datasets(grid)
+    rows = evaluate_group(grid, train, test, GROUP_ALPHAS, sigma1, width, seed, 1, 2)
+    assert [record.diverged for record, _ in rows] == diverged
+    for alpha, (record, grad_sum) in zip(GROUP_ALPHAS, rows):
+        alone, alone_sum = evaluate_cell(grid, train, test, alpha, sigma1, width, seed, 1, 2)
+        assert _bits(record) == _bits(alone)
+        assert struct.pack("<d", grad_sum) == struct.pack("<d", alone_sum)
+    if sigma1 == 0.0:  # no stable noise: alpha changes nothing but the alpha field
+        assert all(_bits(record)[1:] == _bits(rows[0][0])[1:] for record, _ in rows)
+
+
+def test_resume_runs_only_the_pending_alphas_of_each_group(tmp_path, monkeypatch):
+    import levybound.grid as grid_mod
+
+    alphas, sigma1s, seeds = (1.6, 1.8, 2.0), (0.1, 0.2), (0, 1)
+    fresh = execute_grid(tiny_grid(tmp_path / "fresh.csv", alphas, sigma1s, seeds=seeds))
+    dropped = {(1.8, 0.1, 0), (1.6, 0.1, 1), (2.0, 0.1, 1), (1.6, 0.2, 1), (1.8, 0.2, 1),
+               (2.0, 0.2, 1)}
+    kept = [r for r in fresh if (r.alpha, r.sigma1, r.seed) not in dropped]
+    write_records(tmp_path / "r.csv", kept)
+
+    real_evaluate_group, calls = grid_mod.evaluate_group, []
+
+    def evaluate_group_spy(grid, train, test, alphas, sigma1, width, seed, *indices):
+        calls.append((sigma1, seed, tuple(alphas)))
+        return real_evaluate_group(grid, train, test, alphas, sigma1, width, seed, *indices)
+
+    monkeypatch.setattr(grid_mod, "evaluate_group", evaluate_group_spy)
+    executed = []
+    records = execute_grid(tiny_grid(tmp_path / "r.csv", alphas, sigma1s, seeds=seeds),
+                           progress=executed.append)
+    assert calls == [(0.1, 0, (1.8,)), (0.1, 1, (1.6, 2.0)), (0.2, 1, alphas)]
+    assert {(r.alpha, r.sigma1, r.seed) for r in executed} == dropped
+    assert records == fresh
+    assert (tmp_path / "r.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+
+
+class _CountingGenerator:
+    """Forwards to a numpy Generator and counts each method's calls."""
+
+    def __init__(self, gen):
+        self._gen, self.calls = gen, Counter()
+
+    def __getattr__(self, name):
+        method = getattr(self._gen, name)
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+@pytest.mark.parametrize("width", [0, 4], ids=["linear", "relu"])
+@pytest.mark.parametrize("group_size", [1, 4])
+def test_group_draws_its_stream_once_per_step(monkeypatch, width, group_size):
+    import levybound.grid as grid_mod
+
+    streams = []
+
+    class CountingStream(RngStream):
+        def __init__(self, *key):
+            super().__init__(*key)
+            self.gen = _CountingGenerator(self.gen)
+            streams.append(self)
+
+    monkeypatch.setattr(grid_mod, "RngStream", CountingStream)
+    steps = 40
+    grid = _reducer_grid(width=width, batch_size=16, sigma2=0.05, steps=steps)
+    train, test = load_grid_datasets(grid)
+    rows = evaluate_group(grid, train, test, GROUP_ALPHAS[:group_size], 0.1, width, 3, 0, 0)
+    assert not any(record.diverged for record, _ in rows)
+    (stream,) = streams
+    layers = 1 if width == 0 else 2  # init_params draws one Gaussian block per layer
+    # per step: the batch indices, the two subordinator uniforms, G and the
+    # Brownian vector, whatever the group size
+    assert stream.gen.calls == Counter(
+        standard_normal=layers + 2 * steps, choice=steps, random=2 * steps)
+
+
+def test_reference_light_noise_group_reproduces_committed_rows():
+    # the committed reference profile's sigma1 index 1 (sigma1 * sqrt(d) =
+    # 10), seed 0: all 10 alphas in one group, each written line equal to
+    # its line in the committed records
+    reference = Path(__file__).resolve().parent.parent / "reference"
+    grid = _grid_spec(parse_config(reference / "phase_transition.cfg"), "")
+    train, test = load_grid_datasets(grid)
+    rows = evaluate_group(grid, train, test, grid.alphas, grid.sigma1s[1], grid.widths[0],
+                          0, 1, 0)
+    committed = (reference / "phase_transition_records.csv").read_bytes().splitlines(True)
+    for record, _ in rows:
+        written = _ROW.format(*record[:9], "true" if record.diverged else "false").encode()
+        assert committed.count(written) == 1, written
+    assert len(rows) == 10 and not any(record.diverged for record, _ in rows)

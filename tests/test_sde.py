@@ -1,4 +1,6 @@
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from levybound import (
 )
 from levybound.errors import DimensionMismatchError, InvalidParameterError
 from levybound.models import ModelKernel
-from levybound.sde import RunTrace, StepRecord, params_hash
+from levybound.sde import RunTrace, StepRecord, params_hash, run_group
 
 
 def blob_data(seed=0, n=120, dim=6, classes=2, sep=2.0):
@@ -340,3 +342,56 @@ def test_subordinator_draws_match_frozen_scalar_cms():
             assert type(a) is float
             mismatches += a != _frozen_subordinator(alpha, old)
     assert mismatches == 0
+
+
+# --- The group runner: alphas of one stream trained in lockstep, each
+# checked against the frozen loop run alone on a fresh stream of the key.
+
+
+@pytest.mark.parametrize("sigma2", [0.0, 0.05])
+@pytest.mark.parametrize("sigma1", [0.0, 0.3])
+@pytest.mark.parametrize("batch_size", [None, 16])
+@pytest.mark.parametrize("hidden", [(), (5,)], ids=["linear", "relu"])
+def test_run_group_matches_frozen_loop_per_alpha(hidden, batch_size, sigma1, sigma2):
+    train = blob_data(32, n=60, dim=12, classes=3)
+    test = blob_data(42, n=25, dim=12, classes=3)
+    spec = ModelSpec((12, *hidden, 3))
+    cfg = TrainConfig(gamma=0.05, eta=0.01, alpha=2.0, sigma1=sigma1, sigma2=sigma2,
+                      steps=25, batch_size=batch_size, eval_interval=4)
+    alphas = (1.6, 1.95, 2.0)
+    traces = run_group(spec, train, test, cfg, alphas, 1.0, RngStream(5, 9))
+    assert len(traces) == len(alphas)
+    for alpha, trace in zip(alphas, traces):
+        alone = replace(cfg, alpha=alpha)
+        assert trace == _frozen_run(spec, train, test, alone, 1.0, RngStream(5, 9))
+        assert not trace.diverged
+
+
+@pytest.mark.parametrize(
+    "hidden, sigma1, diverged",
+    [((), 3e10, [True, True, False, False]),
+     ((5,), 1e10, [True, False, False, False]),
+     ((5,), 3e10, [True, True, True, True])],
+    ids=["linear-mixed", "relu-mixed", "relu-all"],
+)
+def test_run_group_diverging_alphas_match_frozen_loop(hidden, sigma1, diverged):
+    # a run that diverges stops; the others go on drawing the same stream
+    train = blob_data(50, n=60, dim=12)
+    test = blob_data(51, n=25, dim=12)
+    spec = ModelSpec((12, *hidden, 2))
+    cfg = TrainConfig(gamma=0.5, eta=0.0, alpha=2.0, sigma1=sigma1, steps=40, eval_interval=3)
+    alphas = (1.3, 1.6, 1.95, 2.0)
+    traces = run_group(spec, train, test, cfg, alphas, 1.0, RngStream(6))
+    assert [t.diverged for t in traces] == diverged
+    for alpha, trace in zip(alphas, traces):
+        frozen = _frozen_run(spec, train, test, replace(cfg, alpha=alpha), 1.0, RngStream(6))
+        assert trace.diverged == frozen.diverged
+        assert trace.records == frozen.records
+        assert trace.final_params_hash == frozen.final_params_hash
+
+
+def test_run_group_takes_one_observer_per_alpha():
+    data = blob_data(7, n=40, dim=6)
+    cfg = TrainConfig(gamma=0.05, eta=0.0, alpha=2.0, sigma1=0.1, steps=12, eval_interval=5)
+    with pytest.raises(ValueError):
+        run_group(ModelSpec((6, 2)), data, data, cfg, (1.5, 2.0), observers=[None])

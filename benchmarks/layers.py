@@ -11,11 +11,11 @@ repeats of a batch of calls, reported per call as min / median / quartiles
 / IQR:
 
 - ``loop.*``: what one step of ``run_training`` executes: the full-batch
-  gradient, one isotropic stable draw (subordinator + Gaussian), one EM
-  update, and what an eval step adds: the train error as the argmax of
-  the gradient's own logits, and the test set's forward pass and argmax.
-  A tree whose gradient takes the labels (``gradient(params, x, y)``)
-  evaluates the train set in a pass of its own, and is timed that way.
+  gradient, the stable term (the subordinator's uniforms and G, drawn
+  once per group, then the alpha's scale sqrt(A) and its multiply into
+  the group's draw buffer), one EM update, and what an eval step adds:
+  the train error as the argmax of the gradient's own logits, and the
+  test set's forward pass and argmax.
 - ``public.*``: the validating public functions, as a caller outside the
   loop sees them.
 - ``cell``: one 3000-step reference cell through ``grid.evaluate_cell``,
@@ -51,7 +51,6 @@ import argparse  # noqa: E402
 import ctypes  # noqa: E402
 import glob  # noqa: E402
 import hashlib  # noqa: E402
-import inspect  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import resource  # noqa: E402
@@ -146,30 +145,26 @@ def step_layers(spec, train, test, cfg, params):
     rows = np.arange(train.n)
     kernel, test_eval = models.ModelKernel(spec, train.n), models.ModelKernel(spec, test.n)
     x, y = train.features[rows], train.labels[rows]
-    if "preds" in inspect.signature(kernel.gradient).parameters:
-        label_index, preds = kernel.row_starts + y, np.empty(train.n, dtype=np.intp)
+    label_index, preds = kernel.row_starts + y, np.empty(train.n, dtype=np.intp)
 
-        def gradient():
-            return kernel.gradient(params, x, label_index)
+    def gradient():
+        return kernel.gradient(params, x, label_index)
 
-        def train_error():
-            return float(np.mean(np.argmax(kernel.logits, axis=1, out=preds) != y))
-    else:
-        train_eval = models.ModelKernel(spec, train.n)
+    def train_error():
+        return float(np.mean(np.argmax(kernel.logits, axis=1, out=preds) != y))
 
-        def gradient():
-            return kernel.gradient(params, x, y)
+    noise, gaussian, buffer = stable.StableNoise(cfg.alpha), np.empty(d), np.empty(d)
 
-        def train_error():
-            return train_eval.error_rate(params, train.features, train.labels)
+    def stable_draw():
+        u, w = stable.cms_uniforms(rng)
+        rng.gen.standard_normal(out=gaussian)
+        return np.multiply(gaussian, noise.scale(u, w), out=buffer)
 
-    grad = gradient().copy()
-    noise = stable.StableNoise(cfg.alpha, d)
-    draw = noise.draw(rng).copy()
+    grad, draw = gradient().copy(), stable_draw().copy()
     update, out = sde.EulerMaruyama(cfg, d), np.empty(d)
     return [
         ("gradient", gradient, 200),
-        ("stable_draw", lambda: noise.draw(rng), 1000),
+        ("stable_draw", stable_draw, 1000),
         ("em_update", lambda: update(params, grad, draw, None, out), 2000),
         ("eval", lambda: (train_error(),
                           test_eval.error_rate(params, test.features, test.labels)), 500),

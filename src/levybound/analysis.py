@@ -323,6 +323,8 @@ def build_report(records, group_key: str, radius: float = 1.0) -> AnalysisReport
     needs at least two dimensions; the radius estimate needs a tau sign
     change. Whatever is unavailable is reported as None with a note.
     """
+    if not radius > 0.0:
+        raise InvalidParameterError(f"radius must be > 0, got {radius}")
     scans = tuple(correlation_scan(records, group_key))
     live = [r for r in records if not r.diverged]
     sigmas = sorted({r.sigma1 for r in live})
@@ -337,7 +339,7 @@ def build_report(records, group_key: str, radius: float = 1.0) -> AnalysisReport
             elif group_key == "sigma1" and len(dims) == 1:
                 labels = phase_regime(s.group, dims[0], radius)
         except InvalidParameterError:
-            pass  # e.g. a sigma1 = 0 group has no regime
+            pass  # a sigma1 = 0 group has no regime
         regimes.append(labels)
 
     r_hat = intercept = alpha_hat = None

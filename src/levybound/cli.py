@@ -69,6 +69,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _finite(text: str) -> float:
+    """The argparse type of every float option: a number, not NaN or infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _cfg_from(args) -> dict[str, str]:
     cfg = dict(DEFAULTS)
     if getattr(args, "config", None):
@@ -182,7 +193,7 @@ def _emit(path, header, rows, sep=",") -> None:
     """Write ``header`` (None for none), then one line per row, to ``path`` or stdout."""
     lines = [] if header is None else [header]
     lines += [sep.join(map(_field, row)) for row in rows]
-    text = "\n".join(lines) + "\n"
+    text = "".join(line + "\n" for line in lines)
     if path:
         with open(path, "w") as f:
             f.write(text)
@@ -311,22 +322,22 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("constants", help="evaluate the bound constants at one (alpha, d, R)")
-    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--alpha", type=_finite, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--radius", "--R", type=float, default=1.0)
-    p.add_argument("--sigma1", type=float, default=1.0)
+    p.add_argument("--radius", "--R", type=_finite, default=1.0)
+    p.add_argument("--sigma1", type=_finite, default=1.0)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_constants)
 
     p = sub.add_parser("sample", help="emit stable draws, one sample per line")
-    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--alpha", type=_finite, required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--stream", type=int, default=0)
     p.add_argument("--dim", type=int, help="isotropic vector dimension; omit for the scalar law")
-    p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--loc", type=float, default=0.0)
+    p.add_argument("--beta", type=_finite, default=0.0)
+    p.add_argument("--scale", type=_finite, default=1.0)
+    p.add_argument("--loc", type=_finite, default=0.0)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_sample)
 
@@ -345,7 +356,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("analyze", help="correlation scan over a records CSV")
     p.add_argument("--records", required=True)
     p.add_argument("--group-key", choices=("d", "sigma1"), default="d")
-    p.add_argument("--radius", type=float, default=1.0)
+    p.add_argument("--radius", type=_finite, default=1.0)
     p.add_argument("--out")
     p.add_argument("--long-out", help="plot-ready long-format CSV path")
     p.set_defaults(func=_cmd_analyze)

@@ -192,7 +192,7 @@ def phase_regime(sigma1: float, d: int, radius: float) -> tuple[str, str]:
     Coarse split at 1; refined split at 1/sqrt(2 pi), which accounts for
     the decreasing prefactor P(alpha). Returns (coarse, refined) labels.
     """
-    if sigma1 <= 0.0 or d < 1 or radius <= 0.0:
+    if not sigma1 > 0.0 or d < 1 or not radius > 0.0:
         raise InvalidParameterError("phase_regime needs positive sigma1, d, radius")
     ratio = sigma1 * math.sqrt(d) / radius
     coarse = "Heavy" if ratio < 1.0 else "Light"

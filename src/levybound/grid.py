@@ -12,10 +12,11 @@ on disk (a row torn by the interruption is dropped and recomputed). The
 final file is rewritten sorted by (alpha, sigma1, d, seed) so its
 content does not depend on execution order.
 
-A cell keeps only what its row reads: every step's squared gradient
-norm, and the test - train gaps of the eval steps inside the trailing
-``window`` (steps > steps - window). Eval steps before the window are
-not evaluated at all; they would not change the row.
+A cell keeps only what its row reads: its ``TraceRecorder(cfg,
+after=steps - window)`` keeps every step's squared gradient norm and the
+errors of the eval steps inside the trailing ``window``. Eval steps
+before the window are not evaluated at all; they would not change the
+row.
 
 Each cell's random stream is keyed by the cell seed plus the (sigma,
 width) grid indices only. Alpha is deliberately excluded from the key:
@@ -29,8 +30,6 @@ import math
 import os
 from dataclasses import dataclass, replace
 from itertools import product
-
-import numpy as np
 
 from .analysis import trimmed_mean
 from .bounds import BoundInputs, bound_estimate
@@ -48,7 +47,7 @@ from .data import (
 from .errors import DataFormatError, InvalidParameterError
 from .models import Dataset, ModelSpec, param_count
 from .rng import RngStream, mix64
-from .sde import TrainConfig, run_group
+from .sde import TraceRecorder, TrainConfig, run_group
 
 
 @dataclass(frozen=True)
@@ -142,26 +141,6 @@ def _model_for(width: int, train: Dataset) -> ModelSpec:
     return ModelSpec((train.input_dim, width, train.num_classes))
 
 
-class _CellReducer:
-    """Run observer for one records row: every step's squared gradient
-    norm, in order, and the test - train gap of each eval step that
-    ``robust_gap`` would read (step > steps - window)."""
-
-    def __init__(self, cfg: TrainConfig, window: int):
-        self.every, self.last = cfg.eval_interval, cfg.steps
-        self.after = cfg.steps - window
-        self.grad_sq = np.empty(cfg.steps)
-        self.gaps: list[float] = []
-
-    def wants_eval(self, step: int) -> bool:
-        return step > self.after and (step % self.every == 0 or step == self.last)
-
-    def observe(self, step, grad_sq, train_error, test_error) -> None:
-        self.grad_sq[step - 1] = grad_sq
-        if train_error is not None:
-            self.gaps.append(test_error - train_error)
-
-
 def evaluate_group(
     grid: GridSpec, train: Dataset, test: Dataset,
     alphas, sigma1: float, width: int, seed: int, i_sigma: int, i_width: int,
@@ -172,22 +151,24 @@ def evaluate_group(
     spec = _model_for(width, train)
     d = param_count(spec)
     cfg = replace(grid.train, sigma1=sigma1, seed=seed)
-    reducers = [_CellReducer(cfg, grid.window) for _ in alphas]
+    recorders = [TraceRecorder(cfg, after=cfg.steps - grid.window) for _ in alphas]
     traces = run_group(
         spec, train, test, cfg, alphas, grid.init_scale,
-        rng=RngStream(seed, mix64(i_sigma, i_width)), observers=reducers,
+        rng=RngStream(seed, mix64(i_sigma, i_width)), observers=recorders,
     )
-    return [_row(grid, train.n, d, width, t, r) for t, r in zip(traces, reducers)]
+    return [_row(grid, train.n, d, width, t, r) for t, r in zip(traces, recorders)]
 
 
-def _row(grid: GridSpec, n: int, d: int, width: int, trace, reducer: _CellReducer):
+def _row(grid: GridSpec, n: int, d: int, width: int, trace, recorder: TraceRecorder):
     cfg = trace.config
     alpha, sigma1, seed = cfg.alpha, cfg.sigma1, cfg.seed
     nan = float("nan")
     if trace.diverged:
         return RunRecord(alpha, sigma1, d, width, n, seed, nan, nan, nan, True), nan
-    gap = trimmed_mean(reducer.gaps, grid.trim)
-    grad_sum = math.fsum(reducer.grad_sq.tolist())
+    # the window's evals only, so a recorder that evaluated earlier steps gives the same row
+    gaps = [test - train for k, train, test in recorder.evals() if k > cfg.steps - grid.window]
+    gap = trimmed_mean(gaps, grid.trim)
+    grad_sum = math.fsum(recorder.grad_sq.tolist())
     i_hat = cfg.gamma * grad_sum
     g_hat = nan
     if sigma1 > 0.0:
@@ -211,10 +192,10 @@ def evaluate_cell(
     group by group. The stream is keyed by the seed and the (sigma1,
     width) grid indices. The row's gap, i_hat and g_hat are bit for bit
     those of ``robust_gap``, ``integral_estimate`` and ``bound_estimate``
-    on the cell's default ``run_training`` trace, but the run keeps no
-    trace and skips the evaluations that ``robust_gap`` does not read.
-    Only numerical divergence of the run yields a diverged row; any other
-    error propagates to the caller.
+    on the cell's ``run_training`` trace, but the run builds no
+    StepRecords and skips the evaluations that ``robust_gap`` does not
+    read. Only numerical divergence of the run yields a diverged row;
+    any other error propagates to the caller.
     """
     (row,) = evaluate_group(grid, train, test, (alpha,), sigma1, width, seed, i_sigma, i_width)
     return row

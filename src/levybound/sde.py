@@ -138,19 +138,35 @@ def em_step(
 
 
 class TraceRecorder:
-    """The default observer of ``run_training``: evaluates every
-    ``eval_interval`` steps and at the last step, and keeps one StepRecord
-    per step."""
+    """The run observer: every step's squared gradient norm, and the
+    (train, test) errors of the eval steps (every ``eval_interval`` steps
+    and the last step) after ``after``, the errors as one flat list."""
 
-    def __init__(self, cfg: TrainConfig):
-        self.every, self.last = cfg.eval_interval, cfg.steps
-        self.records: list[StepRecord] = []
+    def __init__(self, cfg: TrainConfig, after: int = 0):
+        self.every, self.last, self.after = cfg.eval_interval, cfg.steps, after
+        self.grad_sq = np.empty(cfg.steps)
+        self.steps = 0
+        self.errors: list[float] = []
 
     def wants_eval(self, step: int) -> bool:
-        return step % self.every == 0 or step == self.last
+        return step > self.after and (step % self.every == 0 or step == self.last)
 
     def observe(self, step, grad_sq, train_error, test_error) -> None:
-        self.records.append(StepRecord(step, grad_sq, train_error, test_error))
+        self.grad_sq[step - 1] = grad_sq
+        self.steps = step
+        if train_error is not None:
+            self.errors += (train_error, test_error)
+
+    def evals(self):
+        """(step, train_error, test_error) of each eval step observed, in order."""
+        steps = [k for k in range(1, self.steps + 1) if self.wants_eval(k)]
+        return zip(steps, self.errors[::2], self.errors[1::2], strict=True)
+
+    def records(self) -> tuple[StepRecord, ...]:
+        """One StepRecord per step observed."""
+        errors = {k: (train, test) for k, train, test in self.evals()}
+        return tuple(StepRecord(k, g, *errors.get(k, (None, None)))
+                     for k, g in enumerate(self.grad_sq[: self.steps].tolist(), 1))
 
 
 class _Run:
@@ -160,10 +176,9 @@ class _Run:
     __slots__ = ("cfg", "params", "spare", "update", "noise", "observer", "diverged")
 
     def __init__(self, cfg: TrainConfig, params: np.ndarray, observer):
-        d = params.size
-        self.cfg, self.params, self.spare = cfg, params, np.empty(d)
-        self.update = EulerMaruyama(cfg, d)
-        self.noise = StableNoise(cfg.alpha, d) if cfg.sigma1 > 0.0 else None
+        self.cfg, self.params, self.spare = cfg, params, np.empty(params.size)
+        self.update = EulerMaruyama(cfg, params.size)
+        self.noise = StableNoise(cfg.alpha)
         self.observer = observer
         self.diverged = False
 
@@ -185,12 +200,18 @@ def run_group(
     and the Brownian vector once, and every live run then takes its
     gradient, observer call, update and divergence check in turn. Only
     the scale sqrt(A) of the stable draw is computed per alpha. Each run
-    keeps its own parameters, update and observer (``observers``, one per
-    alpha, None for the default; see ``run_training``), and the runs
-    share the model kernels and draw buffers. A run that diverges stops
-    while the others go on. Each returned trace is, bit for bit, the
-    trace ``run_training`` gives its alpha alone on a stream of the same
-    key.
+    keeps its own parameters, update and observer; the model kernels and
+    draw buffers, the stable draw sqrt(A) G's included, are the group's,
+    used one run at a time. A run that diverges stops while the others
+    go on. Each returned trace is, bit for bit, the trace
+    ``run_training`` gives its alpha alone on a stream of the same key.
+
+    ``observers`` holds one observer per alpha. Before each step's
+    gradient the loop calls ``observer.wants_eval(step)``, after it
+    ``observer.observe(step, grad_sq, train_error, test_error)`` (errors
+    None on steps not evaluated); observers do not change the dynamics.
+    With None, each run gets a ``TraceRecorder(cfg)`` and its trace the
+    recorder's StepRecords; a caller's observers' traces have none.
     """
     if train.input_dim != test.input_dim or train.num_classes != test.num_classes:
         raise DimensionMismatchError("train and test datasets do not match")
@@ -201,20 +222,17 @@ def run_group(
     if rng is None:
         rng = RngStream(cfg.seed)
     cfgs = [replace(cfg, alpha=alpha) for alpha in alphas]
-    if observers is None:
-        observers = [None] * len(cfgs)
+    recording = observers is None
+    observers = [TraceRecorder(c) for c in cfgs] if recording else observers
 
     d = param_count(spec)
     init = init_params(spec, init_scale, rng)
-    runs = [
-        _Run(c, init.copy(), TraceRecorder(c) if observer is None else observer)
-        for c, observer in zip(cfgs, observers, strict=True)
-    ]
+    runs = [_Run(c, init.copy(), o) for c, o in zip(cfgs, observers, strict=True)]
     n = train.n
     full_batch = cfg.batch_size is None
     model = ModelKernel(spec, n if full_batch else cfg.batch_size)
     test_eval = ModelKernel(spec, test.n)
-    gaussian = np.empty(d) if cfg.sigma1 > 0.0 else None
+    gaussian, stable = (np.empty(d), np.empty(d)) if cfg.sigma1 > 0.0 else (None, None)
     brownian = np.empty(d) if cfg.sigma2 > 0.0 else None
     if full_batch:
         rows = np.arange(n)
@@ -237,8 +255,8 @@ def run_group(
             rng.gen.standard_normal(out=brownian)
 
         for run in live:
-            recorder = run.observer
-            evaluate = recorder.wants_eval(k)
+            observer = run.observer
+            evaluate = observer.wants_eval(k)
             grad = model.gradient(run.params, x, label_index, preds if evaluate else None)
             train_err = test_err = None
             if evaluate:
@@ -247,12 +265,11 @@ def run_group(
                 else:
                     train_err = train_eval.error_rate(run.params, train.features, train.labels)
                 test_err = test_eval.error_rate(run.params, test.features, test.labels)
-            recorder.observe(k, float(grad @ grad), train_err, test_err)
+            observer.observe(k, float(grad @ grad), train_err, test_err)
 
             stable_draw = None
             if gaussian is not None:
-                noise = run.noise
-                stable_draw = np.multiply(gaussian, noise.scale(u, w), out=noise.out)
+                stable_draw = np.multiply(gaussian, run.noise.scale(u, w), out=stable)
             params = run.update(run.params, grad, stable_draw, brownian, run.spare)
             run.params, run.spare = params, run.params
             # a NaN or overflowed coordinate makes the norm NaN or inf
@@ -264,9 +281,9 @@ def run_group(
                 break
 
     return [
-        RunTrace(run.cfg, tuple(run.observer.records) if observer is None else (),
+        RunTrace(run.cfg, run.observer.records() if recording else (),
                  params_hash(run.params), run.diverged)
-        for run, observer in zip(runs, observers)
+        for run in runs
     ]
 
 
@@ -277,21 +294,14 @@ def run_training(
     cfg: TrainConfig,
     init_scale: float = 1.0,
     rng: RngStream | None = None,
-    observer=None,
 ) -> RunTrace:
     """Run the discretized dynamics and report per-step instrumentation.
 
-    Every step reports the squared norm of the gradient actually used
-    (batch or full), and the steps the observer asks for also report the
-    train/test 0-1 errors. The default observer, a TraceRecorder, asks
-    at the eval cadence and keeps the StepRecords the returned trace
-    holds. A caller's ``observer`` replaces it: before each step's
-    gradient the loop calls ``observer.wants_eval(step)``, after it
-    ``observer.observe(step, grad_sq, train_error, test_error)`` (errors
-    None on steps not evaluated), and the returned trace has no records.
-    The observer does not change the dynamics. A non-finite parameter
-    or a norm above 1e12 stops the run early with the diverged flag set;
-    that is a recorded outcome, not an error.
+    Every step records the squared norm of the gradient actually used
+    (batch or full), and every ``eval_interval`` steps and the last step
+    also record the train/test 0-1 errors. A non-finite parameter or a
+    norm above 1e12 stops the run early with the diverged flag set; that
+    is a recorded outcome, not an error.
 
     This is ``run_group`` with the one alpha ``cfg.alpha``. The kernels,
     draws and buffers that do not change between steps are set up before
@@ -302,5 +312,5 @@ def run_training(
     same arithmetic on the same rows as a separate evaluation, so the
     same value.
     """
-    (trace,) = run_group(spec, train, test, cfg, (cfg.alpha,), init_scale, rng, [observer])
+    (trace,) = run_group(spec, train, test, cfg, (cfg.alpha,), init_scale, rng)
     return trace

@@ -42,6 +42,8 @@ class StableParams:
 def cms_uniforms(rng: RngStream, size: int | None = None):
     """The stream's part of a CMS draw: u uniform on (0, 1) and the
     exponential w = -log(u'), floats when ``size`` is None."""
+    if size is not None and size < 0:
+        raise InvalidParameterError(f"size must be >= 0, got {size}")
     u = rng.unit_open(size)
     return u, -np.log(rng.unit_open(size))
 
@@ -123,29 +125,20 @@ def sample_subordinator(alpha: float, rng: RngStream, size: int | None = None):
 
 
 class StableNoise:
-    """Single isotropic alpha-stable draws sqrt(A) G in R^dim for one alpha.
+    """The factor sqrt(A) of isotropic alpha-stable draws sqrt(A) G, their
+    only part that depends on alpha: ``scale`` computes it from the
+    subordinator's uniforms (``cms_uniforms``), which every alpha draws,
+    so a caller may draw the uniforms and G once for several alphas.
+    Inputs are not validated; ``sample_isotropic_stable`` does that."""
 
-    Only the factor sqrt(A) depends on alpha: ``scale`` computes it from
-    the subordinator's uniforms (``cms_uniforms``), which every alpha
-    draws, so a caller may draw the uniforms and G once for several
-    alphas. The subordinator's constants are computed once, and every
-    draw is written into ``out``, which the next draw overwrites. Inputs
-    are not validated; ``sample_isotropic_stable`` does that.
-    """
-
-    def __init__(self, alpha: float, dim: int):
+    def __init__(self, alpha: float):
         self.mixer = None if alpha == 2.0 else _subordinator_law(alpha)
-        self.out = np.empty(dim)
 
     def scale(self, u: float, w: float):
         """sqrt(A) of the subordinator draw of ``(u, w)``; sqrt(2) at alpha = 2."""
         if self.mixer is None:
             return np.sqrt(2.0)
         return np.sqrt(_mixer_value(self.mixer, u, w))
-
-    def draw(self, rng: RngStream) -> np.ndarray:
-        scale = self.scale(*cms_uniforms(rng))
-        return np.multiply(rng.gen.standard_normal(out=self.out), scale, out=self.out)
 
 
 def sample_isotropic_stable(alpha: float, dim: int, rng: RngStream, size: int | None = None):
@@ -162,7 +155,8 @@ def sample_isotropic_stable(alpha: float, dim: int, rng: RngStream, size: int | 
     if dim < 1:
         raise InvalidParameterError(f"dim must be >= 1, got {dim}")
     if size is None:
-        return StableNoise(alpha, dim).draw(rng)
+        scale = StableNoise(alpha).scale(*cms_uniforms(rng))
+        return rng.gen.standard_normal(dim) * scale
     if alpha == 2.0:
         cms_uniforms(rng, size)
         scale = np.sqrt(2.0)

@@ -365,6 +365,14 @@ class TestBuildReport:
         # gap grows with alpha in every group, so tau never changes sign
         assert report.radius_estimate is None and "sign" in report.radius_note
 
+    @pytest.mark.parametrize("radius", [math.nan, 0.0, -1.0])
+    def test_rejects_a_radius_that_is_not_positive(self, radius):
+        records = [rec(a, gap=a, sigma1=s1, d=10, seed=0) for a in (1.6, 2.0) for s1 in (0.0, 0.1)]
+        with pytest.raises(InvalidParameterError, match="radius must be > 0"):
+            build_report(records, "sigma1", radius=radius)
+        # a sigma1 = 0 group still has no regime at a valid radius
+        assert build_report(records, "sigma1").regimes[0] == ("", "")
+
     def test_notes_when_axis_not_isolated(self):
         records = [
             rec(a, gap=a, sigma1=s1, d=d, seed=0)

@@ -120,6 +120,43 @@ class TestSampleCommand:
         code, _, err = run_cli(capsys, "sample", "--alpha", "1.5")
         assert code == 1
 
+    @pytest.mark.parametrize("dim", [[], ["--dim", "3"]], ids=["scalar", "vector"])
+    def test_negative_count_is_a_config_error(self, capsys, dim):
+        code, out, err = run_cli(capsys, "sample", "--alpha", "1.5", "--count", "-1", *dim)
+        assert (code, out, err) == (1, "", "config error: size must be >= 0, got -1\n")
+        code, out, err = run_cli(capsys, "sample", "--alpha", "1.5", "--count", "0", *dim)
+        assert (code, out, err) == (0, "", "")
+
+
+REFERENCE_RECORDS = str(Path(__file__).resolve().parent.parent / "reference"
+                        / "phase_transition_records.csv")
+
+
+@pytest.mark.parametrize(
+    "argv, flag, option",
+    [(["constants", "--alpha", "1.7", "--d", "100"], "--sigma1", "--sigma1"),
+     (["constants", "--alpha", "1.7", "--d", "100"], "--radius", "--radius/--R"),
+     (["constants", "--d", "100"], "--alpha", "--alpha"),
+     (["sample", "--count", "2"], "--alpha", "--alpha"),
+     (["sample", "--alpha", "1.5", "--count", "2"], "--beta", "--beta"),
+     (["sample", "--alpha", "1.5", "--count", "2"], "--scale", "--scale"),
+     (["sample", "--alpha", "1.5", "--count", "2"], "--loc", "--loc"),
+     (["analyze", "--records", REFERENCE_RECORDS], "--radius", "--radius")],
+)
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "two"])
+def test_float_options_must_be_finite_numbers(capsys, argv, flag, option, value):
+    code, out, err = run_cli(capsys, *argv, f"{flag}={value}")
+    assert (code, out) == (1, "")
+    assert err == f"error: argument {option}: must be a finite number, got '{value}'\n"
+
+
+@pytest.mark.parametrize("radius", ["0", "-1"])
+def test_analyze_radius_must_be_positive(capsys, radius):
+    code, out, err = run_cli(capsys, "analyze", "--records", REFERENCE_RECORDS,
+                             "--group-key", "sigma1", "--radius", radius)
+    assert (code, out) == (1, "")
+    assert err == f"config error: radius must be > 0, got {float(radius)}\n"
+
 
 class TestSimulateCommand:
     def test_row_layout(self, capsys, tmp_path):

@@ -263,6 +263,12 @@ class TestPhaseRegime:
     def test_between_thresholds(self):
         assert phase_regime(0.05, 100, 1.0) == ("Heavy", "LightRefined")
 
+    @pytest.mark.parametrize("sigma1, radius", [(math.nan, 1.0), (0.0, 1.0), (-0.1, 1.0),
+                                                (0.1, math.nan), (0.1, 0.0), (0.1, -1.0)])
+    def test_rejects_a_geometry_that_is_not_positive(self, sigma1, radius):
+        with pytest.raises(InvalidParameterError, match="positive sigma1"):
+            phase_regime(sigma1, 100, radius)
+
 
 class TestCrossIdentity:
     def test_linear_space_grid(self):

@@ -31,12 +31,14 @@ from levybound.data import _ROW, parse_config, write_idx_images, write_idx_label
 from levybound.errors import DataFormatError, InvalidParameterError
 from levybound.grid import (
     _model_for,
+    _row,
     evaluate_cell,
     evaluate_group,
     load_grid_datasets,
     sort_key,
 )
 from levybound.models import ModelKernel
+from levybound.sde import TraceRecorder, run_group
 
 
 def tiny_grid(out, alphas=(1.6, 2.0), sigma1s=(0.1,), widths=(0,), seeds=(0, 1, 2)):
@@ -319,6 +321,30 @@ def test_evaluate_cell_matches_trace_reducers(case, batch_size, width):
             inputs = BoundInputs(alpha=1.7, d=record.d, n=record.n, sigma1=sigma1,
                                  gamma=0.05, eta=0.001)
             assert discrete_bound_from_sum(grad_sum, inputs) == discrete_bound(trace, inputs)
+
+
+@pytest.mark.parametrize("case", REDUCER_CASES)
+@pytest.mark.parametrize("batch_size", [None, 16], ids=["full", "batch16"])
+def test_row_does_not_read_the_evals_before_the_window(case, batch_size):
+    # a recorder that evaluates every eval step from step 1 gives the row
+    # of the grid's recorder, which skips the evals before the window
+    settings = dict(REDUCER_CASES[case])
+    sigma1 = settings.pop("sigma1", 0.1)
+    grid = _reducer_grid(batch_size=batch_size, **settings)
+    train, test = load_grid_datasets(grid)
+    spec = _model_for(0, train)
+    cfg = replace(grid.train, sigma1=sigma1, seed=3)
+    rows, evals = [], []
+    for after in (0, cfg.steps - grid.window):
+        recorder = TraceRecorder(cfg, after=after)
+        (trace,) = run_group(spec, train, test, cfg, (1.7,), grid.init_scale,
+                             RngStream(3, mix64(0, 0)), [recorder])
+        record, grad_sum = _row(grid, train.n, param_count(spec), 0, trace, recorder)
+        rows.append(_bits(record) + [struct.pack("<d", grad_sum)])
+        evals.append(len(list(recorder.evals())))
+    assert rows[0] == rows[1]
+    if grid.window < cfg.steps and case != "diverged":
+        assert evals[0] > evals[1]
 
 
 def test_largest_trim_is_the_boundary():

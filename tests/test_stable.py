@@ -12,6 +12,7 @@ from levybound import (
     sample_subordinator,
 )
 from levybound.errors import DimensionMismatchError, InvalidParameterError
+from levybound.stable import _subordinator_law, cms_uniforms
 
 # Monte-Carlo tolerance: 5 / sqrt(N) on both ECF parts.
 N_MC = 200_000
@@ -195,3 +196,35 @@ def test_alpha_two_uses_the_gaussians_of_alpha_below_two(size):
         np.testing.assert_allclose(ratio / ratio[:, :1], 1.0, rtol=1e-12)
     # and both streams stand at the same position afterwards
     assert heavy_rng.gen.random() == gauss_rng.gen.random()
+
+
+def _frozen_stable_noise_draw(alpha, dim, rng):
+    """One isotropic draw as the per-alpha ``StableNoise(alpha, dim).draw``
+    made it: the subordinator's two uniforms, the scale sqrt(A) (sqrt(2) at
+    alpha = 2), then G written into the noise's own buffer and scaled in
+    place."""
+    out = np.empty(dim)
+    u = rng.unit_open()
+    w = -np.log(rng.unit_open())
+    scale = np.sqrt(2.0) if alpha == 2.0 else np.sqrt(float(_subordinator_law(alpha).transform(u, w)))
+    return np.multiply(rng.gen.standard_normal(out=out), scale, out=out)
+
+
+@pytest.mark.parametrize("dim", [1, 7, 864])
+@pytest.mark.parametrize("alpha", [1.3, 1.6, 1.95, 2.0])
+def test_isotropic_draw_matches_frozen_per_alpha_buffer_draw(alpha, dim):
+    for seed in range(40):
+        new, old = RngStream(seed, 11), RngStream(seed, 11)
+        for _ in range(3):
+            draw = sample_isotropic_stable(alpha, dim, new)
+            assert draw.tobytes() == _frozen_stable_noise_draw(alpha, dim, old).tobytes()
+        assert new.gen.random() == old.gen.random()
+
+
+def test_cms_uniforms_size():
+    u, w = cms_uniforms(RngStream(0), 0)
+    assert u.shape == w.shape == (0,)
+    with pytest.raises(InvalidParameterError, match="size must be >= 0, got -1"):
+        cms_uniforms(RngStream(0), -1)
+    with pytest.raises(InvalidParameterError, match="size must be >= 0"):
+        sample_isotropic_stable(1.5, 3, RngStream(0), size=-2)

@@ -24,6 +24,12 @@ repeats of a batch of calls, reported per call as min / median / quartiles
   ``perfbench``'s ``mnist-linear-minibatch`` workload (linear softmax,
   784 -> 10, d = 7840, 2504 train rows, batch 64, sigma2 = 0.01, evals
   every 10 steps, window 150), data seed 0.
+- ``eval.group_mnist``: one eval step of a 10-alpha group of that
+  MNIST-shaped profile, train and test sets together: one
+  ``ModelKernel.error_rates`` call per data set, as ``run_group`` makes
+  it. A tree without ``error_rates`` is timed as its loop evaluated a
+  group, one ``error_rate`` pair per alpha; the entry's ``method`` says
+  which.
 - ``group.ref`` and ``group.mnist``: one (sigma1, width, seed) group of
   the 10 reference alphas through ``execute_grid`` on a fresh records
   file, data set-up included: the reference profile's first sigma1 at
@@ -197,6 +203,27 @@ def mnist_grid():
     )
 
 
+def group_eval_step(grid):
+    """(method, callable) for one eval step of a group of ``grid``'s
+    alphas, both data sets."""
+    train, test = load_grid_datasets(grid)
+    spec = _model_for(grid.widths[0], train)
+    rng = lb.RngStream(0, 3)
+    ps = [lb.init_params(spec, grid.init_scale, rng) for _ in grid.alphas]
+    sets = [(models.ModelKernel(spec, data.n), data) for data in (train, test)]
+    if hasattr(models.ModelKernel, "error_rates"):
+        def step():
+            for kernel, data in sets:
+                kernel.error_rates(ps, data.features, data.labels)
+        return "one error_rates call per data set", step
+
+    def step():
+        for params in ps:
+            for kernel, data in sets:
+                kernel.error_rate(params, data.features, data.labels)
+    return "one error_rate pair per alpha (no error_rates in this tree)", step
+
+
 def time_cell(grid, train, test, repeats):
     walls, faults = [], []
     for _ in range(repeats):
@@ -278,6 +305,9 @@ def main():
     mnist = mnist_grid()
     layers["cell.mnist"] = time_cell(mnist, *load_grid_datasets(mnist), MNIST_CELL_REPEATS)
     print(f"cell.mnist: median {layers['cell.mnist']['median']:.3f} s", flush=True)
+    method, step = group_eval_step(replace(mnist, alphas=grid.alphas))
+    layers["eval.group_mnist"] = {**time_calls(step, 4), "method": method}
+    print(f"eval.group_mnist: median {layers['eval.group_mnist']['median']:.0f} us", flush=True)
     for key, group, repeats in (
         ("group.ref", replace(grid, sigma1s=grid.sigma1s[:1], seeds=(0,)), GROUP_REPEATS),
         ("group.mnist", replace(mnist, alphas=grid.alphas), MNIST_GROUP_REPEATS),

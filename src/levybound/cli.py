@@ -222,10 +222,16 @@ def _cmd_constants(args) -> int:
 
 def _cmd_sample(args) -> int:
     rng = RngStream(args.seed, args.stream)
+    scalar = {"--beta": args.beta, "--scale": args.scale, "--loc": args.loc}
     if args.dim is not None:
+        given = [flag for flag, value in scalar.items() if value is not None]
+        if given:
+            raise InvalidParameterError(f"{', '.join(given)} apply to the scalar law, not --dim")
         draws = sample_isotropic_stable(args.alpha, args.dim, rng, size=args.count)
     else:
-        params = StableParams(args.alpha, args.beta, args.scale, args.loc)
+        beta, scale, loc = (default if value is None else value
+                            for value, default in zip(scalar.values(), (0.0, 1.0, 0.0)))
+        params = StableParams(args.alpha, beta, scale, loc)
         draws = sample_skewed_stable(params, rng, size=args.count)[:, None]
     _emit(args.out, None, draws, sep=" ")
     return 0
@@ -335,9 +341,9 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--stream", type=int, default=0)
     p.add_argument("--dim", type=int, help="isotropic vector dimension; omit for the scalar law")
-    p.add_argument("--beta", type=_finite, default=0.0)
-    p.add_argument("--scale", type=_finite, default=1.0)
-    p.add_argument("--loc", type=_finite, default=0.0)
+    p.add_argument("--beta", type=_finite, help="scalar law only (default 0)")
+    p.add_argument("--scale", type=_finite, help="scalar law only (default 1)")
+    p.add_argument("--loc", type=_finite, help="scalar law only (default 0)")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_sample)
 

@@ -5,7 +5,8 @@ A grid is the cartesian product (alpha values) x (sigma1 values) x
 the pending alphas of one (sigma1, width, seed) group train together in
 lockstep through ``evaluate_group``, and each row is, bit for bit, the
 row ``evaluate_cell`` (which the ``simulate`` command uses for its
-single cell) gives that alpha alone. A group's rows are appended to the
+single cell) gives that alpha alone, up to the eval's rounding noted
+below. A group's rows are appended to the
 output CSV when the group finishes, so an interrupted sweep loses at
 most one group's unfinished cells and resumes by skipping rows already
 on disk (a row torn by the interruption is dropped and recomputed). The
@@ -16,7 +17,12 @@ A cell keeps only what its row reads: its ``TraceRecorder(cfg,
 after=steps - window)`` keeps every step's squared gradient norm and the
 errors of the eval steps inside the trailing ``window``. Eval steps
 before the window are not evaluated at all; they would not change the
-row.
+row. At an eval step the group's live alphas are evaluated together, in
+one forward pass over each data set (``ModelKernel.error_rates``). The
+wider product can round differently from one alpha's own, so a row is
+its one-alpha row bit for bit unless one of the window's test (or
+minibatch train) rows has two logits within rounding of each other;
+the reference and MNIST-shaped profiles' rows are identical.
 
 Each cell's random stream is keyed by the cell seed plus the (sigma,
 width) grid indices only. Alpha is deliberately excluded from the key:

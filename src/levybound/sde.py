@@ -197,21 +197,29 @@ def run_group(
 
     The runs differ only in alpha, and alpha changes no draw: each step
     draws the batch indices, the subordinator's uniforms, the Gaussian G
-    and the Brownian vector once, and every live run then takes its
-    gradient, observer call, update and divergence check in turn. Only
-    the scale sqrt(A) of the stable draw is computed per alpha. Each run
-    keeps its own parameters, update and observer; the model kernels and
-    draw buffers, the stable draw sqrt(A) G's included, are the group's,
-    used one run at a time. A run that diverges stops while the others
-    go on. Each returned trace is, bit for bit, the trace
-    ``run_training`` gives its alpha alone on a stream of the same key.
+    and the Brownian vector once. The live runs whose observer wants the
+    step evaluated then get their test errors, and in a minibatch run
+    their train errors, from one ``ModelKernel.error_rates`` call per
+    data set, on the parameters the step's gradient will use; a
+    full-batch run takes its train error from its gradient's own forward
+    pass. Every live run then takes its gradient, observer call, update
+    and divergence check in turn. Only the scale sqrt(A) of the stable
+    draw is computed per alpha. Each run keeps its own parameters,
+    update and observer; the model kernels and draw buffers, the stable
+    draw sqrt(A) G's included, are the group's. A run that diverges
+    stops while the others go on. Each returned trace is the trace
+    ``run_training`` gives its alpha alone on a stream of the same key:
+    the dynamics bit for bit, and the errors as ``error_rates`` promises
+    them (the same rates unless two of a row's logits lie within
+    rounding of each other).
 
     ``observers`` holds one observer per alpha. Before each step's
-    gradient the loop calls ``observer.wants_eval(step)``, after it
-    ``observer.observe(step, grad_sq, train_error, test_error)`` (errors
-    None on steps not evaluated); observers do not change the dynamics.
-    With None, each run gets a ``TraceRecorder(cfg)`` and its trace the
-    recorder's StepRecords; a caller's observers' traces have none.
+    gradients the loop calls ``observer.wants_eval(step)`` on every live
+    run, after a run's gradient ``observer.observe(step, grad_sq,
+    train_error, test_error)`` (errors None on steps not evaluated);
+    observers do not change the dynamics. With None, each run gets a
+    ``TraceRecorder(cfg)`` and its trace the recorder's StepRecords; a
+    caller's observers' traces have none.
     """
     if train.input_dim != test.input_dim or train.num_classes != test.num_classes:
         raise DimensionMismatchError("train and test datasets do not match")
@@ -254,18 +262,22 @@ def run_group(
         if brownian is not None:
             rng.gen.standard_normal(out=brownian)
 
+        errors = {}
+        evaluated = [run for run in live if run.observer.wants_eval(k)]
+        if evaluated:
+            ps = [run.params for run in evaluated]
+            train_errs = ([None] * len(ps) if full_batch
+                          else train_eval.error_rates(ps, train.features, train.labels))
+            test_errs = test_eval.error_rates(ps, test.features, test.labels)
+            errors = dict(zip(evaluated, zip(train_errs, test_errs)))
+
         for run in live:
-            observer = run.observer
-            evaluate = observer.wants_eval(k)
+            evaluate = run in errors
+            train_err, test_err = errors.get(run, (None, None))
             grad = model.gradient(run.params, x, label_index, preds if evaluate else None)
-            train_err = test_err = None
-            if evaluate:
-                if full_batch:
-                    train_err = float(np.mean(preds != y))
-                else:
-                    train_err = train_eval.error_rate(run.params, train.features, train.labels)
-                test_err = test_eval.error_rate(run.params, test.features, test.labels)
-            observer.observe(k, float(grad @ grad), train_err, test_err)
+            if evaluate and full_batch:
+                train_err = float(np.mean(preds != y))
+            run.observer.observe(k, float(grad @ grad), train_err, test_err)
 
             stable_draw = None
             if gaussian is not None:

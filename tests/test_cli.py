@@ -128,6 +128,26 @@ class TestSampleCommand:
         assert (code, out, err) == (0, "", "")
 
 
+    @pytest.mark.parametrize("options, flags", [
+        (["--beta", "0.9"], "--beta"),
+        (["--scale", "5"], "--scale"),
+        (["--loc", "0"], "--loc"),
+        (["--loc", "100", "--scale", "1", "--beta", "0.9"], "--beta, --scale, --loc"),
+    ])
+    def test_scalar_law_options_are_a_config_error_with_dim(self, capsys, options, flags):
+        code, out, err = run_cli(capsys, "sample", "--alpha", "1.5", "--count", "2",
+                                 "--dim", "2", "--seed", "1", *options)
+        assert (code, out) == (1, "")
+        assert err == f"config error: {flags} apply to the scalar law, not --dim\n"
+
+    def test_scalar_defaults_are_beta_0_scale_1_loc_0(self, capsys):
+        argv = ["sample", "--alpha", "1.5", "--count", "6", "--seed", "3"]
+        _, out, _ = run_cli(capsys, *argv)
+        _, explicit, _ = run_cli(capsys, *argv, "--beta", "0", "--scale", "1", "--loc", "0")
+        draws = sample_skewed_stable(StableParams(1.5, 0.0, 1.0, 0.0), RngStream(3, 0), size=6)
+        assert out == explicit == "".join(_f(v) + "\n" for v in draws)
+
+
 REFERENCE_RECORDS = str(Path(__file__).resolve().parent.parent / "reference"
                         / "phase_transition_records.csv")
 

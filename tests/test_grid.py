@@ -357,12 +357,13 @@ def test_largest_trim_is_the_boundary():
 @pytest.mark.parametrize("steps, window", [(40, 30), (43, 23), (40, 100)])
 def test_evaluate_cell_evaluates_only_in_window_eval_steps(monkeypatch, batch_size, steps,
                                                              window):
-    # count the 0-1 evaluations: the eval kernel on either data set, and a
-    # full-batch gradient asked for its argmax, each tagged with its step
+    # count the 0-1 evaluations: the eval entry point on either data set,
+    # called before the step's gradient, and a full-batch gradient asked
+    # for its argmax, each tagged with its step
     grid = _reducer_grid(batch_size=batch_size, steps=steps, window=window)
     train, test = load_grid_datasets(grid)
     step, evals = [0], []
-    real_gradient, real_error_rate = ModelKernel.gradient, ModelKernel.error_rate
+    real_gradient, real_error_rates = ModelKernel.gradient, ModelKernel.error_rates
 
     def gradient(self, params, x, label_index, preds=None):
         step[0] += 1
@@ -370,17 +371,19 @@ def test_evaluate_cell_evaluates_only_in_window_eval_steps(monkeypatch, batch_si
             evals.append((step[0], "train"))
         return real_gradient(self, params, x, label_index, preds)
 
-    def error_rate(self, params, x, labels):
-        evals.append((step[0], "train" if x is train.features else "test"))
-        return real_error_rate(self, params, x, labels)
+    def error_rates(self, params_list, x, labels):
+        assert len(params_list) == 1
+        evals.append((step[0] + 1, "train" if x is train.features else "test"))
+        return real_error_rates(self, params_list, x, labels)
 
     monkeypatch.setattr(ModelKernel, "gradient", gradient)
-    monkeypatch.setattr(ModelKernel, "error_rate", error_rate)
+    monkeypatch.setattr(ModelKernel, "error_rates", error_rates)
     evaluate_cell(grid, train, test, 1.7, 0.1, 0, 3, 0, 0)
     in_window = [k for k in range(1, steps + 1)
                  if k > steps - window and (k % 5 == 0 or k == steps)]
     assert step[0] == steps
-    assert evals == [(k, data) for k in in_window for data in ("train", "test")]
+    # a full-batch step's test eval comes before its gradient's train argmax
+    assert sorted(evals) == sorted([(k, data) for k in in_window for data in ("train", "test")])
 
 
 # --- Groups: the alphas of one (sigma1, width, seed) group train in
@@ -413,6 +416,70 @@ def test_group_rows_are_the_one_alpha_cell_rows(case):
         assert struct.pack("<d", grad_sum) == struct.pack("<d", alone_sum)
     if sigma1 == 0.0:  # no stable noise: alpha changes nothing but the alpha field
         assert all(_bits(record)[1:] == _bits(rows[0][0])[1:] for record, _ in rows)
+
+
+@pytest.mark.parametrize("case", [
+    "relu-mixed-divergence", "linear-mixed-divergence", "linear-sigma1-zero",
+    "linear-minibatch-brownian", "relu-minibatch-brownian",
+])
+def test_group_with_disagreeing_observers_matches_each_alpha_alone(case):
+    # a whole-trace recorder and a window recorder alternate, so the eval
+    # steps before the window evaluate only some of the live runs
+    width, sigma1, seed, settings, diverged = GROUP_CASES[case]
+    grid = _reducer_grid(width=width, **settings)
+    train, test = load_grid_datasets(grid)
+    spec = _model_for(width, train)
+    d = param_count(spec)
+    cfg = replace(grid.train, sigma1=sigma1, seed=seed)
+    afters = [(cfg.steps - grid.window) * (i % 2) for i in range(len(GROUP_ALPHAS))]
+    recorders = [TraceRecorder(cfg, after=after) for after in afters]
+    traces = run_group(spec, train, test, cfg, GROUP_ALPHAS, grid.init_scale,
+                       RngStream(seed, mix64(1, 2)), recorders)
+    assert [trace.diverged for trace in traces] == diverged
+    for alpha, after, trace, recorder in zip(GROUP_ALPHAS, afters, traces, recorders):
+        alone = TraceRecorder(cfg, after=after)
+        (alone_trace,) = run_group(spec, train, test, cfg, (alpha,), grid.init_scale,
+                                   RngStream(seed, mix64(1, 2)), [alone])
+        assert trace == alone_trace
+        assert recorder.records() == alone.records()
+        record, grad_sum = _row(grid, train.n, d, width, trace, recorder)
+        alone_record, alone_sum = _row(grid, train.n, d, width, alone_trace, alone)
+        assert _bits(record) == _bits(alone_record)
+        assert struct.pack("<d", grad_sum) == struct.pack("<d", alone_sum)
+
+
+@pytest.mark.parametrize("batch_size", [None, 16], ids=["full", "batch16"])
+@pytest.mark.parametrize("width", [0, 4], ids=["linear", "relu"])
+@pytest.mark.parametrize("group_size", [1, 4])
+def test_group_evaluates_each_data_set_once_per_eval_step(monkeypatch, batch_size, width,
+                                                          group_size):
+    # every eval call, tagged with its step (it comes before the step's
+    # gradients), its data set and the number of runs it evaluates
+    steps = 40
+    grid = _reducer_grid(width=width, batch_size=batch_size, steps=steps)
+    train, test = load_grid_datasets(grid)
+    gradients, calls = [0], []
+    real_gradient, real_error_rates = ModelKernel.gradient, ModelKernel.error_rates
+
+    def gradient(self, *args):
+        gradients[0] += 1
+        return real_gradient(self, *args)
+
+    def error_rates(self, params_list, x, labels):
+        data = "train" if x is train.features else "test"
+        calls.append((gradients[0] // group_size + 1, data, len(params_list)))
+        return real_error_rates(self, params_list, x, labels)
+
+    monkeypatch.setattr(ModelKernel, "gradient", gradient)
+    monkeypatch.setattr(ModelKernel, "error_rates", error_rates)
+    rows = evaluate_group(grid, train, test, GROUP_ALPHAS[:group_size], 0.1, width, 3, 0, 0)
+    assert not any(record.diverged for record, _ in rows)
+    assert gradients[0] == steps * group_size
+    in_window = [k for k in range(1, steps + 1)
+                 if k > steps - grid.window and (k % 5 == 0 or k == steps)]
+    # a full-batch run's train error is its gradient's own argmax
+    data_sets = ("test",) if batch_size is None else ("train", "test")
+    assert calls == [(k, data, group_size) for k in in_window for data in data_sets]
 
 
 def test_resume_runs_only_the_pending_alphas_of_each_group(tmp_path, monkeypatch):

@@ -7,13 +7,15 @@ from levybound import (
     Dataset,
     ModelSpec,
     RngStream,
+    SyntheticSpec,
+    generate_synthetic,
     init_params,
     param_count,
     surrogate_loss_and_grad,
     zero_one_error,
 )
 from levybound.errors import DimensionMismatchError, InvalidParameterError
-from levybound.models import logits_of
+from levybound.models import ModelKernel, logits_of
 
 
 def make_dataset(n, dim, classes, seed=0):
@@ -186,6 +188,76 @@ class TestZeroOneError:
         scaled = params.copy()
         scaled[-18:] *= 7.5  # final 6x3 block
         assert zero_one_error(spec, params, data) == zero_one_error(spec, scaled, data)
+
+
+def _oracle_error_rate(spec, params, x, labels):
+    """Plain per-run forward pass: ReLU between layers, lowest-index argmax."""
+    a, lo = x, 0
+    for layer, (fan_in, fan_out) in enumerate(zip(spec.widths[:-1], spec.widths[1:])):
+        a = a @ params[lo:lo + fan_in * fan_out].reshape(fan_in, fan_out)
+        lo += fan_in * fan_out
+        if layer < len(spec.widths) - 2:
+            a = np.maximum(a, 0.0)
+    return float(np.mean(np.argmax(a, axis=1) != labels))
+
+
+class TestErrorRates:
+    """``ModelKernel.error_rates`` against one ``error_rate`` call per run."""
+
+    def test_matches_one_call_per_run(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(
+            rows=st.integers(1, 70), inputs=st.integers(1, 30), classes=st.integers(2, 10),
+            hidden=st.sampled_from([(), (1,), (6,), (4, 3)]), count=st.integers(1, 10),
+            init_scale=st.sampled_from([0.0, 1.0]), repeat=st.booleans(),
+            exact=st.booleans(), seed=st.integers(0, 2**32 - 1),
+        )
+        def check(rows, inputs, classes, hidden, count, init_scale, repeat, exact, seed):
+            rng = np.random.default_rng(seed)
+            spec = ModelSpec((inputs, *hidden, classes))
+            d = param_count(spec)
+            if exact:
+                # small dyadic values: every sum is exact in any order, so
+                # the stacked product equals the one-run product bit for bit
+                # and the many logit ties must break the same way
+                x = rng.integers(-4, 5, (rows, inputs)).astype(float)
+                ps = [init_scale * rng.integers(-8, 9, d) / 8.0 for _ in range(count)]
+            else:
+                x = rng.standard_normal((rows, inputs))
+                ps = [init_scale * rng.standard_normal(d) for _ in range(count)]
+            if repeat:  # the same vector twice, as one object and as a copy
+                ps = [ps[0], *ps[1:], ps[0], ps[0].copy()]
+            labels = rng.integers(0, classes, rows)
+            kernel = ModelKernel(spec, rows)
+            rates = kernel.error_rates(ps, x, labels)
+            alone = [ModelKernel(spec, rows).error_rate(p, x, labels) for p in ps]
+            assert rates == alone
+            # the kept buffers resize for another count and still give the same
+            assert kernel.error_rates(ps[::-1], x, labels) == alone[::-1]
+            assert kernel.error_rate(ps[-1], x, labels) == alone[-1]
+            if exact:
+                assert rates == [_oracle_error_rate(spec, p, x, labels) for p in ps]
+            if init_scale == 0.0:  # every logit ties: class 0 is every prediction
+                assert rates == [float(np.mean(labels != 0))] * len(ps)
+
+        check()
+
+    def test_mnist_profile_shape(self):
+        # the MNIST-shaped linear profile: 2504 train and 626 test rows of 784
+        # inputs, 10 classes, a group of 10 runs
+        train, test = generate_synthetic(SyntheticSpec(313, 784, 10, 3.0, 1.0, seed=0))
+        spec = ModelSpec((784, 10))
+        rng = RngStream(1)
+        ps = [init_params(spec, 1.0, rng) for _ in range(10)]
+        for data in (train, test):
+            kernel = ModelKernel(spec, data.n)
+            rates = kernel.error_rates(ps, data.features, data.labels)
+            assert rates == [zero_one_error(spec, p, data) for p in ps]
+            assert rates == [_oracle_error_rate(spec, p, data.features, data.labels)
+                             for p in ps]
 
 
 class TestDataset:

@@ -24,6 +24,11 @@ repeats of a batch of calls, reported per call as min / median / quartiles
   ``perfbench``'s ``mnist-linear-minibatch`` workload (linear softmax,
   784 -> 10, d = 7840, 2504 train rows, batch 64, sigma2 = 0.01, evals
   every 10 steps, window 150), data seed 0.
+- ``data.generate_synthetic``: building that profile's data set
+  (``SyntheticSpec(313, 784, 10, 3.0, 1.0, seed=0)``), as every grid start
+  does, min / median wall time over GENERATE_REPEATS calls, and the peak
+  bytes ``tracemalloc`` sees allocated during one more call next to the
+  bytes of the features it returns.
 - ``eval.group_mnist``: one eval step of a 10-alpha group of that
   MNIST-shaped profile, train and test sets together: one
   ``ModelKernel.error_rates`` call per data set, as ``run_group`` makes
@@ -64,6 +69,7 @@ import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
+import tracemalloc  # noqa: E402
 from dataclasses import replace  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -83,6 +89,7 @@ CELL_REPEATS = 5
 MNIST_CELL_REPEATS = 15
 GROUP_REPEATS = 5
 MNIST_GROUP_REPEATS = 10
+GENERATE_REPEATS = 15
 ALPHA = 1.6
 RECORD_ROWS = 10_000
 
@@ -235,6 +242,21 @@ def time_cell(grid, train, test, repeats):
     return {**summary(walls, "s", 1.0), "minor_faults_median": statistics.median(faults)}
 
 
+def time_generate(spec, repeats):
+    """Wall time of ``generate_synthetic(spec)`` and its tracemalloc peak."""
+    walls = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        lb.generate_synthetic(spec)
+        walls.append(time.perf_counter() - t0)
+    tracemalloc.start()
+    train, test = lb.generate_synthetic(spec)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return {**summary(walls, "ms", 1e3), "tracemalloc_peak_bytes": peak,
+            "output_bytes": train.features.nbytes + test.features.nbytes}
+
+
 def time_group(grid, repeats):
     """Wall time of ``execute_grid`` on a one-group grid, a new file each repeat."""
     walls = []
@@ -305,6 +327,9 @@ def main():
     mnist = mnist_grid()
     layers["cell.mnist"] = time_cell(mnist, *load_grid_datasets(mnist), MNIST_CELL_REPEATS)
     print(f"cell.mnist: median {layers['cell.mnist']['median']:.3f} s", flush=True)
+    layers["data.generate_synthetic"] = time_generate(mnist.data, GENERATE_REPEATS)
+    print(f"data.generate_synthetic: median {layers['data.generate_synthetic']['median']:.1f} ms,"
+          f" peak {layers['data.generate_synthetic']['tracemalloc_peak_bytes']} B", flush=True)
     method, step = group_eval_step(replace(mnist, alphas=grid.alphas))
     layers["eval.group_mnist"] = {**time_calls(step, 4), "method": method}
     print(f"eval.group_mnist: median {layers['eval.group_mnist']['median']:.0f} us", flush=True)

@@ -69,23 +69,50 @@ class SyntheticSpec:
 
 
 def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset]:
-    """Gaussian blobs with centers separation * e_c; returns (train, test)."""
+    """Gaussian blobs with centers separation * e_c; returns (train, test).
+
+    The features are built in one (total, input dim) buffer: the normals
+    are drawn into it, scaled and shifted in place, and shuffled in place
+    by the permutation drawn next. Train and test are views of that
+    buffer, so the data set exists once in memory.
+    """
     if spec.classes > spec.input_dim:
         raise InvalidParameterError(
             f"class count {spec.classes} exceeds input dim {spec.input_dim}"
         )
     rng = RngStream(spec.seed)
-    total = spec.classes * spec.n_per_class
-    features = spec.noise_std * rng.gen.standard_normal((total, spec.input_dim))
-    labels = np.repeat(np.arange(spec.classes), spec.n_per_class)
-    for c in range(spec.classes):
-        features[labels == c, c] += spec.separation
+    n = spec.n_per_class
+    total = spec.classes * n
+    features = rng.gen.standard_normal((total, spec.input_dim))
+    features *= spec.noise_std
+    for c in range(spec.classes):  # labels are repeat(arange(classes), n)
+        features[c * n:(c + 1) * n, c] += spec.separation
     perm = rng.gen.permutation(total)
-    features, labels = features[perm], labels[perm]
+    _permute_rows(features, perm)
+    labels = np.repeat(np.arange(spec.classes), n)[perm]
     n_train = 4 * total // 5
     train = Dataset(features[:n_train], labels[:n_train], spec.classes)
     test = Dataset(features[n_train:], labels[n_train:], spec.classes)
     return train, test
+
+
+def _permute_rows(a: np.ndarray, perm: np.ndarray) -> None:
+    """``a[:] = a[perm]`` in place, one row copy per row, by walking the
+    cycles of ``perm``."""
+    perm = perm.tolist()
+    done = bytearray(len(perm))
+    held = np.empty_like(a[0])
+    for start, src in enumerate(perm):
+        if done[start] or src == start:
+            continue
+        held[...] = a[start]
+        dst = start
+        while src != start:
+            a[dst] = a[src]
+            done[dst] = 1
+            dst, src = src, perm[src]
+        a[dst] = held
+        done[dst] = 1
 
 
 def _read_be32(buf: bytes, offset: int, path: str, field: str) -> int:
@@ -106,11 +133,10 @@ def load_idx(images_path, labels_path, num_classes: int | None = None) -> Datase
     count = _read_be32(img, 4, images_path, "image count")
     rows = _read_be32(img, 8, images_path, "row count")
     cols = _read_be32(img, 12, images_path, "column count")
-    pixels = img[16:]
-    if len(pixels) != count * rows * cols:
+    if len(img) - 16 != count * rows * cols:
         raise DataFormatError(
             f"{images_path}: truncated pixel data, expected {count * rows * cols} "
-            f"bytes, found {len(pixels)}"
+            f"bytes, found {len(img) - 16}"
         )
 
     lab = Path(labels_path).read_bytes()
@@ -130,7 +156,7 @@ def load_idx(images_path, labels_path, num_classes: int | None = None) -> Datase
             f"count mismatch: {count} images but {lcount} labels"
         )
 
-    features = np.frombuffer(pixels, dtype=np.uint8).astype(float).reshape(count, rows * cols)
+    features = np.frombuffer(img, np.uint8, offset=16).astype(float).reshape(count, rows * cols)
     features /= 255.0
     labels = np.frombuffer(lab, dtype=np.uint8, offset=8).astype(np.int64)
     classes = num_classes if num_classes is not None else int(labels.max()) + 1

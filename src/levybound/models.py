@@ -140,11 +140,8 @@ class ModelKernel:
         """Per-layer (fan-in, fan-out) views of the flat parameter vector."""
         return [params[lo:hi].reshape(shape) for lo, hi, shape in self.slices]
 
-    def forward(self, params: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Logits of the rows of ``x``; hidden activations stay in ``hidden``."""
-        return self._forward(self.weights(params), x)
-
     def _forward(self, mats: list[np.ndarray], x: np.ndarray) -> np.ndarray:
+        """Logits of the rows of ``x``; hidden activations stay in ``hidden``."""
         a = x
         for w, h in zip(mats, self.hidden):
             np.matmul(a, w, out=h)
@@ -237,11 +234,6 @@ class ModelKernel:
                 back *= np.greater(a, 0.0, out=self.active[layer - 1])
                 delta = back
         return self.grad
-
-
-def logits_of(spec: ModelSpec, params: np.ndarray, features: np.ndarray) -> np.ndarray:
-    _check_params(spec, params)
-    return ModelKernel(spec, features.shape[0]).forward(params, features)
 
 
 def surrogate_loss_and_grad(

@@ -243,8 +243,7 @@ def run_group(
     gaussian, stable = (np.empty(d), np.empty(d)) if cfg.sigma1 > 0.0 else (None, None)
     brownian = np.empty(d) if cfg.sigma2 > 0.0 else None
     if full_batch:
-        rows = np.arange(n)
-        x, y = train.features[rows], train.labels[rows]
+        x, y = np.ascontiguousarray(train.features), train.labels
         label_index = model.row_starts + y
         preds = np.empty(n, dtype=np.intp)
     else:

@@ -2,6 +2,7 @@ import csv
 import math
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,18 @@ from levybound.data import (
     write_idx_labels,
 )
 from levybound.errors import DataFormatError, InvalidParameterError
+
+REFERENCE_CFG = Path(__file__).resolve().parent.parent / "reference" / "phase_transition.cfg"
+
+
+def traced_peak(fn, *args):
+    """(fn(*args), the peak bytes tracemalloc saw allocated during the call)."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestSynthetic:
@@ -64,6 +77,56 @@ class TestSynthetic:
             trace = run_training(ModelSpec((6, 2)), train, test, cfg, init_scale=0.5)
             errors.append(trace.records[-1].test_error)
         assert abs(np.mean(errors) - 0.5) <= 0.05
+
+
+def frozen_generate_synthetic(spec):
+    """generate_synthetic as it was built with two more copies of the
+    features (the scaled normals and the permuted gather); the oracle of
+    the one-buffer version. Returns ((train x, y), (test x, y))."""
+    rng = RngStream(spec.seed)
+    total = spec.classes * spec.n_per_class
+    features = spec.noise_std * rng.gen.standard_normal((total, spec.input_dim))
+    labels = np.repeat(np.arange(spec.classes), spec.n_per_class)
+    for c in range(spec.classes):
+        features[labels == c, c] += spec.separation
+    perm = rng.gen.permutation(total)
+    features, labels = features[perm], labels[perm]
+    n_train = 4 * total // 5
+    return (features[:n_train], labels[:n_train]), (features[n_train:], labels[n_train:])
+
+
+def reference_spec():
+    cfg = parse_config(REFERENCE_CFG)
+    return SyntheticSpec(int(cfg["n_per_class"]), int(cfg["input_dim"]), int(cfg["classes"]),
+                         float(cfg["separation"]), float(cfg["noise_std"]),
+                         int(cfg["data_seed"]))
+
+
+MNIST_SPEC = SyntheticSpec(313, 784, 10, 3.0, 1.0, seed=0)  # perfbench's MNIST profile
+
+
+@pytest.mark.parametrize("spec", [
+    MNIST_SPEC,
+    reference_spec(),
+    SyntheticSpec(20, 5, 5, 1.5, 1.0, seed=3),
+    SyntheticSpec(1, 6, 4, 2.0, 1.0, seed=4),
+    SyntheticSpec(1, 3, 2, 2.0, 1.0, seed=8),
+    SyntheticSpec(50, 8, 3, 0.0, 1.0, seed=5),
+    SyntheticSpec(50, 8, 3, 2.0, 0.37, seed=6),
+], ids=["mnist", "reference", "classes-eq-dim", "one-per-class", "two-rows",
+        "no-separation", "noise-std"])
+def test_generate_synthetic_matches_frozen_two_copy_version(spec):
+    train, test = generate_synthetic(spec)
+    for got, (x, y) in zip((train, test), frozen_generate_synthetic(spec)):
+        assert got.features.shape == x.shape
+        assert (got.features.view(np.int64) == x.view(np.int64)).all()
+        assert (got.labels == y).all()
+    assert train.features.base is not None and train.features.base is test.features.base
+
+
+def test_generate_synthetic_peak_memory_is_its_output():
+    (train, test), peak = traced_peak(generate_synthetic, MNIST_SPEC)
+    assert peak <= 1.05 * (train.features.nbytes + test.features.nbytes)
 
 
 class TestIdx:
@@ -106,8 +169,19 @@ class TestIdx:
         img_path, lab_path = self.fixture_paths(tmp_path)
         raw = img_path.read_bytes()
         img_path.write_bytes(raw[:-3])
-        with pytest.raises(DataFormatError, match="truncated"):
+        with pytest.raises(DataFormatError,
+                           match="truncated pixel data, expected 8 bytes, found 5$"):
             load_idx(img_path, lab_path)
+
+    def test_peak_memory_is_file_and_output(self, tmp_path):
+        # the image file's bytes are read once and converted without a copy
+        rng = np.random.default_rng(0)
+        img_path, lab_path = tmp_path / "images.idx", tmp_path / "labels.idx"
+        write_idx_images(img_path, rng.integers(0, 256, size=(300, 28, 28), dtype=np.uint8))
+        write_idx_labels(lab_path, rng.integers(0, 10, size=300, dtype=np.uint8))
+        data, peak = traced_peak(load_idx, img_path, lab_path)
+        assert data.features.shape == (300, 784)
+        assert peak <= 1.05 * (data.features.nbytes + img_path.stat().st_size)
 
     def test_count_mismatch(self, tmp_path):
         img_path, _ = self.fixture_paths(tmp_path)

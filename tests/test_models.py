@@ -15,7 +15,7 @@ from levybound import (
     zero_one_error,
 )
 from levybound.errors import DimensionMismatchError, InvalidParameterError
-from levybound.models import ModelKernel, logits_of
+from levybound.models import ModelKernel
 
 
 def make_dataset(n, dim, classes, seed=0):
@@ -142,9 +142,9 @@ class TestLossAndGrad:
         spec = ModelSpec((4, 5, 3))
         data = make_dataset(12, 4, 3, seed=9)
         params = 3.0 * init_params(spec, 1.0, RngStream(9))
-        logits = logits_of(spec, params, data.features)
-        shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
-        probs = shifted / shifted.sum(axis=1, keepdims=True)
+        kernel = ModelKernel(spec, data.n)
+        kernel.gradient(params, data.features, kernel.row_starts + data.labels)
+        probs = np.exp(kernel.log_p)
         assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-12
 
     def test_huge_logits_stay_finite(self):

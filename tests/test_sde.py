@@ -395,3 +395,19 @@ def test_run_group_takes_one_observer_per_alpha():
     cfg = TrainConfig(gamma=0.05, eta=0.0, alpha=2.0, sigma1=0.1, steps=12, eval_interval=5)
     with pytest.raises(ValueError):
         run_group(ModelSpec((6, 2)), data, data, cfg, (1.5, 2.0), observers=[None])
+
+
+@pytest.mark.parametrize("hidden", [(), (5,)], ids=["linear", "relu"])
+def test_full_batch_run_ignores_train_feature_layout(hidden):
+    # a C-ordered train set is used as it is, any other layout as a C copy
+    train = blob_data(60, n=50, dim=8, classes=3)
+    test = blob_data(61, n=20, dim=8, classes=3)
+    fortran = Dataset(np.asfortranarray(train.features), train.labels, train.num_classes)
+    assert not fortran.features.flags.c_contiguous
+    spec = ModelSpec((8, *hidden, 3))
+    cfg = TrainConfig(gamma=0.05, eta=0.01, alpha=2.0, sigma1=0.3, sigma2=0.05,
+                      steps=30, eval_interval=4)
+    alphas = (1.6, 2.0)
+    want = run_group(spec, train, test, cfg, alphas, 1.0, RngStream(3))
+    assert run_group(spec, fortran, test, cfg, alphas, 1.0, RngStream(3)) == want
+    assert all(t.records for t in want)

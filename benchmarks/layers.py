@@ -32,14 +32,16 @@ repeats of a batch of calls, reported per call as min / median / quartiles
 - ``eval.group_mnist``: one eval step of a 10-alpha group of that
   MNIST-shaped profile, train and test sets together: one
   ``ModelKernel.error_rates`` call per data set, as ``run_group`` makes
-  it. A tree without ``error_rates`` is timed as its loop evaluated a
-  group, one ``error_rate`` pair per alpha; the entry's ``method`` says
-  which.
+  it.
 - ``group.ref`` and ``group.mnist``: one (sigma1, width, seed) group of
   the 10 reference alphas through ``execute_grid`` on a fresh records
   file, data set-up included: the reference profile's first sigma1 at
   seed 0, and the MNIST-shaped profile above. A tree that trains a
   group's alphas one cell at a time is timed the same way.
+- ``group.ref.tracemalloc``: the peak bytes ``tracemalloc`` sees
+  allocated during one ``grid.evaluate_group`` call of that reference
+  group, its data set loaded before tracing starts, measured before any
+  other layer runs.
 - ``records.*`` and ``analysis.*``: ``write_records`` and ``read_records``
   on a seeded RECORD_ROWS-row d-scan records file, then ``build_report``
   (group key d) and ``alpha_regression`` on the records read back.
@@ -82,7 +84,12 @@ import levybound as lb  # noqa: E402
 from levybound import models, sde, stable  # noqa: E402
 from levybound.cli import _grid_spec  # noqa: E402
 from levybound.data import parse_config  # noqa: E402
-from levybound.grid import _model_for, evaluate_cell, load_grid_datasets  # noqa: E402
+from levybound.grid import (  # noqa: E402
+    _model_for,
+    evaluate_cell,
+    evaluate_group,
+    load_grid_datasets,
+)
 
 REPEATS = 25
 CELL_REPEATS = 5
@@ -211,24 +218,17 @@ def mnist_grid():
 
 
 def group_eval_step(grid):
-    """(method, callable) for one eval step of a group of ``grid``'s
-    alphas, both data sets."""
+    """One eval step of a group of ``grid``'s alphas, both data sets."""
     train, test = load_grid_datasets(grid)
     spec = _model_for(grid.widths[0], train)
     rng = lb.RngStream(0, 3)
     ps = [lb.init_params(spec, grid.init_scale, rng) for _ in grid.alphas]
     sets = [(models.ModelKernel(spec, data.n), data) for data in (train, test)]
-    if hasattr(models.ModelKernel, "error_rates"):
-        def step():
-            for kernel, data in sets:
-                kernel.error_rates(ps, data.features, data.labels)
-        return "one error_rates call per data set", step
 
     def step():
-        for params in ps:
-            for kernel, data in sets:
-                kernel.error_rate(params, data.features, data.labels)
-    return "one error_rate pair per alpha (no error_rates in this tree)", step
+        for kernel, data in sets:
+            kernel.error_rates(ps, data.features, data.labels)
+    return step
 
 
 def time_cell(grid, train, test, repeats):
@@ -267,6 +267,17 @@ def time_group(grid, repeats):
             lb.execute_grid(replace(grid, out=out))
             walls.append(time.perf_counter() - t0)
     return summary(walls, "s", 1.0)
+
+
+def group_peak(grid, train, test):
+    """tracemalloc peak of one ``evaluate_group`` call of ``grid``'s first
+    (sigma1, width, seed) group on data loaded before tracing starts."""
+    tracemalloc.start()
+    evaluate_group(grid, train, test, grid.alphas, grid.sigma1s[0], grid.widths[0],
+                   grid.seeds[0], 0, 0)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return {"unit": "B", "tracemalloc_peak_bytes": peak}
 
 
 def d_scan_records(rows):
@@ -315,8 +326,12 @@ def main():
     spec = _model_for(grid.widths[0], train)
     cfg = replace(grid.train, alpha=ALPHA, sigma1=grid.sigma1s[0])
     params = lb.init_params(spec, grid.init_scale, lb.RngStream(0))
+    ref_group = replace(grid, sigma1s=grid.sigma1s[:1], seeds=(0,))
 
-    layers = {}
+    # first, so that no earlier layer's allocations move the peak
+    layers = {"group.ref.tracemalloc": group_peak(ref_group, train, test)}
+    peak = layers["group.ref.tracemalloc"]["tracemalloc_peak_bytes"]
+    print(f"group.ref.tracemalloc: peak {peak} B", flush=True)
     for prefix, make in (("loop", step_layers), ("public", public_layers)):
         for name, fn, number in make(spec, train, test, cfg, params):
             key = f"{prefix}.{name}"
@@ -330,11 +345,10 @@ def main():
     layers["data.generate_synthetic"] = time_generate(mnist.data, GENERATE_REPEATS)
     print(f"data.generate_synthetic: median {layers['data.generate_synthetic']['median']:.1f} ms,"
           f" peak {layers['data.generate_synthetic']['tracemalloc_peak_bytes']} B", flush=True)
-    method, step = group_eval_step(replace(mnist, alphas=grid.alphas))
-    layers["eval.group_mnist"] = {**time_calls(step, 4), "method": method}
+    layers["eval.group_mnist"] = time_calls(group_eval_step(replace(mnist, alphas=grid.alphas)), 4)
     print(f"eval.group_mnist: median {layers['eval.group_mnist']['median']:.0f} us", flush=True)
     for key, group, repeats in (
-        ("group.ref", replace(grid, sigma1s=grid.sigma1s[:1], seeds=(0,)), GROUP_REPEATS),
+        ("group.ref", ref_group, GROUP_REPEATS),
         ("group.mnist", replace(mnist, alphas=grid.alphas), MNIST_GROUP_REPEATS),
     ):
         layers[key] = time_group(group, repeats)

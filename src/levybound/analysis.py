@@ -68,23 +68,10 @@ def robust_gap(trace: RunTrace, window: int = 2000, trim: float = 0.15) -> float
         raise InvalidParameterError("window must be >= 1")
     if not 0.0 <= trim < 1.0:
         raise InvalidParameterError(f"trim must be in [0, 1), got {trim}")
-    if not trace.records:
-        raise AnalysisPreconditionError("trace has no records")
-    last_step = trace.records[-1].step
-    gaps = [
-        r.test_error - r.train_error
-        for r in trace.records
-        if r.step > last_step - window
-        and r.test_error is not None
-        and r.train_error is not None
-    ]
+    last_step = trace.grad_sq.size
+    gaps = [test - train for k, train, test in trace.evals if k > last_step - window]
     if not gaps:
         raise AnalysisPreconditionError("no evaluated gaps in the window")
-    return trimmed_mean(gaps, trim)
-
-
-def trimmed_mean(gaps: list[float], trim: float) -> float:
-    """Mean of ``gaps`` less their ceil(trim * count) largest, by ``fsum``."""
     drop = math.ceil(trim * len(gaps))
     kept = sorted(gaps)[: len(gaps) - drop] if drop else gaps
     if not kept:

@@ -68,10 +68,10 @@ def _k_with_limit(inputs: BoundInputs) -> float:
 
 
 def integral_estimate(trace: RunTrace) -> float:
-    """gamma times the compensated sum of recorded squared gradient norms."""
+    """gamma times the compensated sum of the trace's squared gradient norms."""
     if trace.diverged:
         raise DivergedTraceError("cannot estimate the integral of a diverged trace")
-    return trace.config.gamma * math.fsum(r.grad_sq for r in trace.records)
+    return trace.config.gamma * math.fsum(trace.grad_sq.tolist())
 
 
 def bound_estimate(i_hat: float, inputs: BoundInputs) -> float:
@@ -111,15 +111,10 @@ def discrete_bound(trace: RunTrace, inputs: BoundInputs) -> float:
     """Discrete-time bound; the gradient term deliberately carries no 1/n."""
     if trace.diverged:
         raise DivergedTraceError("cannot bound a diverged trace")
-    return discrete_bound_from_sum(math.fsum(r.grad_sq for r in trace.records), inputs)
-
-
-def discrete_bound_from_sum(grad_sum: float, inputs: BoundInputs) -> float:
-    """``discrete_bound`` of a run whose squared gradient norms sum to ``grad_sum``."""
     if not inputs.sigma1 > 0.0:
         raise InvalidParameterError("discrete_bound needs sigma1 > 0")
     delta = discrete_prefactor(inputs.gamma, inputs.eta, inputs.alpha)
     k = _k_with_limit(inputs)
-    grad_term = (k / inputs.sigma1**inputs.alpha) * delta * grad_sum
+    grad_term = (k / inputs.sigma1**inputs.alpha) * delta * math.fsum(trace.grad_sq.tolist())
     conf_term = (inputs.lam + math.log(3.0 / inputs.zeta)) / inputs.n
     return 2.0 * inputs.s * math.sqrt(grad_term + conf_term)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import analysis as an
 from . import constants as co
-from .bounds import BoundInputs, brownian_bound, discrete_bound_from_sum, stable_bound
+from .bounds import BoundInputs, brownian_bound, discrete_bound, stable_bound
 from .data import SyntheticSpec, parse_config, read_records
 from .errors import (
     AnalysisPreconditionError,
@@ -260,7 +260,7 @@ def _cmd_simulate(args) -> int:
     )
     inputs.validate()
     train, test = load_grid_datasets(grid)
-    record, grad_sum = evaluate_cell(grid, train, test, alpha, sigma1, width, seed, 0, 0)
+    record, trace = evaluate_cell(grid, train, test, alpha, sigma1, width, seed, 0, 0)
 
     # fields that do not apply to the cell stay None (empty)
     gap = i_hat = g_hat = thm = disc = brown = None
@@ -270,7 +270,7 @@ def _cmd_simulate(args) -> int:
         if sigma1 > 0.0:
             g_hat, thm = record.g_hat, stable_bound(i_hat, inputs)
             if 0.0 < tc.gamma * tc.eta < 1.0:
-                disc = discrete_bound_from_sum(grad_sum, inputs)
+                disc = discrete_bound(trace, inputs)
         if tc.sigma2 > 0.0:
             brown = brownian_bound(i_hat, inputs)
     row = (*record[:6], gap, i_hat, g_hat, thm, disc, brown, "true" if record.diverged else "false")

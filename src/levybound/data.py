@@ -121,8 +121,16 @@ def _read_be32(buf: bytes, offset: int, path: str, field: str) -> int:
     return struct.unpack_from(">i", buf, offset)[0]
 
 
-def load_idx(images_path, labels_path, num_classes: int | None = None) -> Dataset:
-    """Parse an IDX image/label file pair into a Dataset with pixels in [0, 1]."""
+def load_idx(
+    images_path, labels_path, num_classes: int | None = None,
+    fraction: float = 1.0, seed: int = 0,
+) -> Dataset:
+    """Parse an IDX image/label file pair into a Dataset with pixels in [0, 1].
+
+    A ``fraction`` other than 1 keeps the rows of ``subsample(data,
+    fraction, seed)``, picked before the pixels are converted; the class
+    count and the label range check read the whole label file.
+    """
     images_path, labels_path = str(images_path), str(labels_path)
     img = Path(images_path).read_bytes()
     magic = _read_be32(img, 0, images_path, "images magic")
@@ -156,8 +164,6 @@ def load_idx(images_path, labels_path, num_classes: int | None = None) -> Datase
             f"count mismatch: {count} images but {lcount} labels"
         )
 
-    features = np.frombuffer(img, np.uint8, offset=16).astype(float).reshape(count, rows * cols)
-    features /= 255.0
     labels = np.frombuffer(lab, dtype=np.uint8, offset=8).astype(np.int64)
     classes = num_classes if num_classes is not None else int(labels.max()) + 1
     if labels.size and labels.max() >= classes:
@@ -165,7 +171,13 @@ def load_idx(images_path, labels_path, num_classes: int | None = None) -> Datase
             f"{labels_path}: label value {int(labels.max())} out of range for "
             f"{classes} classes"
         )
-    return Dataset(features, labels, classes)
+    pixels = Dataset(np.frombuffer(img, np.uint8, offset=16).reshape(count, rows * cols),
+                     labels, classes)
+    if fraction != 1.0:
+        pixels = subsample(pixels, fraction, seed)
+    features = pixels.features.astype(float)
+    features /= 255.0
+    return Dataset(features, pixels.labels, classes)
 
 
 def write_idx_images(path, images: np.ndarray) -> None:

@@ -13,16 +13,16 @@ on disk (a row torn by the interruption is dropped and recomputed). The
 final file is rewritten sorted by (alpha, sigma1, d, seed) so its
 content does not depend on execution order.
 
-A cell keeps only what its row reads: its ``TraceRecorder(cfg,
-after=steps - window)`` keeps every step's squared gradient norm and the
-errors of the eval steps inside the trailing ``window``. Eval steps
-before the window are not evaluated at all; they would not change the
-row. At an eval step the group's live alphas are evaluated together, in
-one forward pass over each data set (``ModelKernel.error_rates``). The
-wider product can round differently from one alpha's own, so a row is
-its one-alpha row bit for bit unless one of the window's test (or
-minibatch train) rows has two logits within rounding of each other;
-the reference and MNIST-shaped profiles' rows are identical.
+A cell evaluates only what its row reads: ``run_group(after=steps -
+window)`` skips the eval steps before the trailing ``window``, and the
+row is reduced from the cell's ``RunTrace`` by ``robust_gap``,
+``integral_estimate`` and ``bound_estimate``. At an eval step the
+group's live alphas are evaluated together, in one forward pass over
+each data set (``ModelKernel.error_rates``). The wider product can round
+differently from one alpha's own, so a row is its one-alpha row bit for
+bit unless one of the window's test (or minibatch train) rows has two
+logits within rounding of each other; the reference and MNIST-shaped
+profiles' rows are identical.
 
 Each cell's random stream is keyed by the cell seed plus the (sigma,
 width) grid indices only. Alpha is deliberately excluded from the key:
@@ -37,8 +37,8 @@ import os
 from dataclasses import dataclass, replace
 from itertools import product
 
-from .analysis import trimmed_mean
-from .bounds import BoundInputs, bound_estimate
+from .analysis import robust_gap
+from .bounds import BoundInputs, bound_estimate, integral_estimate
 from .data import (
     RunRecord,
     SyntheticSpec,
@@ -47,13 +47,12 @@ from .data import (
     generate_synthetic,
     load_idx,
     read_records,
-    subsample,
     write_records,
 )
 from .errors import DataFormatError, InvalidParameterError
 from .models import Dataset, ModelSpec, param_count
 from .rng import RngStream, mix64
-from .sde import TraceRecorder, TrainConfig, run_group
+from .sde import RunTrace, TrainConfig, run_group
 
 
 @dataclass(frozen=True)
@@ -129,15 +128,14 @@ def load_grid_datasets(grid: GridSpec) -> tuple[Dataset, Dataset]:
     if isinstance(grid.data, SyntheticSpec):
         return generate_synthetic(grid.data)
     src = grid.data
-    train = load_idx(src.train_images, src.train_labels)
+    train = load_idx(src.train_images, src.train_labels,
+                     fraction=src.subsample_fraction, seed=src.subsample_seed)
     test = load_idx(src.test_images, src.test_labels, num_classes=train.num_classes)
     if test.input_dim != train.input_dim:
         raise DataFormatError(
             f"{src.test_images}: {test.input_dim} pixels per image, but "
             f"{src.train_images} has {train.input_dim}"
         )
-    if src.subsample_fraction < 1.0:
-        train = subsample(train, src.subsample_fraction, src.subsample_seed)
     return train, test
 
 
@@ -150,32 +148,28 @@ def _model_for(width: int, train: Dataset) -> ModelSpec:
 def evaluate_group(
     grid: GridSpec, train: Dataset, test: Dataset,
     alphas, sigma1: float, width: int, seed: int, i_sigma: int, i_width: int,
-) -> list[tuple[RunRecord, float]]:
+) -> list[tuple[RunRecord, RunTrace]]:
     """Train the cells of ``alphas`` in one (sigma1, width, seed) group in
     lockstep (``run_group``) and reduce each to what ``evaluate_cell``
     returns for it alone, in the order of ``alphas``."""
     spec = _model_for(width, train)
     d = param_count(spec)
     cfg = replace(grid.train, sigma1=sigma1, seed=seed)
-    recorders = [TraceRecorder(cfg, after=cfg.steps - grid.window) for _ in alphas]
     traces = run_group(
         spec, train, test, cfg, alphas, grid.init_scale,
-        rng=RngStream(seed, mix64(i_sigma, i_width)), observers=recorders,
+        rng=RngStream(seed, mix64(i_sigma, i_width)), after=cfg.steps - grid.window,
     )
-    return [_row(grid, train.n, d, width, t, r) for t, r in zip(traces, recorders)]
+    return [(_row(grid, train.n, d, width, trace), trace) for trace in traces]
 
 
-def _row(grid: GridSpec, n: int, d: int, width: int, trace, recorder: TraceRecorder):
+def _row(grid: GridSpec, n: int, d: int, width: int, trace: RunTrace) -> RunRecord:
     cfg = trace.config
     alpha, sigma1, seed = cfg.alpha, cfg.sigma1, cfg.seed
     nan = float("nan")
     if trace.diverged:
-        return RunRecord(alpha, sigma1, d, width, n, seed, nan, nan, nan, True), nan
-    # the window's evals only, so a recorder that evaluated earlier steps gives the same row
-    gaps = [test - train for k, train, test in recorder.evals() if k > cfg.steps - grid.window]
-    gap = trimmed_mean(gaps, grid.trim)
-    grad_sum = math.fsum(recorder.grad_sq.tolist())
-    i_hat = cfg.gamma * grad_sum
+        return RunRecord(alpha, sigma1, d, width, n, seed, nan, nan, nan, True)
+    gap = robust_gap(trace, grid.window, grid.trim)
+    i_hat = integral_estimate(trace)
     g_hat = nan
     if sigma1 > 0.0:
         inputs = BoundInputs(
@@ -183,25 +177,22 @@ def _row(grid: GridSpec, n: int, d: int, width: int, trace, recorder: TraceRecor
             gamma=cfg.gamma, eta=cfg.eta, radius=grid.radius,
         )
         g_hat = bound_estimate(i_hat, inputs)
-    return RunRecord(alpha, sigma1, d, width, n, seed, gap, i_hat, g_hat, False), grad_sum
+    return RunRecord(alpha, sigma1, d, width, n, seed, gap, i_hat, g_hat, False)
 
 
 def evaluate_cell(
     grid: GridSpec, train: Dataset, test: Dataset,
     alpha: float, sigma1: float, width: int, seed: int, i_sigma: int, i_width: int,
-) -> tuple[RunRecord, float]:
-    """Train one cell and reduce it to a records row, plus the compensated
-    sum of its squared gradient norms (NaN for a diverged cell), the
-    gradient sum of ``discrete_bound``.
+) -> tuple[RunRecord, RunTrace]:
+    """Train one cell; return its records row and its trace.
 
     This is ``evaluate_group`` with one alpha; a grid runs its cells
     group by group. The stream is keyed by the seed and the (sigma1,
-    width) grid indices. The row's gap, i_hat and g_hat are bit for bit
-    those of ``robust_gap``, ``integral_estimate`` and ``bound_estimate``
-    on the cell's ``run_training`` trace, but the run builds no
-    StepRecords and skips the evaluations that ``robust_gap`` does not
-    read. Only numerical divergence of the run yields a diverged row;
-    any other error propagates to the caller.
+    width) grid indices. The trace is the cell's ``run_training`` trace
+    less the evals before the window, which ``robust_gap`` does not
+    read, and the row holds ``robust_gap``, ``integral_estimate`` and
+    ``bound_estimate`` of it. Only numerical divergence of the run
+    yields a diverged row; any other error propagates to the caller.
     """
     (row,) = evaluate_group(grid, train, test, (alpha,), sigma1, width, seed, i_sigma, i_width)
     return row

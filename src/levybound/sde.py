@@ -71,12 +71,24 @@ class StepRecord:
     test_error: float | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunTrace:
+    """What one run measured: ``grad_sq`` holds the squared gradient norm
+    of each step run (a read-only float64 array), ``evals`` the
+    (step, train_error, test_error) of each evaluated step, in order."""
+
     config: TrainConfig
-    records: tuple[StepRecord, ...]
+    grad_sq: np.ndarray
+    evals: tuple[tuple[int, float, float], ...]
     final_params_hash: int
     diverged: bool = False
+
+    @property
+    def records(self) -> tuple[StepRecord, ...]:
+        """One StepRecord per step run, errors on the evaluated steps."""
+        errors = {k: (train, test) for k, train, test in self.evals}
+        return tuple(StepRecord(k, g, *errors.get(k, (None, None)))
+                     for k, g in enumerate(self.grad_sq.tolist(), 1))
 
 
 def params_hash(params: np.ndarray) -> int:
@@ -137,50 +149,25 @@ def em_step(
     )
 
 
-class TraceRecorder:
-    """The run observer: every step's squared gradient norm, and the
-    (train, test) errors of the eval steps (every ``eval_interval`` steps
-    and the last step) after ``after``, the errors as one flat list."""
-
-    def __init__(self, cfg: TrainConfig, after: int = 0):
-        self.every, self.last, self.after = cfg.eval_interval, cfg.steps, after
-        self.grad_sq = np.empty(cfg.steps)
-        self.steps = 0
-        self.errors: list[float] = []
-
-    def wants_eval(self, step: int) -> bool:
-        return step > self.after and (step % self.every == 0 or step == self.last)
-
-    def observe(self, step, grad_sq, train_error, test_error) -> None:
-        self.grad_sq[step - 1] = grad_sq
-        self.steps = step
-        if train_error is not None:
-            self.errors += (train_error, test_error)
-
-    def evals(self):
-        """(step, train_error, test_error) of each eval step observed, in order."""
-        steps = [k for k in range(1, self.steps + 1) if self.wants_eval(k)]
-        return zip(steps, self.errors[::2], self.errors[1::2], strict=True)
-
-    def records(self) -> tuple[StepRecord, ...]:
-        """One StepRecord per step observed."""
-        errors = {k: (train, test) for k, train, test in self.evals()}
-        return tuple(StepRecord(k, g, *errors.get(k, (None, None)))
-                     for k, g in enumerate(self.grad_sq[: self.steps].tolist(), 1))
-
-
 class _Run:
-    """One alpha's own state in a group: parameters, update, noise scale
-    and observer."""
+    """One alpha's own state in a group: parameters, update, noise scale,
+    and what the run measured so far."""
 
-    __slots__ = ("cfg", "params", "spare", "update", "noise", "observer", "diverged")
+    __slots__ = ("cfg", "params", "spare", "update", "noise", "grad_sq", "evals", "steps", "diverged")
 
-    def __init__(self, cfg: TrainConfig, params: np.ndarray, observer):
+    def __init__(self, cfg: TrainConfig, params: np.ndarray):
         self.cfg, self.params, self.spare = cfg, params, np.empty(params.size)
         self.update = EulerMaruyama(cfg, params.size)
         self.noise = StableNoise(cfg.alpha)
-        self.observer = observer
+        self.grad_sq = np.empty(cfg.steps)
+        self.evals: list[tuple[int, float, float]] = []
+        self.steps = 0
         self.diverged = False
+
+    def trace(self) -> RunTrace:
+        self.grad_sq.flags.writeable = False
+        return RunTrace(self.cfg, self.grad_sq[: self.steps], tuple(self.evals),
+                        params_hash(self.params), self.diverged)
 
 
 def run_group(
@@ -191,35 +178,27 @@ def run_group(
     alphas,
     init_scale: float = 1.0,
     rng: RngStream | None = None,
-    observers=None,
+    after: int = 0,
 ) -> list[RunTrace]:
     """Run ``cfg`` at each of ``alphas`` in lockstep on one random stream.
 
     The runs differ only in alpha, and alpha changes no draw: each step
     draws the batch indices, the subordinator's uniforms, the Gaussian G
-    and the Brownian vector once. The live runs whose observer wants the
-    step evaluated then get their test errors, and in a minibatch run
+    and the Brownian vector once, and only the scale sqrt(A) of the
+    stable draw is computed per alpha. Step k is evaluated when k >
+    ``after`` and k is a multiple of ``eval_interval`` or the last step:
+    the live runs then get their test errors, and in a minibatch run
     their train errors, from one ``ModelKernel.error_rates`` call per
     data set, on the parameters the step's gradient will use; a
     full-batch run takes its train error from its gradient's own forward
-    pass. Every live run then takes its gradient, observer call, update
-    and divergence check in turn. Only the scale sqrt(A) of the stable
-    draw is computed per alpha. Each run keeps its own parameters,
-    update and observer; the model kernels and draw buffers, the stable
-    draw sqrt(A) G's included, are the group's. A run that diverges
-    stops while the others go on. Each returned trace is the trace
-    ``run_training`` gives its alpha alone on a stream of the same key:
-    the dynamics bit for bit, and the errors as ``error_rates`` promises
-    them (the same rates unless two of a row's logits lie within
-    rounding of each other).
-
-    ``observers`` holds one observer per alpha. Before each step's
-    gradients the loop calls ``observer.wants_eval(step)`` on every live
-    run, after a run's gradient ``observer.observe(step, grad_sq,
-    train_error, test_error)`` (errors None on steps not evaluated);
-    observers do not change the dynamics. With None, each run gets a
-    ``TraceRecorder(cfg)`` and its trace the recorder's StepRecords; a
-    caller's observers' traces have none.
+    pass. Every live run then takes its gradient, update and divergence
+    check in turn; a run that diverges stops while the others go on.
+    Each run keeps its own parameters, update and measurements; the
+    model kernels and draw buffers are the group's. Each returned trace
+    is the trace ``run_training`` gives its alpha alone on a stream of
+    the same key, less its evals up to ``after``: the dynamics bit for
+    bit, and the errors as ``error_rates`` promises them (the same rates
+    unless two of a row's logits lie within rounding of each other).
     """
     if train.input_dim != test.input_dim or train.num_classes != test.num_classes:
         raise DimensionMismatchError("train and test datasets do not match")
@@ -229,13 +208,10 @@ def run_group(
         )
     if rng is None:
         rng = RngStream(cfg.seed)
-    cfgs = [replace(cfg, alpha=alpha) for alpha in alphas]
-    recording = observers is None
-    observers = [TraceRecorder(c) for c in cfgs] if recording else observers
 
     d = param_count(spec)
     init = init_params(spec, init_scale, rng)
-    runs = [_Run(c, init.copy(), o) for c, o in zip(cfgs, observers, strict=True)]
+    runs = [_Run(replace(cfg, alpha=alpha), init.copy()) for alpha in alphas]
     n = train.n
     full_batch = cfg.batch_size is None
     model = ModelKernel(spec, n if full_batch else cfg.batch_size)
@@ -261,22 +237,22 @@ def run_group(
         if brownian is not None:
             rng.gen.standard_normal(out=brownian)
 
-        errors = {}
-        evaluated = [run for run in live if run.observer.wants_eval(k)]
-        if evaluated:
-            ps = [run.params for run in evaluated]
+        evaluate = k > after and (k % cfg.eval_interval == 0 or k == cfg.steps)
+        errors = [(None, None)] * len(live)
+        if evaluate:
+            ps = [run.params for run in live]
             train_errs = ([None] * len(ps) if full_batch
                           else train_eval.error_rates(ps, train.features, train.labels))
-            test_errs = test_eval.error_rates(ps, test.features, test.labels)
-            errors = dict(zip(evaluated, zip(train_errs, test_errs)))
+            errors = zip(train_errs, test_eval.error_rates(ps, test.features, test.labels))
 
-        for run in live:
-            evaluate = run in errors
-            train_err, test_err = errors.get(run, (None, None))
+        for run, (train_err, test_err) in zip(live, errors):
             grad = model.gradient(run.params, x, label_index, preds if evaluate else None)
-            if evaluate and full_batch:
-                train_err = float(np.mean(preds != y))
-            run.observer.observe(k, float(grad @ grad), train_err, test_err)
+            run.grad_sq[k - 1] = grad @ grad
+            run.steps = k
+            if evaluate:
+                if full_batch:
+                    train_err = float(np.mean(preds != y))
+                run.evals.append((k, train_err, test_err))
 
             stable_draw = None
             if gaussian is not None:
@@ -291,11 +267,7 @@ def run_group(
             if not live:
                 break
 
-    return [
-        RunTrace(run.cfg, run.observer.records() if recording else (),
-                 params_hash(run.params), run.diverged)
-        for run in runs
-    ]
+    return [run.trace() for run in runs]
 
 
 def run_training(
@@ -308,11 +280,11 @@ def run_training(
 ) -> RunTrace:
     """Run the discretized dynamics and report per-step instrumentation.
 
-    Every step records the squared norm of the gradient actually used
-    (batch or full), and every ``eval_interval`` steps and the last step
-    also record the train/test 0-1 errors. A non-finite parameter or a
-    norm above 1e12 stops the run early with the diverged flag set; that
-    is a recorded outcome, not an error.
+    The trace holds the squared norm of the gradient actually used
+    (batch or full) at every step, and the train/test 0-1 errors every
+    ``eval_interval`` steps and at the last step. A non-finite parameter
+    or a norm above 1e12 stops the run early with the diverged flag set;
+    that is a recorded outcome, not an error.
 
     This is ``run_group`` with the one alpha ``cfg.alpha``. The kernels,
     draws and buffers that do not change between steps are set up before

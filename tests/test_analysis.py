@@ -8,7 +8,6 @@ from levybound import (
     GroupScan,
     RunRecord,
     RunTrace,
-    StepRecord,
     TrainConfig,
     alpha_regression,
     bound_estimate,
@@ -27,12 +26,10 @@ from levybound.errors import (
 
 
 def trace_with_gaps(gaps, steps_per_gap=1):
-    """A trace whose evaluated records carry the given test-train gaps."""
+    """A trace whose evaluated steps carry the given test-train gaps."""
     cfg = TrainConfig(gamma=0.1, eta=0.0, alpha=1.5, sigma1=0.0, steps=len(gaps), eval_interval=1)
-    records = tuple(
-        StepRecord(k + 1, 0.0, train_error=0.0, test_error=g) for k, g in enumerate(gaps)
-    )
-    return RunTrace(cfg, records, 0, False)
+    evals = tuple((k + 1, 0.0, g) for k, g in enumerate(gaps))
+    return RunTrace(cfg, np.zeros(len(gaps)), evals, 0, False)
 
 
 def rec(alpha, gap, sigma1=0.1, d=100, width=0, n=500, seed=0, diverged=False):
@@ -97,7 +94,7 @@ class TestRobustGap:
 
     def test_empty_window_errors(self):
         cfg = TrainConfig(gamma=0.1, eta=0.0, alpha=1.5, sigma1=0.0, steps=5)
-        trace = RunTrace(cfg, tuple(StepRecord(k + 1, 0.0) for k in range(5)), 0, False)
+        trace = RunTrace(cfg, np.zeros(5), (), 0, False)
         with pytest.raises(AnalysisPreconditionError):
             robust_gap(trace)
 

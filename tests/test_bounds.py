@@ -1,11 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
 from levybound import (
     BoundInputs,
     RunTrace,
-    StepRecord,
     TrainConfig,
     bound_estimate,
     brownian_bound,
@@ -23,8 +23,7 @@ ZETA_E = 3.0 / math.e  # log(3/zeta) = 1
 
 def make_trace(grad_sqs, gamma=0.1, diverged=False):
     cfg = TrainConfig(gamma=gamma, eta=0.001, alpha=1.5, sigma1=0.1, steps=max(len(grad_sqs), 1))
-    records = tuple(StepRecord(k + 1, g) for k, g in enumerate(grad_sqs))
-    return RunTrace(cfg, records, 0, diverged)
+    return RunTrace(cfg, np.array(grad_sqs, dtype=float), (), 0, diverged)
 
 
 def inputs(**kw):

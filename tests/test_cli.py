@@ -18,6 +18,7 @@ from levybound import (
     alpha_regression,
     brownian_bound,
     comparison_rate,
+    discrete_bound,
     execute_grid,
     init_params,
     k_alpha_d,
@@ -31,7 +32,6 @@ from levybound import (
     stable_levy_constant,
     write_records,
 )
-from levybound.bounds import discrete_bound_from_sum
 from levybound.cli import main
 from levybound.constants import log_sphere_area, log_stable_levy_constant
 from levybound.data import write_idx_images, write_idx_labels
@@ -466,7 +466,7 @@ class TestTablesMatchLibrary:
             window=30,
         )
         train, test = load_grid_datasets(grid)
-        r, grad_sum = evaluate_cell(grid, train, test, 1.7, sigma1, width, 2, 0, 0)
+        r, trace = evaluate_cell(grid, train, test, 1.7, sigma1, width, 2, 0, 0)
         row = [_f(1.7), _f(sigma1), str(r.d), str(width), str(r.n), "2"]
         if r.diverged:
             row += [""] * 6 + ["true"]
@@ -475,7 +475,7 @@ class TestTablesMatchLibrary:
                                  zeta=0.05, lam=0.0)
             row += [_f(r.gap), _f(r.i_hat)]
             row += [_f(r.g_hat), _f(stable_bound(r.i_hat, inputs))] if sigma1 > 0 else ["", ""]
-            row += [_f(discrete_bound_from_sum(grad_sum, inputs)) if sigma1 > 0 and eta > 0 else ""]
+            row += [_f(discrete_bound(trace, inputs)) if sigma1 > 0 and eta > 0 else ""]
             row += [_f(brownian_bound(r.i_hat, inputs)) if sigma2 > 0 else "", "false"]
         header = (
             "alpha,sigma1,d,width,n,seed,gap,i_hat,g_hat,"

@@ -195,6 +195,50 @@ class TestIdx:
         with pytest.raises(DataFormatError, match="out of range"):
             load_idx(img_path, lab_path, num_classes=1)
 
+    def idx_files(self, tmp_path, count, labels=None):
+        rng = np.random.default_rng(count)
+        img_path, lab_path = tmp_path / "images.idx", tmp_path / "labels.idx"
+        write_idx_images(img_path, rng.integers(0, 256, size=(count, 28, 28), dtype=np.uint8))
+        if labels is None:
+            labels = rng.integers(0, 10, size=count, dtype=np.uint8)
+        write_idx_labels(lab_path, labels)
+        return img_path, lab_path
+
+    @pytest.mark.parametrize("fraction, seed", [(0.1, 0), (0.37, 5), (0.999, 2), (1.0, 0)])
+    def test_subsampled_load_is_subsample_of_full_load(self, tmp_path, fraction, seed):
+        # label 9 sits only in the last row, which a small fraction drops:
+        # the class count still comes from the whole label file
+        labels = np.zeros(500, dtype=np.uint8)
+        labels[100:] = 3
+        labels[-1] = 9
+        paths = self.idx_files(tmp_path, 500, labels)
+        got = load_idx(*paths, fraction=fraction, seed=seed)
+        want = subsample(load_idx(*paths), fraction, seed)
+        assert got.features.view(np.int64).tolist() == want.features.view(np.int64).tolist()
+        assert got.labels.dtype == want.labels.dtype
+        assert got.labels.tolist() == want.labels.tolist()
+        assert got.num_classes == want.num_classes == 10
+
+    def test_subsampled_load_checks_every_label(self, tmp_path):
+        labels = np.zeros(50, dtype=np.uint8)
+        labels[-1] = 4
+        paths = self.idx_files(tmp_path, 50, labels)
+        # the subsample drops the one row labelled 4, and the check still sees it
+        assert 4 not in subsample(load_idx(*paths), 0.1, 0).labels.tolist()
+        with pytest.raises(DataFormatError,
+                           match="labels.idx: label value 4 out of range for 3 classes$"):
+            load_idx(*paths, num_classes=3, fraction=0.1, seed=0)
+        with pytest.raises(InvalidParameterError, match="fraction yields an empty subset"):
+            load_idx(*paths, fraction=1e-3, seed=0)
+
+    def test_subsampled_load_peak_memory_is_file_and_kept_rows(self, tmp_path):
+        # the rows are picked from the 8-bit pixels; the file's bytes alone
+        # are 1.25x the float features kept at fraction 0.1
+        img_path, lab_path = self.idx_files(tmp_path, 20000)
+        data, peak = traced_peak(lambda: load_idx(img_path, lab_path, fraction=0.1, seed=0))
+        assert data.features.shape == (2000, 784)
+        assert peak <= 2.5 * data.features.nbytes
+
 
 class TestSubsample:
     def full_data(self, n=60):

@@ -1,4 +1,3 @@
-import math
 import struct
 from collections import Counter
 from dataclasses import replace
@@ -25,7 +24,6 @@ from levybound import (
     robust_gap,
     run_training,
 )
-from levybound.bounds import discrete_bound_from_sum
 from levybound.cli import _grid_spec
 from levybound.data import _ROW, parse_config, write_idx_images, write_idx_labels, write_records
 from levybound.errors import DataFormatError, InvalidParameterError
@@ -38,7 +36,7 @@ from levybound.grid import (
     sort_key,
 )
 from levybound.models import ModelKernel
-from levybound.sde import TraceRecorder, run_group
+from levybound.sde import run_group
 
 
 def tiny_grid(out, alphas=(1.6, 2.0), sigma1s=(0.1,), widths=(0,), seeds=(0, 1, 2)):
@@ -247,10 +245,9 @@ def test_idx_test_label_beyond_train_classes_is_a_data_error(tmp_path):
         execute_grid(grid)
 
 
-# --- The cell reducer against the default trace: evaluate_cell keeps no
-# StepRecords and skips the evals robust_gap never reads, so its row is
-# checked against the row rebuilt from the full RunTrace with the public
-# reducers.
+# --- The cell reducer against the default trace: evaluate_cell skips the
+# evals robust_gap never reads, so its row and trace are checked against
+# run_training's full RunTrace and the row the public reducers give it.
 
 
 def _reducer_grid(batch_size=None, width=0, steps=40, eval_interval=5, window=30,
@@ -269,7 +266,7 @@ def _bits(record):
 
 
 def _row_from_trace(grid, train, test, alpha, sigma1, width, seed):
-    """The records row and gradient sum of the default trace of grid index (0, 0)."""
+    """The records row and the run_training trace of grid index (0, 0)."""
     spec = _model_for(width, train)
     d = param_count(spec)
     cfg = replace(grid.train, alpha=alpha, sigma1=sigma1, seed=seed)
@@ -311,23 +308,26 @@ def test_evaluate_cell_matches_trace_reducers(case, batch_size, width):
     sigma1 = settings.pop("sigma1", 0.1)
     grid = _reducer_grid(batch_size=batch_size, width=width, **settings)
     train, test = load_grid_datasets(grid)
-    record, grad_sum = evaluate_cell(grid, train, test, 1.7, sigma1, width, 3, 0, 0)
+    record, cell_trace = evaluate_cell(grid, train, test, 1.7, sigma1, width, 3, 0, 0)
     expected, trace = _row_from_trace(grid, train, test, 1.7, sigma1, width, 3)
     assert _bits(record) == _bits(expected)
-    assert record.diverged == (case == "diverged") == trace.diverged
-    if not trace.diverged:
-        assert grad_sum == math.fsum(r.grad_sq for r in trace.records)
-        if sigma1 > 0.0:
-            inputs = BoundInputs(alpha=1.7, d=record.d, n=record.n, sigma1=sigma1,
-                                 gamma=0.05, eta=0.001)
-            assert discrete_bound_from_sum(grad_sum, inputs) == discrete_bound(trace, inputs)
+    assert record.diverged == (case == "diverged") == trace.diverged == cell_trace.diverged
+    # the cell's trace is run_training's, less the evals before the window
+    assert cell_trace.grad_sq.tobytes() == trace.grad_sq.tobytes()
+    after = grid.train.steps - grid.window
+    assert cell_trace.evals == tuple(e for e in trace.evals if e[0] > after)
+    assert cell_trace.final_params_hash == trace.final_params_hash
+    if not trace.diverged and sigma1 > 0.0:
+        inputs = BoundInputs(alpha=1.7, d=record.d, n=record.n, sigma1=sigma1,
+                             gamma=0.05, eta=0.001)
+        assert discrete_bound(cell_trace, inputs) == discrete_bound(trace, inputs)
 
 
 @pytest.mark.parametrize("case", REDUCER_CASES)
 @pytest.mark.parametrize("batch_size", [None, 16], ids=["full", "batch16"])
 def test_row_does_not_read_the_evals_before_the_window(case, batch_size):
-    # a recorder that evaluates every eval step from step 1 gives the row
-    # of the grid's recorder, which skips the evals before the window
+    # a run that evaluates every eval step from step 1 gives the row of the
+    # grid's run, which skips the evals before the window
     settings = dict(REDUCER_CASES[case])
     sigma1 = settings.pop("sigma1", 0.1)
     grid = _reducer_grid(batch_size=batch_size, **settings)
@@ -336,12 +336,10 @@ def test_row_does_not_read_the_evals_before_the_window(case, batch_size):
     cfg = replace(grid.train, sigma1=sigma1, seed=3)
     rows, evals = [], []
     for after in (0, cfg.steps - grid.window):
-        recorder = TraceRecorder(cfg, after=after)
         (trace,) = run_group(spec, train, test, cfg, (1.7,), grid.init_scale,
-                             RngStream(3, mix64(0, 0)), [recorder])
-        record, grad_sum = _row(grid, train.n, param_count(spec), 0, trace, recorder)
-        rows.append(_bits(record) + [struct.pack("<d", grad_sum)])
-        evals.append(len(list(recorder.evals())))
+                             RngStream(3, mix64(0, 0)), after=after)
+        rows.append(_bits(_row(grid, train.n, param_count(spec), 0, trace)))
+        evals.append(len(trace.evals))
     assert rows[0] == rows[1]
     if grid.window < cfg.steps and case != "diverged":
         assert evals[0] > evals[1]
@@ -410,42 +408,12 @@ def test_group_rows_are_the_one_alpha_cell_rows(case):
     train, test = load_grid_datasets(grid)
     rows = evaluate_group(grid, train, test, GROUP_ALPHAS, sigma1, width, seed, 1, 2)
     assert [record.diverged for record, _ in rows] == diverged
-    for alpha, (record, grad_sum) in zip(GROUP_ALPHAS, rows):
-        alone, alone_sum = evaluate_cell(grid, train, test, alpha, sigma1, width, seed, 1, 2)
+    for alpha, (record, trace) in zip(GROUP_ALPHAS, rows):
+        alone, alone_trace = evaluate_cell(grid, train, test, alpha, sigma1, width, seed, 1, 2)
         assert _bits(record) == _bits(alone)
-        assert struct.pack("<d", grad_sum) == struct.pack("<d", alone_sum)
+        assert trace.grad_sq.tobytes() == alone_trace.grad_sq.tobytes()
     if sigma1 == 0.0:  # no stable noise: alpha changes nothing but the alpha field
         assert all(_bits(record)[1:] == _bits(rows[0][0])[1:] for record, _ in rows)
-
-
-@pytest.mark.parametrize("case", [
-    "relu-mixed-divergence", "linear-mixed-divergence", "linear-sigma1-zero",
-    "linear-minibatch-brownian", "relu-minibatch-brownian",
-])
-def test_group_with_disagreeing_observers_matches_each_alpha_alone(case):
-    # a whole-trace recorder and a window recorder alternate, so the eval
-    # steps before the window evaluate only some of the live runs
-    width, sigma1, seed, settings, diverged = GROUP_CASES[case]
-    grid = _reducer_grid(width=width, **settings)
-    train, test = load_grid_datasets(grid)
-    spec = _model_for(width, train)
-    d = param_count(spec)
-    cfg = replace(grid.train, sigma1=sigma1, seed=seed)
-    afters = [(cfg.steps - grid.window) * (i % 2) for i in range(len(GROUP_ALPHAS))]
-    recorders = [TraceRecorder(cfg, after=after) for after in afters]
-    traces = run_group(spec, train, test, cfg, GROUP_ALPHAS, grid.init_scale,
-                       RngStream(seed, mix64(1, 2)), recorders)
-    assert [trace.diverged for trace in traces] == diverged
-    for alpha, after, trace, recorder in zip(GROUP_ALPHAS, afters, traces, recorders):
-        alone = TraceRecorder(cfg, after=after)
-        (alone_trace,) = run_group(spec, train, test, cfg, (alpha,), grid.init_scale,
-                                   RngStream(seed, mix64(1, 2)), [alone])
-        assert trace == alone_trace
-        assert recorder.records() == alone.records()
-        record, grad_sum = _row(grid, train.n, d, width, trace, recorder)
-        alone_record, alone_sum = _row(grid, train.n, d, width, alone_trace, alone)
-        assert _bits(record) == _bits(alone_record)
-        assert struct.pack("<d", grad_sum) == struct.pack("<d", alone_sum)
 
 
 @pytest.mark.parametrize("batch_size", [None, 16], ids=["full", "batch16"])

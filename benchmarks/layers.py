@@ -1,4 +1,4 @@
-"""Per-layer timings of a reference training step, of a whole cell and of a group.
+"""Per-layer timings of a reference training step and of a whole group.
 
 Run from the repository root:
 
@@ -18,26 +18,24 @@ repeats of a batch of calls, reported per call as min / median / quartiles
   test set's forward pass and argmax.
 - ``public.*``: the validating public functions, as a caller outside the
   loop sees them.
-- ``cell``: one 3000-step reference cell through ``grid.evaluate_cell``,
-  with its minor page faults.
-- ``cell.mnist``: one 200-step cell of the MNIST-shaped profile of
-  ``perfbench``'s ``mnist-linear-minibatch`` workload (linear softmax,
-  784 -> 10, d = 7840, 2504 train rows, batch 64, sigma2 = 0.01, evals
-  every 10 steps, window 150), data seed 0.
-- ``data.generate_synthetic``: building that profile's data set
-  (``SyntheticSpec(313, 784, 10, 3.0, 1.0, seed=0)``), as every grid start
-  does, min / median wall time over GENERATE_REPEATS calls, and the peak
-  bytes ``tracemalloc`` sees allocated during one more call next to the
-  bytes of the features it returns.
+- ``data.generate_synthetic``: building the data set of the MNIST-shaped
+  profile of ``perfbench``'s ``mnist-linear-minibatch`` workload
+  (``SyntheticSpec(313, 784, 10, 3.0, 1.0, seed=0)``: 2504 train rows of
+  784 inputs), as every grid start does, min / median wall time over
+  GENERATE_REPEATS calls, and the peak bytes ``tracemalloc`` sees
+  allocated during one more call next to the bytes of the features it
+  returns.
 - ``eval.group_mnist``: one eval step of a 10-alpha group of that
-  MNIST-shaped profile, train and test sets together: one
-  ``ModelKernel.error_rates`` call per data set, as ``run_group`` makes
-  it.
+  MNIST-shaped profile (linear softmax, 784 -> 10, d = 7840, batch 64,
+  sigma2 = 0.01, evals every 10 steps, window 150, 200 steps), train and
+  test sets together: one ``ModelKernel.error_rates`` call per data set,
+  as ``run_group`` makes it.
 - ``group.ref`` and ``group.mnist``: one (sigma1, width, seed) group of
   the 10 reference alphas through ``execute_grid`` on a fresh records
   file, data set-up included: the reference profile's first sigma1 at
-  seed 0, and the MNIST-shaped profile above. A tree that trains a
-  group's alphas one cell at a time is timed the same way.
+  seed 0, and the MNIST-shaped profile above. This is the sweep's unit
+  of work; a tree that trains a group's alphas one cell at a time is
+  timed the same way.
 - ``group.ref.tracemalloc``: the peak bytes ``tracemalloc`` sees
   allocated during one ``grid.evaluate_group`` call of that reference
   group, its data set loaded before tracing starts, measured before any
@@ -66,7 +64,6 @@ import glob  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
-import resource  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import tempfile  # noqa: E402
@@ -86,14 +83,11 @@ from levybound.cli import _grid_spec  # noqa: E402
 from levybound.data import parse_config  # noqa: E402
 from levybound.grid import (  # noqa: E402
     _model_for,
-    evaluate_cell,
     evaluate_group,
     load_grid_datasets,
 )
 
 REPEATS = 25
-CELL_REPEATS = 5
-MNIST_CELL_REPEATS = 15
 GROUP_REPEATS = 5
 MNIST_GROUP_REPEATS = 10
 GENERATE_REPEATS = 15
@@ -173,6 +167,9 @@ def step_layers(spec, train, test, cfg, params):
     def train_error():
         return float(np.mean(np.argmax(kernel.logits, axis=1, out=preds) != y))
 
+    def test_error():
+        return test_eval.error_rates((params,), test.features, test.labels)[0]
+
     noise, gaussian, buffer = stable.StableNoise(cfg.alpha), np.empty(d), np.empty(d)
 
     def stable_draw():
@@ -186,8 +183,7 @@ def step_layers(spec, train, test, cfg, params):
         ("gradient", gradient, 200),
         ("stable_draw", stable_draw, 1000),
         ("em_update", lambda: update(params, grad, draw, None, out), 2000),
-        ("eval", lambda: (train_error(),
-                          test_eval.error_rate(params, test.features, test.labels)), 500),
+        ("eval", lambda: (train_error(), test_error()), 500),
     ]
 
 
@@ -207,7 +203,7 @@ def public_layers(spec, train, test, cfg, params):
 
 
 def mnist_grid():
-    """One cell of perfbench's mnist-linear-minibatch profile."""
+    """One alpha of perfbench's mnist-linear-minibatch profile."""
     return lb.GridSpec(
         alphas=(ALPHA,), sigma1s=(0.01,), widths=(0,), seeds=(0,),
         train=lb.TrainConfig(gamma=0.01, eta=0.001, alpha=ALPHA, sigma1=0.01, sigma2=0.01,
@@ -229,17 +225,6 @@ def group_eval_step(grid):
         for kernel, data in sets:
             kernel.error_rates(ps, data.features, data.labels)
     return step
-
-
-def time_cell(grid, train, test, repeats):
-    walls, faults = [], []
-    for _ in range(repeats):
-        f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        t0 = time.perf_counter()
-        evaluate_cell(grid, train, test, ALPHA, grid.sigma1s[0], grid.widths[0], 0, 0, 0)
-        walls.append(time.perf_counter() - t0)
-        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
-    return {**summary(walls, "s", 1.0), "minor_faults_median": statistics.median(faults)}
 
 
 def time_generate(spec, repeats):
@@ -337,11 +322,7 @@ def main():
             key = f"{prefix}.{name}"
             layers[key] = time_calls(fn, number)
             print(f"{key}: median {layers[key]['median']:.2f} us", flush=True)
-    layers["cell"] = time_cell(grid, train, test, CELL_REPEATS)
-    print(f"cell: median {layers['cell']['median']:.3f} s", flush=True)
     mnist = mnist_grid()
-    layers["cell.mnist"] = time_cell(mnist, *load_grid_datasets(mnist), MNIST_CELL_REPEATS)
-    print(f"cell.mnist: median {layers['cell.mnist']['median']:.3f} s", flush=True)
     layers["data.generate_synthetic"] = time_generate(mnist.data, GENERATE_REPEATS)
     print(f"data.generate_synthetic: median {layers['data.generate_synthetic']['median']:.1f} ms,"
           f" peak {layers['data.generate_synthetic']['tracemalloc_peak_bytes']} B", flush=True)

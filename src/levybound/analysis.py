@@ -208,13 +208,11 @@ def correlation_scan(records, group_key: str) -> list[GroupScan]:
             )
         taus = []
         for seed in sorted(by_seed):
-            sub = sorted(by_seed[seed])
-            if len({a for a, _ in sub}) < 2:
-                continue
+            sub = by_seed[seed]
             try:
                 taus.append(kendall_tau([a for a, _ in sub], [gp for _, gp in sub]))
             except AnalysisPreconditionError:
-                continue  # constant gaps in this seed
+                continue  # fewer than 2 rows, or constant alphas or gaps, in this seed
         alpha_gaps = tuple(
             (a, float(np.mean(by_alpha[a])), float(np.std(by_alpha[a]))) for a in alphas
         )

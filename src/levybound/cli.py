@@ -22,7 +22,7 @@ from .errors import (
     DataFormatError,
     InvalidParameterError,
 )
-from .grid import GridSpec, IdxSource, evaluate_cell, execute_grid, load_grid_datasets
+from .grid import GridSpec, IdxSource, evaluate_group, execute_grid, load_grid_datasets
 from .rng import RngStream
 from .sde import TrainConfig
 from .stable import StableParams, sample_isotropic_stable, sample_skewed_stable
@@ -260,7 +260,7 @@ def _cmd_simulate(args) -> int:
     )
     inputs.validate()
     train, test = load_grid_datasets(grid)
-    record, trace = evaluate_cell(grid, train, test, alpha, sigma1, width, seed, 0, 0)
+    ((record, trace),) = evaluate_group(grid, train, test, (alpha,), sigma1, width, seed, 0, 0)
 
     # fields that do not apply to the cell stay None (empty)
     gap = i_hat = g_hat = thm = disc = brown = None

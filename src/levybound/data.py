@@ -129,7 +129,8 @@ def load_idx(
 
     A ``fraction`` other than 1 keeps the rows of ``subsample(data,
     fraction, seed)``, picked before the pixels are converted; the class
-    count and the label range check read the whole label file.
+    count and the label range check read the whole label file. An image
+    file with no images is a ``DataFormatError``.
     """
     images_path, labels_path = str(images_path), str(labels_path)
     img = Path(images_path).read_bytes()
@@ -146,6 +147,8 @@ def load_idx(
             f"{images_path}: truncated pixel data, expected {count * rows * cols} "
             f"bytes, found {len(img) - 16}"
         )
+    if count == 0:
+        raise DataFormatError(f"{images_path}: no images")
 
     lab = Path(labels_path).read_bytes()
     lmagic = _read_be32(lab, 0, labels_path, "labels magic")

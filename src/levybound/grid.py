@@ -4,9 +4,8 @@ A grid is the cartesian product (alpha values) x (sigma1 values) x
 (widths) x (seeds) over one shared dataset. Cells run group by group:
 the pending alphas of one (sigma1, width, seed) group train together in
 lockstep through ``evaluate_group``, and each row is, bit for bit, the
-row ``evaluate_cell`` (which the ``simulate`` command uses for its
-single cell) gives that alpha alone, up to the eval's rounding noted
-below. A group's rows are appended to the
+row of that alpha's one-alpha group (``simulate``'s one cell), up to
+the eval's rounding noted below. A group's rows are appended to the
 output CSV when the group finishes, so an interrupted sweep loses at
 most one group's unfinished cells and resumes by skipping rows already
 on disk (a row torn by the interruption is dropped and recomputed). The
@@ -150,8 +149,15 @@ def evaluate_group(
     alphas, sigma1: float, width: int, seed: int, i_sigma: int, i_width: int,
 ) -> list[tuple[RunRecord, RunTrace]]:
     """Train the cells of ``alphas`` in one (sigma1, width, seed) group in
-    lockstep (``run_group``) and reduce each to what ``evaluate_cell``
-    returns for it alone, in the order of ``alphas``."""
+    lockstep (``run_group``) on the stream keyed by the seed and the
+    (sigma1, width) grid indices; return each cell's records row and
+    trace, in the order of ``alphas``.
+
+    A trace is the cell's ``run_training`` trace less the evals before
+    the window, which ``robust_gap`` does not read. Only numerical
+    divergence of a run yields a diverged row; any other error
+    propagates to the caller.
+    """
     spec = _model_for(width, train)
     d = param_count(spec)
     cfg = replace(grid.train, sigma1=sigma1, seed=seed)
@@ -178,24 +184,6 @@ def _row(grid: GridSpec, n: int, d: int, width: int, trace: RunTrace) -> RunReco
         )
         g_hat = bound_estimate(i_hat, inputs)
     return RunRecord(alpha, sigma1, d, width, n, seed, gap, i_hat, g_hat, False)
-
-
-def evaluate_cell(
-    grid: GridSpec, train: Dataset, test: Dataset,
-    alpha: float, sigma1: float, width: int, seed: int, i_sigma: int, i_width: int,
-) -> tuple[RunRecord, RunTrace]:
-    """Train one cell; return its records row and its trace.
-
-    This is ``evaluate_group`` with one alpha; a grid runs its cells
-    group by group. The stream is keyed by the seed and the (sigma1,
-    width) grid indices. The trace is the cell's ``run_training`` trace
-    less the evals before the window, which ``robust_gap`` does not
-    read, and the row holds ``robust_gap``, ``integral_estimate`` and
-    ``bound_estimate`` of it. Only numerical divergence of the run
-    yields a diverged row; any other error propagates to the caller.
-    """
-    (row,) = evaluate_group(grid, train, test, (alpha,), sigma1, width, seed, i_sigma, i_width)
-    return row
 
 
 def sort_key(r: RunRecord):

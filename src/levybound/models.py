@@ -108,50 +108,27 @@ def _row_reduce(ufunc, a: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 class ModelKernel:
     """Forward pass, 0-1 errors and loss gradient of one model over a fixed
-    row count, with the layer layout and every intermediate array set up
-    once.
+    row count, with the layer layout set up once and each job's arrays
+    sized on that job's first call.
 
     Calls do no validation and overwrite the previous call's results: the
     returned logits and gradient are the kernel's own buffers. The public
     functions below validate their inputs and then call a fresh kernel;
     the training loop keeps one for the gradient and one per data set it
-    evaluates, and ``error_rates`` evaluates all the runs of a group that
-    ask for it in one pass over the rows.
+    evaluates. ``error_rates`` is the one eval entry point: it evaluates
+    all the runs of a group that ask for it in one pass over the rows. A
+    kernel that only evaluates never allocates the gradient's arrays.
     """
 
     def __init__(self, spec: ModelSpec, rows: int):
         shapes = list(zip(spec.widths[:-1], spec.widths[1:]))
         ends = list(accumulate(a * b for a, b in shapes))
         self.slices = [(lo, hi, shape) for lo, hi, shape in zip([0] + ends, ends, shapes)]
+        self.widths = spec.widths
         self.rows = rows
         self.row_starts = np.arange(rows) * spec.num_classes  # flat index of each row's class 0
-        self.grad = np.empty(ends[-1])
-        self.grads = [self.grad[lo:hi].reshape(shape) for lo, hi, shape in self.slices]
-        self.hidden = [np.empty((rows, w)) for w in spec.widths[1:-1]]
-        self.active = [np.empty((rows, w), dtype=bool) for w in spec.widths[1:-1]]
-        self.back = [np.empty((rows, w)) for w in spec.widths[1:-1]]
-        self.logits = np.empty((rows, spec.num_classes))
-        self.log_p = np.empty((rows, spec.num_classes))
-        self.delta = np.empty((rows, spec.num_classes))
-        self.row_stat = np.empty((rows, 1))
+        self.grad = None  # the gradient's buffers are sized on its first call
         self.stack_count = 0  # error_rates' buffers are sized on first use
-
-    def weights(self, params: np.ndarray) -> list[np.ndarray]:
-        """Per-layer (fan-in, fan-out) views of the flat parameter vector."""
-        return [params[lo:hi].reshape(shape) for lo, hi, shape in self.slices]
-
-    def _forward(self, mats: list[np.ndarray], x: np.ndarray) -> np.ndarray:
-        """Logits of the rows of ``x``; hidden activations stay in ``hidden``."""
-        a = x
-        for w, h in zip(mats, self.hidden):
-            np.matmul(a, w, out=h)
-            np.maximum(h, 0.0, out=h)
-            a = h
-        return np.matmul(a, mats[-1], out=self.logits)
-
-    def error_rate(self, params: np.ndarray, x: np.ndarray, labels: np.ndarray) -> float:
-        """Fraction of rows whose argmax logit (lowest index on ties) is not the label."""
-        return self.error_rates((params,), x, labels)[0]
 
     def _size_stack(self, count: int) -> None:
         """``error_rates``' buffers for ``count`` parameter vectors."""
@@ -169,7 +146,8 @@ class ModelKernel:
         self.stack_wrong = np.empty((count, rows), dtype=bool)
 
     def error_rates(self, params_list, x: np.ndarray, labels: np.ndarray) -> list[float]:
-        """``error_rate`` of each parameter vector, in one pass over ``x``.
+        """Fraction of rows whose argmax logit (lowest index on ties) is not
+        the label, for each parameter vector, in one pass over ``x``.
 
         The first-layer weight matrices are copied side by side into one
         (fan-in, count * fan-out) matrix, so one matmul reads the rows of
@@ -184,9 +162,9 @@ class ModelKernel:
         blocks are bit-identical to the one-run products at 2504x784x10,
         626x784x10 and 126x25x32, but small products (for example
         60x784x10 or 64x25x10) can differ in the last bits. So what holds
-        is that each run's error rate is the one ``error_rate`` gives it
-        alone unless two of a row's logits lie within rounding of each
-        other (60x784x10: 0 of 120,000 rows changed their argmax); the
+        is that each run's error rate is the one a call with that vector
+        alone gives it unless two of a row's logits lie within rounding of
+        each other (60x784x10: 0 of 120,000 rows changed their argmax); the
         logits themselves may differ.
         """
         if len(params_list) != self.stack_count:
@@ -201,6 +179,19 @@ class ModelKernel:
         wrong = np.not_equal(self.stack_preds, labels, out=self.stack_wrong)
         return (wrong.sum(axis=1) / self.rows).tolist()
 
+    def _size_gradient(self) -> None:
+        """The flat gradient, its per-layer views and ``gradient``'s per-row arrays."""
+        rows, hidden, classes = self.rows, self.widths[1:-1], self.widths[-1]
+        self.grad = np.empty(self.slices[-1][1])
+        self.grads = [self.grad[lo:hi].reshape(shape) for lo, hi, shape in self.slices]
+        self.hidden = [np.empty((rows, w)) for w in hidden]
+        self.active = [np.empty((rows, w), dtype=bool) for w in hidden]
+        self.back = [np.empty((rows, w)) for w in hidden]
+        self.logits = np.empty((rows, classes))
+        self.log_p = np.empty((rows, classes))
+        self.delta = np.empty((rows, classes))
+        self.row_stat = np.empty((rows, 1))
+
     def gradient(
         self, params: np.ndarray, x: np.ndarray, label_index: np.ndarray,
         preds: np.ndarray | None = None,
@@ -211,11 +202,18 @@ class ModelKernel:
 
         ``label_index`` is ``row_starts + y``, the flat index of each row's
         label in the logits. A ``preds`` array (intp, one per row) receives
-        each row's argmax logit, lowest index on ties, as ``error_rate``
+        each row's argmax logit, lowest index on ties, as ``error_rates``
         picks it from the same forward pass.
         """
-        mats = self.weights(params)
-        logits = self._forward(mats, x)
+        if self.grad is None:
+            self._size_gradient()
+        mats = [params[lo:hi].reshape(shape) for lo, hi, shape in self.slices]
+        a = x  # the forward pass keeps each layer's activations in ``hidden``
+        for w, h in zip(mats, self.hidden):
+            np.matmul(a, w, out=h)
+            np.maximum(h, 0.0, out=h)
+            a = h
+        logits = np.matmul(a, mats[-1], out=self.logits)
         if preds is not None:
             np.argmax(logits, axis=1, out=preds)
         logits -= _row_reduce(np.maximum, logits, self.row_stat)
@@ -273,4 +271,4 @@ def surrogate_loss_and_grad(
 def zero_one_error(spec: ModelSpec, params: np.ndarray, data: Dataset) -> float:
     """Fraction of misclassified rows; argmax ties go to the lowest class index."""
     _check_params(spec, params)
-    return ModelKernel(spec, data.n).error_rate(params, data.features, data.labels)
+    return ModelKernel(spec, data.n).error_rates((params,), data.features, data.labels)[0]

@@ -194,11 +194,13 @@ def run_group(
     pass. Every live run then takes its gradient, update and divergence
     check in turn; a run that diverges stops while the others go on.
     Each run keeps its own parameters, update and measurements; the
-    model kernels and draw buffers are the group's. Each returned trace
-    is the trace ``run_training`` gives its alpha alone on a stream of
-    the same key, less its evals up to ``after``: the dynamics bit for
-    bit, and the errors as ``error_rates`` promises them (the same rates
-    unless two of a row's logits lie within rounding of each other).
+    model kernels and draw buffers are the group's, and the eval-only
+    kernels (test set, minibatch train set) hold no gradient arrays.
+    Each returned trace is the trace ``run_training`` gives its alpha
+    alone on a stream of the same key, less its evals up to ``after``:
+    the dynamics bit for bit, and the errors as ``error_rates`` promises
+    them (the same rates unless two of a row's logits lie within rounding
+    of each other).
     """
     if train.input_dim != test.input_dim or train.num_classes != test.num_classes:
         raise DimensionMismatchError("train and test datasets do not match")
@@ -286,9 +288,9 @@ def run_training(
     or a norm above 1e12 stops the run early with the diverged flag set;
     that is a recorded outcome, not an error.
 
-    This is ``run_group`` with the one alpha ``cfg.alpha``. The kernels,
-    draws and buffers that do not change between steps are set up before
-    the loop. Parameters that reach a step passed the previous step's
+    This is ``run_group`` with the one alpha ``cfg.alpha``. The kernels
+    and draw buffers are set up once, before the loop or on their first
+    call. Parameters that reach a step passed the previous step's
     divergence check, so the loop skips the validation the public
     gradient, sampler and update functions do. In a full-batch run the
     train error is the argmax of the gradient's own forward logits: the

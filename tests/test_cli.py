@@ -36,7 +36,7 @@ from levybound.cli import main
 from levybound.constants import log_sphere_area, log_stable_levy_constant
 from levybound.data import write_idx_images, write_idx_labels
 from levybound.errors import InvalidParameterError
-from levybound.grid import evaluate_cell, load_grid_datasets
+from levybound.grid import evaluate_group, load_grid_datasets
 
 
 def run_cli(capsys, *argv):
@@ -466,7 +466,7 @@ class TestTablesMatchLibrary:
             window=30,
         )
         train, test = load_grid_datasets(grid)
-        r, trace = evaluate_cell(grid, train, test, 1.7, sigma1, width, 2, 0, 0)
+        ((r, trace),) = evaluate_group(grid, train, test, (1.7,), sigma1, width, 2, 0, 0)
         row = [_f(1.7), _f(sigma1), str(r.d), str(width), str(r.n), "2"]
         if r.diverged:
             row += [""] * 6 + ["true"]
@@ -692,6 +692,23 @@ class TestRunConfigErrors:
 
 
 class TestGridInputs:
+    @pytest.mark.parametrize("stem", ["train", "test"])
+    def test_idx_file_with_no_images_is_an_io_error(self, capsys, tmp_path, stem):
+        # an empty set would fail the label check (train) or divide an
+        # error count by zero rows (test); it stops before any cell trains
+        lines = _write_idx_files(tmp_path)
+        images = tmp_path / f"{stem}-images.idx"
+        write_idx_images(images, np.zeros((0, 3, 3), dtype=np.uint8))
+        write_idx_labels(tmp_path / f"{stem}-labels.idx", np.zeros(0, dtype=np.uint8))
+        cfg = tmp_path / "idx.cfg"
+        cfg.write_text(BASE_CFG + "data=idx\nalphas=1.6,2.0\nsigma1s=0.1\n"
+                       + "\n".join(lines) + "\n")
+        out_csv = tmp_path / "records.csv"
+        code, out, err = run_cli(capsys, "grid", "--config", str(cfg), "--out", str(out_csv))
+        assert code == 2 and out == ""
+        assert err.endswith(f"i/o error: {images}: no images\n") and "Traceback" not in err
+        assert not out_csv.exists()
+
     def test_idx_data_matches_library_grid(self, capsys, tmp_path):
         cfg = tmp_path / "idx.cfg"
         cfg.write_text(BASE_CFG + "data=idx\nsubsample=0.5\nsubsample_seed=3\n"

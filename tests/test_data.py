@@ -195,6 +195,15 @@ class TestIdx:
         with pytest.raises(DataFormatError, match="out of range"):
             load_idx(img_path, lab_path, num_classes=1)
 
+    def test_no_images_is_a_data_error(self, tmp_path):
+        img_path, lab_path = tmp_path / "images.idx", tmp_path / "labels.idx"
+        write_idx_images(img_path, np.zeros((0, 28, 28), dtype=np.uint8))
+        write_idx_labels(lab_path, np.zeros(0, dtype=np.uint8))
+        with pytest.raises(DataFormatError, match="images.idx: no images$"):
+            load_idx(img_path, lab_path)
+        with pytest.raises(DataFormatError, match="images.idx: no images$"):
+            load_idx(img_path, lab_path, num_classes=10)
+
     def idx_files(self, tmp_path, count, labels=None):
         rng = np.random.default_rng(count)
         img_path, lab_path = tmp_path / "images.idx", tmp_path / "labels.idx"

@@ -30,7 +30,6 @@ from levybound.errors import DataFormatError, InvalidParameterError
 from levybound.grid import (
     _model_for,
     _row,
-    evaluate_cell,
     evaluate_group,
     load_grid_datasets,
     sort_key,
@@ -245,8 +244,8 @@ def test_idx_test_label_beyond_train_classes_is_a_data_error(tmp_path):
         execute_grid(grid)
 
 
-# --- The cell reducer against the default trace: evaluate_cell skips the
-# evals robust_gap never reads, so its row and trace are checked against
+# --- The cell reducer against the default trace: a one-alpha group skips
+# the evals robust_gap never reads, so its row and trace are checked against
 # run_training's full RunTrace and the row the public reducers give it.
 
 
@@ -308,7 +307,7 @@ def test_evaluate_cell_matches_trace_reducers(case, batch_size, width):
     sigma1 = settings.pop("sigma1", 0.1)
     grid = _reducer_grid(batch_size=batch_size, width=width, **settings)
     train, test = load_grid_datasets(grid)
-    record, cell_trace = evaluate_cell(grid, train, test, 1.7, sigma1, width, 3, 0, 0)
+    ((record, cell_trace),) = evaluate_group(grid, train, test, (1.7,), sigma1, width, 3, 0, 0)
     expected, trace = _row_from_trace(grid, train, test, 1.7, sigma1, width, 3)
     assert _bits(record) == _bits(expected)
     assert record.diverged == (case == "diverged") == trace.diverged == cell_trace.diverged
@@ -376,7 +375,7 @@ def test_evaluate_cell_evaluates_only_in_window_eval_steps(monkeypatch, batch_si
 
     monkeypatch.setattr(ModelKernel, "gradient", gradient)
     monkeypatch.setattr(ModelKernel, "error_rates", error_rates)
-    evaluate_cell(grid, train, test, 1.7, 0.1, 0, 3, 0, 0)
+    evaluate_group(grid, train, test, (1.7,), 0.1, 0, 3, 0, 0)
     in_window = [k for k in range(1, steps + 1)
                  if k > steps - window and (k % 5 == 0 or k == steps)]
     assert step[0] == steps
@@ -409,7 +408,8 @@ def test_group_rows_are_the_one_alpha_cell_rows(case):
     rows = evaluate_group(grid, train, test, GROUP_ALPHAS, sigma1, width, seed, 1, 2)
     assert [record.diverged for record, _ in rows] == diverged
     for alpha, (record, trace) in zip(GROUP_ALPHAS, rows):
-        alone, alone_trace = evaluate_cell(grid, train, test, alpha, sigma1, width, seed, 1, 2)
+        ((alone, alone_trace),) = evaluate_group(grid, train, test, (alpha,), sigma1, width,
+                                                 seed, 1, 2)
         assert _bits(record) == _bits(alone)
         assert trace.grad_sq.tobytes() == alone_trace.grad_sq.tobytes()
     if sigma1 == 0.0:  # no stable noise: alpha changes nothing but the alpha field

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -202,7 +203,7 @@ def _oracle_error_rate(spec, params, x, labels):
 
 
 class TestErrorRates:
-    """``ModelKernel.error_rates`` against one ``error_rate`` call per run."""
+    """``ModelKernel.error_rates`` against one call per run."""
 
     def test_matches_one_call_per_run(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -233,11 +234,11 @@ class TestErrorRates:
             labels = rng.integers(0, classes, rows)
             kernel = ModelKernel(spec, rows)
             rates = kernel.error_rates(ps, x, labels)
-            alone = [ModelKernel(spec, rows).error_rate(p, x, labels) for p in ps]
+            alone = [ModelKernel(spec, rows).error_rates((p,), x, labels)[0] for p in ps]
             assert rates == alone
             # the kept buffers resize for another count and still give the same
             assert kernel.error_rates(ps[::-1], x, labels) == alone[::-1]
-            assert kernel.error_rate(ps[-1], x, labels) == alone[-1]
+            assert kernel.error_rates((ps[-1],), x, labels)[0] == alone[-1]
             if exact:
                 assert rates == [_oracle_error_rate(spec, p, x, labels) for p in ps]
             if init_scale == 0.0:  # every logit ties: class 0 is every prediction
@@ -258,6 +259,31 @@ class TestErrorRates:
             assert rates == [zero_one_error(spec, p, data) for p in ps]
             assert rates == [_oracle_error_rate(spec, p, data.features, data.labels)
                              for p in ps]
+
+    def test_eval_only_kernel_holds_no_gradient_arrays(self):
+        # the MNIST-shaped train set (2504 rows, 784 -> 10) evaluated for a
+        # group of 10 runs: the kernel keeps error_rates' stacked arrays and
+        # none of the gradient's (2504, 10) logits, log_p and delta
+        train, _ = generate_synthetic(SyntheticSpec(313, 784, 10, 3.0, 1.0, seed=0))
+        spec = ModelSpec((784, 10))
+        rng = RngStream(1)
+        ps = [init_params(spec, 1.0, rng) for _ in range(10)]
+        tracemalloc.start()
+        try:
+            kernel = ModelKernel(spec, train.n)
+            rates = kernel.error_rates(ps, train.features, train.labels)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        stack = [kernel.row_starts, kernel.flat, kernel.stacked, kernel.wide,
+                 kernel.stack_preds, kernel.stack_wrong, *(out for _, out in kernel.stack_layers)]
+        assert retained <= sum(a.nbytes for a in stack) + 64 * 1024
+        # the gradient sizes its arrays on its first call, after the evals
+        rows = np.arange(train.n)
+        label_index = kernel.row_starts + train.labels
+        grad = kernel.gradient(ps[0], train.features, label_index)
+        assert grad.tobytes() == surrogate_loss_and_grad(spec, ps[0], train, rows)[1].tobytes()
+        assert kernel.error_rates(ps, train.features, train.labels) == rates
 
 
 class TestDataset:

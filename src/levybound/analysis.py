@@ -25,6 +25,9 @@ from .errors import (
 )
 from .sde import RunTrace
 
+# The record fields a correlation scan can group by.
+GROUP_KEYS = ("d", "sigma1")
+
 
 @dataclass(frozen=True)
 class GroupScan:
@@ -181,7 +184,7 @@ def correlation_scan(records, group_key: str) -> list[GroupScan]:
     seed-averaged gaps. Diverged records never enter; a non-diverged
     record with a NaN gap is an error.
     """
-    if group_key not in ("d", "sigma1"):
+    if group_key not in GROUP_KEYS:
         raise InvalidParameterError(f"group_key must be 'd' or 'sigma1', got {group_key!r}")
     live = [r for r in records if not r.diverged]
     if not live:
@@ -300,6 +303,14 @@ def estimate_radius(
     return crossing * math.sqrt(d)
 
 
+def _regime(radius: float, sigma1: float, d) -> tuple[str, str]:
+    """``phase_regime``'s labels; empty for a sigma1 = 0 group, which has no regime."""
+    try:
+        return phase_regime(sigma1, int(d), radius)
+    except InvalidParameterError:
+        return ("", "")
+
+
 def build_report(records, group_key: str, radius: float = 1.0) -> AnalysisReport:
     """Assemble the full analysis report for one records list.
 
@@ -311,21 +322,18 @@ def build_report(records, group_key: str, radius: float = 1.0) -> AnalysisReport
     if not radius > 0.0:
         raise InvalidParameterError(f"radius must be > 0, got {radius}")
     scans = tuple(correlation_scan(records, group_key))
-    live = [r for r in records if not r.diverged]
-    sigmas = sorted({r.sigma1 for r in live})
-    dims = sorted({r.d for r in live})
-
-    regimes = []
-    for s in scans:
-        labels = ("", "")
+    # the scan axis is isolated when the other axis holds one value over the live rows
+    other = "sigma1" if group_key == "d" else "d"
+    fixed = {getattr(r, other) for r in records if not r.diverged}
+    regimes = [("", "")] * len(scans)
+    radius_estimate, radius_note = None, "scan axis is not isolated"
+    if len(fixed) == 1:
+        at = {other: fixed.pop()}
+        regimes = [_regime(radius, **{group_key: s.group}, **at) for s in scans]
         try:
-            if group_key == "d" and len(sigmas) == 1:
-                labels = phase_regime(sigmas[0], int(s.group), radius)
-            elif group_key == "sigma1" and len(dims) == 1:
-                labels = phase_regime(s.group, dims[0], radius)
-        except InvalidParameterError:
-            pass  # a sigma1 = 0 group has no regime
-        regimes.append(labels)
+            radius_estimate, radius_note = estimate_radius(list(scans), group_key, **at), None
+        except AnalysisPreconditionError as exc:
+            radius_note = str(exc)
 
     r_hat = intercept = alpha_hat = None
     regression_note = None
@@ -333,18 +341,6 @@ def build_report(records, group_key: str, radius: float = 1.0) -> AnalysisReport
         r_hat, intercept, alpha_hat = alpha_regression(records)
     except AnalysisPreconditionError as exc:
         regression_note = str(exc)
-
-    radius_estimate = None
-    radius_note = None
-    try:
-        if group_key == "d" and len(sigmas) == 1:
-            radius_estimate = estimate_radius(list(scans), "d", sigma1=sigmas[0])
-        elif group_key == "sigma1" and len(dims) == 1:
-            radius_estimate = estimate_radius(list(scans), "sigma1", d=dims[0])
-        else:
-            radius_note = "scan axis is not isolated"
-    except AnalysisPreconditionError as exc:
-        radius_note = str(exc)
 
     return AnalysisReport(
         group_key=group_key,

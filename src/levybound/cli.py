@@ -36,8 +36,6 @@ DEFAULTS = {
     "steps": "3000",
     "batch_size": "full",
     "eval_interval": "10",
-    "seed": "0",
-    "width": "0",
     "widths": "0",
     "seeds": "0",
     "init_scale": "1.0",
@@ -57,6 +55,11 @@ DEFAULTS = {
     "data_seed": "0",
     "subsample": "1.0",
     "subsample_seed": "0",
+}
+# Every key a subcommand reads: the defaulted ones, the grid's sigma1
+# list, its output path and the IDX data paths.
+CONFIG_KEYS = frozenset(DEFAULTS) | {
+    "sigma1s", "out", "train_images", "train_labels", "test_images", "test_labels",
 }
 
 
@@ -92,6 +95,9 @@ def _cfg_from(args) -> dict[str, str]:
             raise InvalidParameterError(f"--set needs key=value, got {item!r}")
         key, value = item.split("=", 1)
         cfg[key.strip()] = value.strip()
+    unknown = sorted(cfg.keys() - CONFIG_KEYS)
+    if unknown:
+        raise InvalidParameterError(f"unknown config key(s): {', '.join(map(repr, unknown))}")
     return cfg
 
 
@@ -245,11 +251,11 @@ SIMULATE_HEADER = (
 
 def _cmd_simulate(args) -> int:
     cfg = _cfg_from(args)
-    alpha, sigma1 = _value(cfg, "alpha", float), _value(cfg, "sigma1", float)
-    width, seed = _value(cfg, "width", int), _value(cfg, "seed", int)
-    # the cell is the one-cell grid at indices (0, 0), so its row is that grid's row
-    cfg.update(alphas=cfg["alpha"], sigma1s=cfg["sigma1"], widths=cfg["width"], seeds=cfg["seed"])
     grid = _grid_spec(cfg, out="")
+    if grid.cell_count != 1:
+        raise InvalidParameterError(f"simulate runs one cell, but alphas, sigma1s, widths "
+                                    f"and seeds name {grid.cell_count} cells")
+    (alpha,), (sigma1,), (width,), (seed,) = grid.alphas, grid.sigma1s, grid.widths, grid.seeds
     tc = grid.train
     # validated before training; the cell's row supplies d and n
     inputs = BoundInputs(
@@ -361,7 +367,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("analyze", help="correlation scan over a records CSV")
     p.add_argument("--records", required=True)
-    p.add_argument("--group-key", choices=("d", "sigma1"), default="d")
+    p.add_argument("--group-key", choices=an.GROUP_KEYS, default="d")
     p.add_argument("--radius", type=_finite, default=1.0)
     p.add_argument("--out")
     p.add_argument("--long-out", help="plot-ready long-format CSV path")

@@ -9,6 +9,7 @@ Run configs are flat ``key=value`` text files.
 """
 
 import csv
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -121,6 +122,23 @@ def _read_be32(buf: bytes, offset: int, path: str, field: str) -> int:
     return struct.unpack_from(">i", buf, offset)[0]
 
 
+def _read_idx(path: str, magic: int, kind: str, data_name: str, fields):
+    """Read an IDX file: check its ``kind`` magic, read the header's
+    ``fields``, and check that the data after the header holds their
+    product in bytes. Returns the file's bytes and the field values."""
+    buf = Path(path).read_bytes()
+    found = _read_be32(buf, 0, path, f"{kind} magic")
+    if found != magic:
+        raise DataFormatError(f"{path}: bad {kind} magic {found:#010x}, expected {magic:#010x}")
+    values = [_read_be32(buf, 4 * i, path, field) for i, field in enumerate(fields, start=1)]
+    size, header = math.prod(values), 4 * (len(fields) + 1)
+    if len(buf) - header != size:
+        raise DataFormatError(
+            f"{path}: truncated {data_name}, expected {size} bytes, found {len(buf) - header}"
+        )
+    return buf, values
+
+
 def load_idx(
     images_path, labels_path, num_classes: int | None = None,
     fraction: float = 1.0, seed: int = 0,
@@ -133,35 +151,12 @@ def load_idx(
     file with no images is a ``DataFormatError``.
     """
     images_path, labels_path = str(images_path), str(labels_path)
-    img = Path(images_path).read_bytes()
-    magic = _read_be32(img, 0, images_path, "images magic")
-    if magic != IDX_IMAGES_MAGIC:
-        raise DataFormatError(
-            f"{images_path}: bad images magic {magic:#010x}, expected {IDX_IMAGES_MAGIC:#010x}"
-        )
-    count = _read_be32(img, 4, images_path, "image count")
-    rows = _read_be32(img, 8, images_path, "row count")
-    cols = _read_be32(img, 12, images_path, "column count")
-    if len(img) - 16 != count * rows * cols:
-        raise DataFormatError(
-            f"{images_path}: truncated pixel data, expected {count * rows * cols} "
-            f"bytes, found {len(img) - 16}"
-        )
+    img, (count, rows, cols) = _read_idx(images_path, IDX_IMAGES_MAGIC, "images", "pixel data",
+                                         ("image count", "row count", "column count"))
     if count == 0:
         raise DataFormatError(f"{images_path}: no images")
-
-    lab = Path(labels_path).read_bytes()
-    lmagic = _read_be32(lab, 0, labels_path, "labels magic")
-    if lmagic != IDX_LABELS_MAGIC:
-        raise DataFormatError(
-            f"{labels_path}: bad labels magic {lmagic:#010x}, expected {IDX_LABELS_MAGIC:#010x}"
-        )
-    lcount = _read_be32(lab, 4, labels_path, "label count")
-    if len(lab) - 8 != lcount:
-        raise DataFormatError(
-            f"{labels_path}: truncated label data, expected {lcount} bytes, "
-            f"found {len(lab) - 8}"
-        )
+    lab, (lcount,) = _read_idx(labels_path, IDX_LABELS_MAGIC, "labels", "label data",
+                               ("label count",))
     if lcount != count:
         raise DataFormatError(
             f"count mismatch: {count} images but {lcount} labels"

@@ -8,9 +8,10 @@ row of that alpha's one-alpha group (``simulate``'s one cell), up to
 the eval's rounding noted below. A group's rows are appended to the
 output CSV when the group finishes, so an interrupted sweep loses at
 most one group's unfinished cells and resumes by skipping rows already
-on disk (a row torn by the interruption is dropped and recomputed). The
-final file is rewritten sorted by (alpha, sigma1, d, seed) so its
-content does not depend on execution order.
+on disk (a row torn by the interruption is dropped and recomputed). A
+resumed file may hold only this grid's cells, each once, with this
+grid's d and n. The final file is rewritten sorted by (alpha, sigma1, d,
+seed) so its content does not depend on execution order.
 
 A cell evaluates only what its row reads: ``run_group(after=steps -
 window)`` skips the eval steps before the trailing ``window``, and the
@@ -191,17 +192,38 @@ def sort_key(r: RunRecord):
 
 
 def execute_grid(grid: GridSpec, progress=None) -> list[RunRecord]:
-    """Run every pending cell, persist incrementally, return the sorted records."""
+    """Run every pending cell, persist incrementally, return the sorted records.
+
+    Rows already in ``grid.out`` that this grid would not write (a cell
+    outside it, a repeated cell, a stale d or n) are an
+    ``InvalidParameterError`` raised before any cell trains or any row
+    is written.
+    """
     train, test = load_grid_datasets(grid)
     if grid.train.batch_size is not None and grid.train.batch_size > train.n:
         raise InvalidParameterError(
             f"batch_size {grid.train.batch_size} exceeds training rows {train.n}"
         )
 
+    # a resumed row must be a cell of this grid, once, with this grid's d and n
+    cells = set(product(grid.alphas, grid.sigma1s, grid.widths, grid.seeds))
+    dims = {width: param_count(_model_for(width, train)) for width in grid.widths}
     done: dict[tuple, RunRecord] = {}
     if os.path.exists(grid.out) and drop_torn_row(grid.out):
         for r in read_records(grid.out):
-            done[(r.alpha, r.sigma1, r.width, r.seed)] = r
+            key = (r.alpha, r.sigma1, r.width, r.seed)
+            cell = "alpha={}, sigma1={}, width={}, seed={}".format(*key)
+            if key not in cells:
+                raise InvalidParameterError(f"{grid.out} holds a row outside this grid: {cell}")
+            if key in done:
+                raise InvalidParameterError(f"{grid.out} holds the cell {cell} twice")
+            if (r.d, r.n) != (dims[r.width], train.n):
+                raise InvalidParameterError(
+                    f"{grid.out} holds the cell {cell} with d={r.d}, n={r.n}, but this grid "
+                    f"gives d={dims[r.width]}, n={train.n}"
+                )
+            done[key] = r
+    append_records(grid.out, [])  # the header: an unwritable path fails before any cell trains
 
     groups = product(enumerate(grid.sigma1s), enumerate(grid.widths), grid.seeds)
     for (i_sigma, sigma1), (i_width, width), seed in groups:

@@ -32,17 +32,24 @@ from levybound import (
     stable_levy_constant,
     write_records,
 )
-from levybound.cli import main
+from levybound.cli import CONFIG_KEYS, main
 from levybound.constants import log_sphere_area, log_stable_levy_constant
-from levybound.data import write_idx_images, write_idx_labels
+from levybound.data import parse_config, write_idx_images, write_idx_labels
 from levybound.errors import InvalidParameterError
 from levybound.grid import evaluate_group, load_grid_datasets
+from levybound.models import ModelKernel
+
+REFERENCE = Path(__file__).resolve().parent.parent / "reference"
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def no_gradient(*args, **kwargs):
+    raise AssertionError("a gradient was computed")
 
 
 BASE_CFG = """
@@ -181,7 +188,7 @@ def test_analyze_radius_must_be_positive(capsys, radius):
 class TestSimulateCommand:
     def test_row_layout(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(BASE_CFG + "alpha=1.7\nsigma1=0.1\nseed=2\n")
+        cfg.write_text(BASE_CFG + "alphas=1.7\nsigma1s=0.1\nseeds=2\n")
         code, out, _ = run_cli(capsys, "simulate", "--config", str(cfg))
         assert code == 0
         header, row = out.strip().splitlines()
@@ -197,7 +204,7 @@ class TestSimulateCommand:
 
     def test_set_overrides(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(BASE_CFG + "alpha=1.7\nsigma1=0.0\n")
+        cfg.write_text(BASE_CFG + "alphas=1.7\nsigma1s=0.0\n")
         code, out, _ = run_cli(
             capsys, "simulate", "--config", str(cfg), "--set", "sigma2=0.1"
         )
@@ -209,14 +216,14 @@ class TestSimulateCommand:
 
     def test_missing_key_exits_1(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(BASE_CFG)  # no alpha / sigma1
+        cfg.write_text(BASE_CFG)  # no sigma1s
         code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
-        assert code == 1 and "missing config key 'alpha'" in err
+        assert code == 1 and "missing config key 'sigma1s'" in err
 
     @pytest.mark.parametrize(
         "command, setting, message",
         [
-            ("simulate", "alpha=heavy", "config key 'alpha' is not a number: 'heavy'"),
+            ("simulate", "alphas=heavy", "config key 'alphas' is not a number list: 'heavy'"),
             ("simulate", "steps=1.5", "config key 'steps' is not an integer: '1.5'"),
             ("grid", "alphas=1.6,x", "config key 'alphas' is not a number list: '1.6,x'"),
             ("grid", "seeds=0,one", "config key 'seeds' is not an integer list: '0,one'"),
@@ -225,7 +232,7 @@ class TestSimulateCommand:
     )
     def test_bad_values_exit_1(self, capsys, tmp_path, command, setting, message):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(BASE_CFG + "alpha=1.7\nsigma1=0.1\nsigma1s=0.1\n")
+        cfg.write_text(BASE_CFG + "alphas=1.7\nsigma1s=0.1\n")
         code, _, err = run_cli(
             capsys, command, "--config", str(cfg), "--set", setting,
             "--out", str(tmp_path / "out.csv"),
@@ -235,17 +242,13 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("width", [0, 4])
     def test_matches_one_cell_grid(self, capsys, tmp_path, width):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(BASE_CFG + f"alpha=1.7\nsigma1=0.1\nseed=2\nwidth={width}\n")
+        cfg.write_text(BASE_CFG + f"alphas=1.7\nsigma1s=0.1\nseeds=2\nwidths={width}\n")
         code, out, _ = run_cli(capsys, "simulate", "--config", str(cfg))
         assert code == 0
         header, row = out.strip().splitlines()
         cols = dict(zip(header.split(","), row.split(",")))
         records_csv = tmp_path / "records.csv"
-        code, _, _ = run_cli(
-            capsys, "grid", "--config", str(cfg), "--out", str(records_csv),
-            "--set", "alphas=1.7", "--set", "sigma1s=0.1", "--set", "seeds=2",
-            "--set", f"widths={width}",
-        )
+        code, _, _ = run_cli(capsys, "grid", "--config", str(cfg), "--out", str(records_csv))
         assert code == 0
         (record,) = read_records(records_csv)
         assert not record.diverged and cols["diverged"] == "false"
@@ -254,7 +257,135 @@ class TestSimulateCommand:
             assert float(cols[key]) == getattr(record, key), key
 
 
+    def test_reference_cell_reproduces_committed_row(self, capsys):
+        # a cell's stream is keyed by its sigma1 and width positions, so simulate
+        # reproduces the reference rows of its first sigma1 and width (the heavy group)
+        code, out, err = run_cli(
+            capsys, "simulate", "--config", str(REFERENCE / "phase_transition.cfg"),
+            "--set", "alphas=1.6", "--set", "sigma1s=0.0034020690871988586", "--set", "seeds=0",
+        )
+        assert (code, err) == (0, "")
+        row = out.splitlines()[1].split(",")
+        key = ",".join(row[:6]) + ","  # alpha, sigma1, d, width, n, seed
+        records = (REFERENCE / "phase_transition_records.csv").read_text().splitlines()
+        (committed,) = [line.split(",") for line in records if line.startswith(key)]
+        assert row[2:9] == committed[2:9] == [
+            "864", "32", "500", "0",
+            "0.090029691876750681", "0.58096342019176539", "5.1327548657940909",
+        ]
+
+
+class TestConfigKeys:
+    """A simulate config names one cell, and a key no subcommand reads is a
+    config error; both exit 1 before any cell trains."""
+
+    @pytest.mark.parametrize(
+        "command, settings, message",
+        [
+            ("simulate", ["alphas=1.6,2.0"],
+             "simulate runs one cell, but alphas, sigma1s, widths and seeds name 2 cells"),
+            ("simulate", ["widths=0,4", "seeds=0,1"],
+             "simulate runs one cell, but alphas, sigma1s, widths and seeds name 4 cells"),
+            ("simulate", ["step=30", "windw=20"], "unknown config key(s): 'step', 'windw'"),
+            ("grid", ["windw=20"], "unknown config key(s): 'windw'"),
+            ("simulate", ["alpha=1.7"], "unknown config key(s): 'alpha'"),
+            ("simulate", ["sigma1=0.1", "width=4", "seed=2"],
+             "unknown config key(s): 'seed', 'sigma1', 'width'"),
+        ],
+        ids=["several-cells", "several-widths-and-seeds", "typo", "typo-grid", "removed-alpha",
+             "removed-cell-keys"],
+    )
+    def test_rejected_before_training(self, capsys, tmp_path, monkeypatch, command, settings,
+                                      message):
+        def no_training(*args, **kwargs):
+            raise AssertionError("a cell was trained")
+
+        monkeypatch.setattr(levybound.grid, "run_group", no_training)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(BASE_CFG + "alphas=1.7\nsigma1s=0.1\n")
+        out_csv = tmp_path / "out.csv"
+        argv = [command, "--config", str(cfg), "--out", str(out_csv)]
+        for setting in settings:
+            argv += ["--set", setting]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (1, "", f"config error: {message}\n")
+        assert not out_csv.exists()
+
+    def test_unknown_key_in_config_file(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(BASE_CFG + "alphas=1.7\nsigma1s=0.1\nwindw=20\n")
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert (code, out, err) == (1, "", "config error: unknown config key(s): 'windw'\n")
+
+    def test_benchmark_and_reference_keys_are_known(self):
+        # the keys the benchmark's configs write or set, and the reference config's
+        keys = {
+            "alphas", "sigma1s", "widths", "seeds", "gamma", "eta", "sigma2", "steps",
+            "batch_size", "eval_interval", "window", "trim", "init_scale", "R", "data",
+            "n_per_class", "input_dim", "classes", "separation", "noise_std", "data_seed",
+        }
+        assert keys | set(parse_config(REFERENCE / "phase_transition.cfg")) <= CONFIG_KEYS
+
+
+class TestGridResume:
+    """A resumed records file may hold only rows this grid would write: anything
+    else exits 1 before a cell trains and leaves the file as it was."""
+
+    @pytest.fixture
+    def grid_run(self, capsys, tmp_path, monkeypatch):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(BASE_CFG + "alphas=1.6,2.0\nsigma1s=0.1\n")
+        out_csv = tmp_path / "records.csv"
+        code, _, _ = run_cli(capsys, "grid", "--config", str(cfg), "--out", str(out_csv))
+        assert code == 0
+        monkeypatch.setattr(ModelKernel, "gradient", no_gradient)
+        return cfg, out_csv
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            (["alphas=1.6"], "holds a row outside this grid: alpha=2.0, sigma1=0.1, width=0, "
+                             "seed=0"),
+            (["n_per_class=31"], "holds the cell alpha=1.6, sigma1=0.1, width=0, seed=0 with "
+                                 "d=10, n=48, but this grid gives d=10, n=49"),
+            (["input_dim=6"], "holds the cell alpha=1.6, sigma1=0.1, width=0, seed=0 with "
+                              "d=10, n=48, but this grid gives d=12, n=48"),
+        ],
+        ids=["outside-grid", "stale-n", "stale-d"],
+    )
+    def test_foreign_row_exits_1(self, capsys, grid_run, settings, message):
+        cfg, out_csv = grid_run
+        before = out_csv.read_bytes()
+        argv = ["grid", "--config", str(cfg), "--out", str(out_csv)]
+        for setting in settings:
+            argv += ["--set", setting]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert f"config error: {out_csv} {message}" in err
+        assert out_csv.read_bytes() == before
+
+    def test_repeated_cell_exits_1(self, capsys, grid_run):
+        cfg, out_csv = grid_run
+        header, first, *rest = out_csv.read_bytes().split(b"\r\n")
+        out_csv.write_bytes(b"\r\n".join([header, first, first, *rest]))
+        before = out_csv.read_bytes()
+        code, out, err = run_cli(capsys, "grid", "--config", str(cfg), "--out", str(out_csv))
+        assert (code, out) == (1, "")
+        assert (f"config error: {out_csv} holds the cell alpha=1.6, sigma1=0.1, width=0, "
+                "seed=0 twice") in err
+        assert out_csv.read_bytes() == before
+
+
 class TestGridCommand:
+    def test_out_in_missing_directory_exits_2(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(ModelKernel, "gradient", no_gradient)
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(BASE_CFG + "alphas=1.6,2.0\nsigma1s=0.1\n")
+        out_csv = tmp_path / "missing" / "records.csv"
+        code, out, err = run_cli(capsys, "grid", "--config", str(cfg), "--out", str(out_csv))
+        assert (code, out) == (2, "")
+        assert f"i/o error: [Errno 2] No such file or directory: '{out_csv}'" in err
+
     def test_grid_and_resume(self, capsys, tmp_path):
         cfg = tmp_path / "grid.cfg"
         out_csv = tmp_path / "records.csv"
@@ -452,10 +583,10 @@ class TestTablesMatchLibrary:
     )
     def test_simulate(self, capsys, tmp_path, sigma1, sigma2, eta, width, init_scale):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(BASE_CFG + "alpha=1.7\nseed=2\n")
+        cfg.write_text(BASE_CFG + "alphas=1.7\nseeds=2\n")
         code, out, err = run_cli(
-            capsys, "simulate", "--config", str(cfg), "--set", f"sigma1={sigma1}",
-            "--set", f"sigma2={sigma2}", "--set", f"eta={eta}", "--set", f"width={width}",
+            capsys, "simulate", "--config", str(cfg), "--set", f"sigma1s={sigma1}",
+            "--set", f"sigma2={sigma2}", "--set", f"eta={eta}", "--set", f"widths={width}",
             "--set", f"init_scale={init_scale}",
         )
         grid = GridSpec(
@@ -554,7 +685,7 @@ class TestConfigErrors:
             ("grid", "init_scale=nan", "init_scale must be >= 0"),
             ("grid", "init_scale=-1", "init_scale must be >= 0"),
             ("simulate", "R=-1", "radius R must be > 0"),
-            ("simulate", "sigma1=nan", "sigma1 values must be >= 0"),
+            ("simulate", "sigma1s=nan", "sigma1 values must be >= 0"),
             ("simulate", "init_scale=nan", "init_scale must be >= 0"),
             ("simulate", "s=0", "s must be > 0"),
             ("simulate", "zeta=1", "zeta must be in (0, 1)"),
@@ -569,7 +700,7 @@ class TestConfigErrors:
 
         monkeypatch.setattr(levybound.grid, "run_group", no_training)
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(BASE_CFG + "alpha=1.7\nsigma1=0.1\nalphas=1.6,2.0\nsigma1s=0.1\n")
+        cfg.write_text(BASE_CFG + "alphas=1.7\nsigma1s=0.1\n")
         out_csv = tmp_path / "records.csv"
         code, out, err = run_cli(
             capsys, command, "--config", str(cfg), "--set", setting, "--out", str(out_csv),
@@ -627,7 +758,7 @@ class TestRunConfigErrors:
             ("grid", ["trim=nan"], "trim must be in [0, 1), got nan"),
             ("grid", ["window=0"], "window must be >= 1, got 0"),
             ("grid", ["steps=20", "window=10"], "window 10 holds 1 eval(s) at eval_interval 10"),
-            ("simulate", ["sigma1=inf"], "config key 'sigma1' must be finite"),
+            ("simulate", ["sigma1s=inf"], "config key 'sigma1s' must be finite"),
             ("simulate", ["trim=1"], "trim must be in [0, 1), got 1.0"),
             ("grid", ["alphas=1.6,2.0,1.6"], "grid list alphas repeats a value"),
             ("grid", ["sigma1s=0.1,0.1"], "grid list sigma1s repeats a value"),
@@ -639,7 +770,7 @@ class TestRunConfigErrors:
                                               settings, message):
         cfg = tmp_path / "run.cfg"
         lines = _write_idx_files(tmp_path)
-        cfg.write_text(BASE_CFG + "alpha=1.7\nsigma1=0.1\nalphas=1.6,2.0\nsigma1s=0.1\n"
+        cfg.write_text(BASE_CFG + "alphas=1.7\nsigma1s=0.1\n"
                        "eval_interval=10\n" + "\n".join(lines) + "\n")
         out_csv = tmp_path / "records.csv"
         argv = [command, "--config", str(cfg), "--out", str(out_csv)]

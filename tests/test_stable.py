@@ -199,10 +199,10 @@ def test_alpha_two_uses_the_gaussians_of_alpha_below_two(size):
 
 
 def _frozen_stable_noise_draw(alpha, dim, rng):
-    """One isotropic draw as the per-alpha ``StableNoise(alpha, dim).draw``
-    made it: the subordinator's two uniforms, the scale sqrt(A) (sqrt(2) at
-    alpha = 2), then G written into the noise's own buffer and scaled in
-    place."""
+    """One isotropic draw as the earlier per-alpha sampler made it, with one
+    noise object and buffer per alpha: the subordinator's two uniforms, the
+    scale sqrt(A) (sqrt(2) at alpha = 2), then G written into that buffer
+    and scaled in place."""
     out = np.empty(dim)
     u = rng.unit_open()
     w = -np.log(rng.unit_open())

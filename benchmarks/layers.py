@@ -35,11 +35,17 @@ repeats of a batch of calls, reported per call as min / median / quartiles
   file, data set-up included: the reference profile's first sigma1 at
   seed 0, and the MNIST-shaped profile above. This is the sweep's unit
   of work; a tree that trains a group's alphas one cell at a time is
-  timed the same way.
+  timed the same way. Both run as a user's ``levybound grid`` does: the
+  reference group's full-batch alphas are split across the usable CPUs,
+  and the MNIST-shaped minibatch group trains in this process.
+- ``group.ref.one_core``: ``group.ref`` with this process pinned to its
+  first usable CPU (``os.sched_setaffinity``, restored afterwards), so
+  the group trains serially, as under ``taskset -c 0``.
 - ``group.ref.tracemalloc``: the peak bytes ``tracemalloc`` sees
   allocated during one ``grid.evaluate_group`` call of that reference
   group, its data set loaded before tracing starts, measured before any
-  other layer runs.
+  other layer runs. It runs pinned to one CPU, since ``tracemalloc``
+  does not see a forked worker's allocations.
 - ``records.*`` and ``analysis.*``: ``write_records`` and ``read_records``
   on a seeded RECORD_ROWS-row d-scan records file, then ``build_report``
   (group key d) and ``alpha_regression`` on the records read back.
@@ -47,8 +53,9 @@ repeats of a batch of calls, reported per call as min / median / quartiles
 BLAS is pinned to one thread (the script re-executes itself with the
 variables set); glibc's malloc is left at its defaults, as a user's
 ``levybound grid`` runs. The JSON also records the BLAS thread count the
-library reports, the numpy version, ``os.cpu_count()`` and a digest of
-the ``src/`` tree measured.
+library reports, the numpy version, ``os.cpu_count()``, the usable CPU
+count (``os.sched_getaffinity``) and a digest of the ``src/`` tree
+measured.
 """
 
 import os
@@ -59,6 +66,7 @@ if any(os.environ.get(k) != v for k, v in PINNED_ENV.items()):
     os.execve(sys.executable, [sys.executable, *sys.argv], {**os.environ, **PINNED_ENV})
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
 import ctypes  # noqa: E402
 import glob  # noqa: E402
 import hashlib  # noqa: E402
@@ -124,6 +132,7 @@ def environment():
         "blas_threads": blas_threads(),
         "pinned_env": PINNED_ENV,
         "cpu_count": os.cpu_count(),
+        "usable_cpus": len(os.sched_getaffinity(0)),
         "cpu": platform.processor() or platform.machine(),
         "git_head": git("rev-parse", "HEAD"),
         "src_modified": bool(git("status", "--porcelain", "--", "src")),
@@ -254,14 +263,26 @@ def time_group(grid, repeats):
     return summary(walls, "s", 1.0)
 
 
+@contextlib.contextmanager
+def one_core():
+    """Pin this process, and any worker it forks, to its first usable CPU."""
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, cpus)
+
+
 def group_peak(grid, train, test):
     """tracemalloc peak of one ``evaluate_group`` call of ``grid``'s first
     (sigma1, width, seed) group on data loaded before tracing starts."""
-    tracemalloc.start()
-    evaluate_group(grid, train, test, grid.alphas, grid.sigma1s[0], grid.widths[0],
-                   grid.seeds[0], 0, 0)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
+    with one_core():
+        tracemalloc.start()
+        evaluate_group(grid, train, test, grid.alphas, grid.sigma1s[0], grid.widths[0],
+                       grid.seeds[0], 0, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
     return {"unit": "B", "tracemalloc_peak_bytes": peak}
 
 
@@ -328,11 +349,14 @@ def main():
           f" peak {layers['data.generate_synthetic']['tracemalloc_peak_bytes']} B", flush=True)
     layers["eval.group_mnist"] = time_calls(group_eval_step(replace(mnist, alphas=grid.alphas)), 4)
     print(f"eval.group_mnist: median {layers['eval.group_mnist']['median']:.0f} us", flush=True)
-    for key, group, repeats in (
-        ("group.ref", ref_group, GROUP_REPEATS),
-        ("group.mnist", replace(mnist, alphas=grid.alphas), MNIST_GROUP_REPEATS),
+    for key, group, repeats, cores in (
+        ("group.ref", ref_group, GROUP_REPEATS, contextlib.nullcontext()),
+        ("group.ref.one_core", ref_group, GROUP_REPEATS, one_core()),
+        ("group.mnist", replace(mnist, alphas=grid.alphas), MNIST_GROUP_REPEATS,
+         contextlib.nullcontext()),
     ):
-        layers[key] = time_group(group, repeats)
+        with cores:
+            layers[key] = time_group(group, repeats)
         print(f"{key}: median {layers[key]['median']:.3f} s", flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         for key, fn, number in records_layers(Path(tmp) / "records.csv"):

@@ -226,28 +226,36 @@ def _write_rows(path, mode: str, records) -> None:
             f.write(_ROW.format(*r[:9], "true" if r.diverged else "false"))
 
 
-def drop_torn_row(path) -> bool:
+def drop_torn_row(path) -> None:
     """Cut an unterminated last line off a records file.
 
     Rows are appended a whole line at a time, so a last line without its
     line terminator is a row torn by a kill in mid-append; the caller
     recomputes that row. A file left without a complete line (a torn
-    header) is removed. Returns whether the file still exists.
+    header) is removed.
     """
     with open(path, "rb+") as f:
         text = f.read()
         if text.endswith(b"\n"):
-            return True
+            return
         keep = text.rfind(b"\n") + 1
         f.truncate(keep)
     if keep == 0:
         Path(path).unlink()
-    return keep > 0
 
 
-def read_records(path) -> list[RunRecord]:
+def read_records(path, complete_lines: bool = False) -> list[RunRecord]:
+    """The rows of a records file. With ``complete_lines`` the lines that
+    ``drop_torn_row`` would keep are read, and none is cut: a file without
+    a complete line holds no rows."""
     with open(path, newline="") as f:
-        reader = csv.reader(f)
+        lines = f
+        if complete_lines:
+            text = f.read()
+            lines = text[:text.rfind("\n") + 1].splitlines(keepends=True)
+            if not lines:
+                return []
+        reader = csv.reader(lines)
         try:
             header = next(reader)
         except StopIteration:

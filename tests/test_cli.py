@@ -1,4 +1,5 @@
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -375,8 +376,38 @@ class TestGridResume:
                 "seed=0 twice") in err
         assert out_csv.read_bytes() == before
 
+    def test_refused_resume_keeps_a_torn_row(self, capsys, grid_run):
+        cfg, out_csv = grid_run
+        with open(out_csv, "ab") as f:
+            f.write(b"1.8,0.1,10,0,")  # a row torn in mid-append
+        before = out_csv.read_bytes()
+        code, out, err = run_cli(capsys, "grid", "--config", str(cfg), "--out", str(out_csv),
+                                 "--set", "alphas=1.6")
+        assert (code, out) == (1, "")
+        assert f"config error: {out_csv} holds a row outside this grid" in err
+        assert out_csv.read_bytes() == before
+
 
 class TestGridCommand:
+    def test_worker_error_exits_1_and_leaves_no_process(self, capsys, tmp_path, monkeypatch):
+        parent, real_run_group = os.getpid(), levybound.grid.run_group
+
+        def fail_in_worker(spec, train, test, cfg, alphas, *args, **kwargs):
+            if os.getpid() != parent:
+                raise InvalidParameterError(f"failed in a worker at alphas {tuple(alphas)}")
+            return real_run_group(spec, train, test, cfg, alphas, *args, **kwargs)
+
+        monkeypatch.setattr(levybound.grid, "run_group", fail_in_worker)
+        monkeypatch.setattr(levybound.grid.os, "sched_getaffinity", lambda pid: {0, 1})
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(BASE_CFG + "alphas=1.6,1.8,2.0\nsigma1s=0.1\n")
+        out_csv = tmp_path / "records.csv"
+        code, out, err = run_cli(capsys, "grid", "--config", str(cfg), "--out", str(out_csv))
+        assert (code, out) == (1, "")
+        assert "config error: failed in a worker at alphas (1.8, 2.0)\n" in err
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_out_in_missing_directory_exits_2(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(ModelKernel, "gradient", no_gradient)
         cfg = tmp_path / "grid.cfg"

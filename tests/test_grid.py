@@ -1,4 +1,6 @@
+import os
 import struct
+import time
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -428,6 +430,7 @@ def test_group_evaluates_each_data_set_once_per_eval_step(monkeypatch, batch_siz
     train, test = load_grid_datasets(grid)
     gradients, calls = [0], []
     real_gradient, real_error_rates = ModelKernel.gradient, ModelKernel.error_rates
+    _pin_cores(monkeypatch, 1)  # the calls are counted in this process
 
     def gradient(self, *args):
         gradients[0] += 1
@@ -448,6 +451,124 @@ def test_group_evaluates_each_data_set_once_per_eval_step(monkeypatch, batch_siz
     # a full-batch run's train error is its gradient's own argmax
     data_sets = ("test",) if batch_size is None else ("train", "test")
     assert calls == [(k, data, group_size) for k in in_window for data in data_sets]
+
+
+# --- Split groups: a full-batch group's alphas train in contiguous chunks,
+# one per usable core, the first here and each other in a forked worker.
+
+def _pin_cores(monkeypatch, count):
+    import levybound.grid as grid_mod
+
+    monkeypatch.setattr(grid_mod.os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_split_group_is_the_one_process_group(monkeypatch, workers):
+    import levybound.grid as grid_mod
+
+    # relu-mixed-divergence with the alphas reversed: 1.6 and 1.3 diverge,
+    # and both sit in a worker's chunk at 2 and at 3 workers
+    width, sigma1, seed, _, diverged = GROUP_CASES["relu-mixed-divergence"]
+    alphas = GROUP_ALPHAS[::-1]
+    grid = _reducer_grid(width=width)
+    train, test = load_grid_datasets(grid)
+    _pin_cores(monkeypatch, 1)
+    serial = evaluate_group(grid, train, test, alphas, sigma1, width, seed, 1, 2)
+
+    forks, real_fork = [], os.fork
+    monkeypatch.setattr(grid_mod.os, "fork", lambda: forks.append(1) or real_fork())
+    _pin_cores(monkeypatch, workers)
+    split = evaluate_group(grid, train, test, alphas, sigma1, width, seed, 1, 2)
+    assert len(forks) == workers - 1
+    _no_child_left()
+    assert [record.diverged for record, _ in split] == diverged[::-1]
+    for (record, trace), (alone, alone_trace) in zip(split, serial, strict=True):
+        assert _bits(record) == _bits(alone)
+        assert trace.config == alone_trace.config
+        assert trace.grad_sq.tobytes() == alone_trace.grad_sq.tobytes()
+        assert trace.evals == alone_trace.evals
+        assert trace.final_params_hash == alone_trace.final_params_hash
+        assert trace.diverged == alone_trace.diverged
+        assert not trace.grad_sq.flags.writeable  # also on a trace a worker pickled
+
+
+class _NotUnpicklable(Exception):
+    # pickle rebuilds an exception as cls(*args), and args holds one string
+    def __init__(self, code, detail):
+        super().__init__(f"{code}: {detail}")
+
+
+def _exit_without_result():
+    os._exit(3)
+
+
+def _raise_not_unpicklable():
+    raise _NotUnpicklable(7, "worker detail")
+
+
+@pytest.mark.parametrize("fail, message", [
+    (_exit_without_result, r"ended with no result \(wait status 768\)"),
+    (_raise_not_unpicklable, r"grid worker failed:\n(.|\n)*_NotUnpicklable: 7: worker detail"),
+], ids=["no-result", "unpicklable-error"])
+def test_failed_worker_is_an_error(monkeypatch, fail, message):
+    import levybound.grid as grid_mod
+
+    parent, real_run_group = os.getpid(), grid_mod.run_group
+
+    def fail_in_worker(*args, **kwargs):
+        if os.getpid() != parent:
+            fail()
+        return real_run_group(*args, **kwargs)
+
+    monkeypatch.setattr(grid_mod, "run_group", fail_in_worker)
+    _pin_cores(monkeypatch, 2)
+    grid = _reducer_grid()
+    train, test = load_grid_datasets(grid)
+    with pytest.raises(RuntimeError, match=message):
+        evaluate_group(grid, train, test, GROUP_ALPHAS, 0.1, 0, 3, 0, 0)
+    _no_child_left()
+
+
+def test_error_in_this_process_stops_the_workers(monkeypatch):
+    import levybound.grid as grid_mod
+
+    parent = os.getpid()
+
+    def fail_here(*args, **kwargs):
+        if os.getpid() != parent:
+            time.sleep(60)
+        raise RuntimeError("chunk failure in this process")
+
+    monkeypatch.setattr(grid_mod, "run_group", fail_here)
+    _pin_cores(monkeypatch, 3)
+    grid = _reducer_grid()
+    train, test = load_grid_datasets(grid)
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="chunk failure in this process"):
+        evaluate_group(grid, train, test, GROUP_ALPHAS, 0.1, 0, 3, 0, 0)
+    assert time.monotonic() - start < 30  # the sleeping workers were killed, not awaited
+    _no_child_left()
+
+
+def test_minibatch_group_never_forks(monkeypatch):
+    import levybound.grid as grid_mod
+
+    def no_fork():
+        raise AssertionError("os.fork called")
+
+    monkeypatch.setattr(grid_mod.os, "fork", no_fork)
+    _pin_cores(monkeypatch, 4)
+    grid = _reducer_grid(batch_size=16)
+    train, test = load_grid_datasets(grid)
+    rows = evaluate_group(grid, train, test, GROUP_ALPHAS, 0.1, 0, 3, 0, 0)
+    assert len(rows) == len(GROUP_ALPHAS)
+    with pytest.raises(AssertionError, match="os.fork called"):  # the same group at full batch
+        evaluate_group(_reducer_grid(), train, test, GROUP_ALPHAS, 0.1, 0, 3, 0, 0)
 
 
 def test_resume_runs_only_the_pending_alphas_of_each_group(tmp_path, monkeypatch):

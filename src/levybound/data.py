@@ -10,6 +10,7 @@ Run configs are flat ``key=value`` text files.
 
 import csv
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -226,58 +227,59 @@ def _write_rows(path, mode: str, records) -> None:
             f.write(_ROW.format(*r[:9], "true" if r.diverged else "false"))
 
 
-def drop_torn_row(path) -> None:
-    """Cut an unterminated last line off a records file.
+def complete_lines(path) -> bytes:
+    """A records file's bytes up to its last line terminator.
 
     Rows are appended a whole line at a time, so a last line without its
     line terminator is a row torn by a kill in mid-append; the caller
-    recomputes that row. A file left without a complete line (a torn
-    header) is removed.
+    recomputes that row.
     """
-    with open(path, "rb+") as f:
+    with open(path, "rb") as f:
         text = f.read()
-        if text.endswith(b"\n"):
-            return
-        keep = text.rfind(b"\n") + 1
-        f.truncate(keep)
+    return text[:text.rfind(b"\n") + 1]
+
+
+def drop_torn_row(path) -> None:
+    """Cut a records file to its ``complete_lines``. A file left without a
+    complete line (a torn header) is removed."""
+    keep = len(complete_lines(path))
     if keep == 0:
         Path(path).unlink()
+    elif keep < os.path.getsize(path):
+        os.truncate(path, keep)
 
 
-def read_records(path, complete_lines: bool = False) -> list[RunRecord]:
-    """The rows of a records file. With ``complete_lines`` the lines that
-    ``drop_torn_row`` would keep are read, and none is cut: a file without
-    a complete line holds no rows."""
+def read_records(path) -> list[RunRecord]:
     with open(path, newline="") as f:
-        lines = f
-        if complete_lines:
-            text = f.read()
-            lines = text[:text.rfind("\n") + 1].splitlines(keepends=True)
-            if not lines:
-                return []
-        reader = csv.reader(lines)
+        return parse_records(f, path)
+
+
+def parse_records(lines, path) -> list[RunRecord]:
+    """The rows of a records file's ``lines``; ``path`` names the file in
+    errors."""
+    reader = csv.reader(lines)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataFormatError(f"{path}: empty records file") from None
+    if header != RECORD_HEADER:
+        raise DataFormatError(
+            f"{path}: header mismatch, expected {','.join(RECORD_HEADER)}"
+        )
+    records = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(RECORD_HEADER):
+            raise DataFormatError(f"{path}:{lineno}: expected {len(RECORD_HEADER)} fields")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty records file") from None
-        if header != RECORD_HEADER:
-            raise DataFormatError(
-                f"{path}: header mismatch, expected {','.join(RECORD_HEADER)}"
-            )
-        records = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(RECORD_HEADER):
-                raise DataFormatError(f"{path}:{lineno}: expected {len(RECORD_HEADER)} fields")
-            try:
-                records.append(RunRecord(
-                    float(row[0]), float(row[1]), int(row[2]), int(row[3]), int(row[4]),
-                    int(row[5]), float(row[6]), float(row[7]), float(row[8]), _DIVERGED[row[9]],
-                ))
-            except (ValueError, KeyError) as exc:
-                raise DataFormatError(f"{path}:{lineno}: {exc}") from None
-        return records
+            records.append(RunRecord(
+                float(row[0]), float(row[1]), int(row[2]), int(row[3]), int(row[4]),
+                int(row[5]), float(row[6]), float(row[7]), float(row[8]), _DIVERGED[row[9]],
+            ))
+        except (ValueError, KeyError) as exc:
+            raise DataFormatError(f"{path}:{lineno}: {exc}") from None
+    return records
 
 
 def parse_config(path) -> dict[str, str]:

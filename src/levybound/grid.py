@@ -8,7 +8,8 @@ row of that alpha's one-alpha group (``simulate``'s one cell), up to
 the eval's rounding noted below. A full-batch group's alphas are split
 into contiguous chunks, one per usable core (``os.sched_getaffinity``):
 this process trains the first and a forked worker each other one, so
-``taskset -c 0`` runs a sweep serially. A group's rows are appended to the
+``taskset -c 0`` runs a sweep serially, as does a platform without
+``os.sched_getaffinity`` or ``os.fork``. A group's rows are appended to the
 output CSV when the group finishes, so an interrupted sweep loses at
 most one group's unfinished cells and resumes by skipping rows already
 on disk (a row torn by the interruption is dropped and recomputed). A
@@ -47,10 +48,11 @@ from .data import (
     RunRecord,
     SyntheticSpec,
     append_records,
+    complete_lines,
     drop_torn_row,
     generate_synthetic,
     load_idx,
-    read_records,
+    parse_records,
     write_records,
 )
 from .errors import DataFormatError, InvalidParameterError
@@ -179,7 +181,11 @@ def evaluate_group(
     # A minibatch group stays serial: a forked worker's peak RSS starts from
     # this process's resident set, data set included, and on the MNIST-shaped
     # minibatch profile a split raised the measured peak RSS by 8% (146 -> 158 MB).
-    workers = 1 if cfg.batch_size is not None else min(len(os.sched_getaffinity(0)), len(alphas))
+    # A platform without os.sched_getaffinity or os.fork runs every group serially.
+    workers = 1
+    if (cfg.batch_size is None and len(alphas) > 1
+            and hasattr(os, "sched_getaffinity") and hasattr(os, "fork")):
+        workers = min(len(os.sched_getaffinity(0)), len(alphas))
     bounds = [len(alphas) * i // workers for i in range(workers + 1)]
     traces = _run_split(train_chunk, [alphas[a:b] for a, b in zip(bounds, bounds[1:])])
     return [(_row(grid, train.n, d, width, trace), trace) for trace in traces]
@@ -297,7 +303,10 @@ def execute_grid(grid: GridSpec, progress=None) -> list[RunRecord]:
     dims = {width: param_count(_model_for(width, train)) for width in grid.widths}
     done: dict[tuple, RunRecord] = {}
     if os.path.exists(grid.out):
-        for r in read_records(grid.out, complete_lines=True):
+        # the complete rows are checked before the torn one is cut, so a
+        # refused resume leaves the file as it was
+        lines = complete_lines(grid.out).decode().splitlines(keepends=True)
+        for r in parse_records(lines, grid.out) if lines else ():
             key = (r.alpha, r.sigma1, r.width, r.seed)
             cell = "alpha={}, sigma1={}, width={}, seed={}".format(*key)
             if key not in cells:
@@ -310,7 +319,7 @@ def execute_grid(grid: GridSpec, progress=None) -> list[RunRecord]:
                     f"gives d={dims[r.width]}, n={train.n}"
                 )
             done[key] = r
-        drop_torn_row(grid.out)  # only now: a refused resume leaves the file as it was
+        drop_torn_row(grid.out)
     append_records(grid.out, [])  # the header: an unwritable path fails before any cell trains
 
     groups = product(enumerate(grid.sigma1s), enumerate(grid.widths), grid.seeds)

@@ -403,9 +403,10 @@ GROUP_CASES = {
 
 
 @pytest.mark.parametrize("case", GROUP_CASES)
-def test_group_rows_are_the_one_alpha_cell_rows(case):
+def test_group_rows_are_the_one_alpha_cell_rows(monkeypatch, case):
     width, sigma1, seed, settings, diverged = GROUP_CASES[case]
     grid = _reducer_grid(width=width, **settings)
+    _pin_cores(monkeypatch, 1)  # the four alphas in one lockstep group, on any host
     train, test = load_grid_datasets(grid)
     rows = evaluate_group(grid, train, test, GROUP_ALPHAS, sigma1, width, seed, 1, 2)
     assert [record.diverged for record, _ in rows] == diverged
@@ -569,6 +570,23 @@ def test_minibatch_group_never_forks(monkeypatch):
     assert len(rows) == len(GROUP_ALPHAS)
     with pytest.raises(AssertionError, match="os.fork called"):  # the same group at full batch
         evaluate_group(_reducer_grid(), train, test, GROUP_ALPHAS, 0.1, 0, 3, 0, 0)
+
+
+@pytest.mark.parametrize("missing", ["sched_getaffinity", "fork"])
+def test_group_is_serial_where_the_platform_cannot_split(monkeypatch, missing):
+    import levybound.grid as grid_mod
+
+    grid = _reducer_grid()
+    train, test = load_grid_datasets(grid)
+    _pin_cores(monkeypatch, 1)
+    serial = evaluate_group(grid, train, test, GROUP_ALPHAS, 0.1, 0, 3, 0, 0)
+
+    _pin_cores(monkeypatch, 4)
+    monkeypatch.delattr(grid_mod.os, missing)
+    if missing != "fork":
+        monkeypatch.setattr(grid_mod.os, "fork", lambda: pytest.fail("os.fork called"))
+    rows = evaluate_group(grid, train, test, GROUP_ALPHAS, 0.1, 0, 3, 0, 0)
+    assert [_bits(record) for record, _ in rows] == [_bits(record) for record, _ in serial]
 
 
 def test_resume_runs_only_the_pending_alphas_of_each_group(tmp_path, monkeypatch):

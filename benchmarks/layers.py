@@ -280,7 +280,7 @@ def group_peak(grid, train, test):
     with one_core():
         tracemalloc.start()
         evaluate_group(grid, train, test, grid.alphas, grid.sigma1s[0], grid.widths[0],
-                       grid.seeds[0], 0, 0)
+                       grid.seeds[0])
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
     return {"unit": "B", "tracemalloc_peak_bytes": peak}

@@ -265,8 +265,10 @@ def _cmd_simulate(args) -> int:
         lam=_value(cfg, "Lambda", float),
     )
     inputs.validate()
+    if args.out:
+        open(args.out, "w").close()  # an unwritable --out fails before the cell trains
     train, test = load_grid_datasets(grid)
-    ((record, trace),) = evaluate_group(grid, train, test, (alpha,), sigma1, width, seed, 0, 0)
+    ((record, trace),) = evaluate_group(grid, train, test, (alpha,), sigma1, width, seed)
 
     # fields that do not apply to the cell stay None (empty)
     gap = i_hat = g_hat = thm = disc = brown = None

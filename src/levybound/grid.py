@@ -28,12 +28,12 @@ bit unless one of the window's test (or minibatch train) rows has two
 logits within rounding of each other; the reference and MNIST-shaped
 profiles' rows are identical.
 
-Each cell's random stream is keyed by the cell seed plus the (sigma,
-width) grid indices only. Alpha is deliberately excluded from the key:
-noise-free cells then share their trajectory across alpha, and noisy
-cells see common underlying randomness, which makes the correlation
-between alpha and the gap less noisy. It is also what lets a group
-draw its stream once for all its alphas.
+Each cell's random stream is keyed by its seed alone, so the records are
+a function of the set of cells, not of the order of the config's lists.
+Alpha is deliberately excluded from the key: noise-free cells then share
+their trajectory across alpha, and noisy cells see common underlying
+randomness (across sigma1 too, at one width), which makes the correlation
+between alpha and the gap less noisy and lets a group draw its stream once.
 """
 
 import math
@@ -107,6 +107,9 @@ class GridSpec:
             raise InvalidParameterError("grid sigma1 values must be >= 0")
         if any(w < 0 for w in self.widths):
             raise InvalidParameterError("grid widths must be >= 0 (0 = linear)")
+        # a cell's stream is keyed by its seed's low 64 bits: two seeds outside would alias
+        if any(not 0 <= s < 2**64 for s in self.seeds):
+            raise InvalidParameterError("grid seeds must be in [0, 2**64)")
         if not self.init_scale >= 0.0:
             raise InvalidParameterError(f"init_scale must be >= 0, got {self.init_scale}")
         if not self.radius > 0.0:
@@ -153,12 +156,11 @@ def _model_for(width: int, train: Dataset) -> ModelSpec:
 
 def evaluate_group(
     grid: GridSpec, train: Dataset, test: Dataset,
-    alphas, sigma1: float, width: int, seed: int, i_sigma: int, i_width: int,
+    alphas, sigma1: float, width: int, seed: int,
 ) -> list[tuple[RunRecord, RunTrace]]:
     """Train the cells of ``alphas`` in one (sigma1, width, seed) group in
-    lockstep (``run_group``) on the stream keyed by the seed and the
-    (sigma1, width) grid indices; return each cell's records row and
-    trace, in the order of ``alphas``.
+    lockstep (``run_group``) on the stream keyed by the seed alone; return
+    each cell's records row and trace, in the order of ``alphas``.
 
     A full-batch group's alphas are split into contiguous chunks, one per
     usable core, each trained by ``run_group`` on a fresh stream of the
@@ -175,7 +177,7 @@ def evaluate_group(
     def train_chunk(chunk):
         return run_group(
             spec, train, test, cfg, chunk, grid.init_scale,
-            rng=RngStream(seed, mix64(i_sigma, i_width)), after=cfg.steps - grid.window,
+            rng=RngStream(seed, mix64(0, 0)), after=cfg.steps - grid.window,
         )
 
     # A minibatch group stays serial: a forked worker's peak RSS starts from
@@ -322,12 +324,11 @@ def execute_grid(grid: GridSpec, progress=None) -> list[RunRecord]:
         drop_torn_row(grid.out)
     append_records(grid.out, [])  # the header: an unwritable path fails before any cell trains
 
-    groups = product(enumerate(grid.sigma1s), enumerate(grid.widths), grid.seeds)
-    for (i_sigma, sigma1), (i_width, width), seed in groups:
+    for sigma1, width, seed in product(grid.sigma1s, grid.widths, grid.seeds):
         pending = [a for a in grid.alphas if (a, sigma1, width, seed) not in done]
         if not pending:
             continue
-        rows = evaluate_group(grid, train, test, pending, sigma1, width, seed, i_sigma, i_width)
+        rows = evaluate_group(grid, train, test, pending, sigma1, width, seed)
         append_records(grid.out, [record for record, _ in rows])
         for record, _ in rows:
             done[(record.alpha, sigma1, width, seed)] = record

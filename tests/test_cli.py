@@ -42,6 +42,17 @@ from levybound.models import ModelKernel
 
 REFERENCE = Path(__file__).resolve().parent.parent / "reference"
 
+# two orders of the same sigma1 and width lists: the same four (sigma1, width) pairs
+LIST_ORDERS = (["sigma1s=0.1,0.2", "widths=32,8"], ["sigma1s=0.2,0.1", "widths=8,32"])
+
+
+def tiny_reference_grid(settings, out):
+    """``grid`` argv for a 60-step cut of the reference profile."""
+    argv = ["grid", "--config", str(REFERENCE / "phase_transition.cfg"), "--out", str(out)]
+    for setting in ["steps=60", "window=40", "seeds=0", "alphas=1.6,2", *settings]:
+        argv += ["--set", setting]
+    return argv
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -258,22 +269,38 @@ class TestSimulateCommand:
             assert float(cols[key]) == getattr(record, key), key
 
 
-    def test_reference_cell_reproduces_committed_row(self, capsys):
-        # a cell's stream is keyed by its sigma1 and width positions, so simulate
-        # reproduces the reference rows of its first sigma1 and width (the heavy group)
+    @pytest.mark.parametrize("sigma1, estimates", [
+        ("0.0034020690871988586",
+         ["0.090029691876750681", "0.58096342019176539", "5.1327548657940909"]),
+        ("0.34020690871988585",
+         ["0.044372922502334253", "121.02239817069908", "1.8608398868660028"]),
+    ], ids=["heavy", "light"])
+    def test_reference_cell_reproduces_committed_row(self, capsys, sigma1, estimates):
+        # a cell's stream is keyed by its seed alone, so simulate reproduces
+        # the reference row of any sigma1 and width
         code, out, err = run_cli(
             capsys, "simulate", "--config", str(REFERENCE / "phase_transition.cfg"),
-            "--set", "alphas=1.6", "--set", "sigma1s=0.0034020690871988586", "--set", "seeds=0",
+            "--set", "alphas=1.6", "--set", f"sigma1s={sigma1}", "--set", "seeds=0",
         )
         assert (code, err) == (0, "")
         row = out.splitlines()[1].split(",")
         key = ",".join(row[:6]) + ","  # alpha, sigma1, d, width, n, seed
         records = (REFERENCE / "phase_transition_records.csv").read_text().splitlines()
         (committed,) = [line.split(",") for line in records if line.startswith(key)]
-        assert row[2:9] == committed[2:9] == [
-            "864", "32", "500", "0",
-            "0.090029691876750681", "0.58096342019176539", "5.1327548657940909",
-        ]
+        assert row[2:9] == committed[2:9] == ["864", "32", "500", "0", *estimates]
+
+    def test_out_in_missing_directory_exits_2_before_training(self, capsys, tmp_path,
+                                                               monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("a cell was trained")
+
+        monkeypatch.setattr(levybound.grid, "run_group", no_training)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(BASE_CFG + "alphas=1.7\nsigma1s=0.1\n")
+        out_csv = tmp_path / "missing" / "out.csv"
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(out_csv))
+        assert (code, out) == (2, "")
+        assert f"i/o error: [Errno 2] No such file or directory: '{out_csv}'" in err
 
 
 class TestConfigKeys:
@@ -365,6 +392,15 @@ class TestGridResume:
         assert f"config error: {out_csv} {message}" in err
         assert out_csv.read_bytes() == before
 
+    def test_resume_in_another_list_order_is_a_fresh_run(self, capsys, tmp_path):
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        for order, out_csv in zip(LIST_ORDERS, (first, second)):
+            assert run_cli(capsys, *tiny_reference_grid(order, out_csv))[0] == 0
+        header, row, *_ = first.read_bytes().split(b"\r\n")
+        first.write_bytes(header + b"\r\n" + row + b"\r\n")
+        assert run_cli(capsys, *tiny_reference_grid(LIST_ORDERS[1], first))[0] == 0
+        assert first.read_bytes() == second.read_bytes()
+
     def test_repeated_cell_exits_1(self, capsys, grid_run):
         cfg, out_csv = grid_run
         header, first, *rest = out_csv.read_bytes().split(b"\r\n")
@@ -407,6 +443,14 @@ class TestGridCommand:
         assert "config error: failed in a worker at alphas (1.8, 2.0)\n" in err
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_list_order_does_not_change_the_records(self, capsys, tmp_path):
+        files = []
+        for k, order in enumerate(LIST_ORDERS):
+            out_csv = tmp_path / f"records{k}.csv"
+            assert run_cli(capsys, *tiny_reference_grid(order, out_csv))[0] == 0
+            files.append(out_csv.read_bytes())
+        assert files[0] == files[1]
 
     def test_out_in_missing_directory_exits_2(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(ModelKernel, "gradient", no_gradient)
@@ -628,7 +672,7 @@ class TestTablesMatchLibrary:
             window=30,
         )
         train, test = load_grid_datasets(grid)
-        ((r, trace),) = evaluate_group(grid, train, test, (1.7,), sigma1, width, 2, 0, 0)
+        ((r, trace),) = evaluate_group(grid, train, test, (1.7,), sigma1, width, 2)
         row = [_f(1.7), _f(sigma1), str(r.d), str(width), str(r.n), "2"]
         if r.diverged:
             row += [""] * 6 + ["true"]
@@ -795,6 +839,9 @@ class TestRunConfigErrors:
             ("grid", ["sigma1s=0.1,0.1"], "grid list sigma1s repeats a value"),
             ("grid", ["widths=0,3,3"], "grid list widths repeats a value"),
             ("grid", ["seeds=4,4"], "grid list seeds repeats a value"),
+            # -1 and 2**64 - 1 have the same low 64 bits, the whole of a stream's key
+            ("grid", ["seeds=-1,18446744073709551615"], "grid seeds must be in [0, 2**64)"),
+            ("simulate", ["seeds=18446744073709551616"], "grid seeds must be in [0, 2**64)"),
         ],
     )
     def test_rejected_before_data_or_training(self, capsys, tmp_path, no_training, command,

@@ -267,7 +267,7 @@ def _bits(record):
 
 
 def _row_from_trace(grid, train, test, alpha, sigma1, width, seed):
-    """The records row and the run_training trace of grid index (0, 0)."""
+    """The records row and the run_training trace of one cell on its seed's stream."""
     spec = _model_for(width, train)
     d = param_count(spec)
     cfg = replace(grid.train, alpha=alpha, sigma1=sigma1, seed=seed)
@@ -309,7 +309,7 @@ def test_evaluate_cell_matches_trace_reducers(case, batch_size, width):
     sigma1 = settings.pop("sigma1", 0.1)
     grid = _reducer_grid(batch_size=batch_size, width=width, **settings)
     train, test = load_grid_datasets(grid)
-    ((record, cell_trace),) = evaluate_group(grid, train, test, (1.7,), sigma1, width, 3, 0, 0)
+    ((record, cell_trace),) = evaluate_group(grid, train, test, (1.7,), sigma1, width, 3)
     expected, trace = _row_from_trace(grid, train, test, 1.7, sigma1, width, 3)
     assert _bits(record) == _bits(expected)
     assert record.diverged == (case == "diverged") == trace.diverged == cell_trace.diverged
@@ -346,6 +346,13 @@ def test_row_does_not_read_the_evals_before_the_window(case, batch_size):
         assert evals[0] > evals[1]
 
 
+def test_seeds_must_fit_64_bits():
+    tiny_grid("", seeds=(0, 2**64 - 1))
+    for seed in (-1, 2**64):
+        with pytest.raises(InvalidParameterError, match=r"seeds must be in \[0, 2\*\*64\)"):
+            tiny_grid("", seeds=(seed,))
+
+
 def test_largest_trim_is_the_boundary():
     _reducer_grid(window=23, trim=LARGEST_TRIM)
     with pytest.raises(InvalidParameterError, match="removes all of them"):
@@ -377,7 +384,7 @@ def test_evaluate_cell_evaluates_only_in_window_eval_steps(monkeypatch, batch_si
 
     monkeypatch.setattr(ModelKernel, "gradient", gradient)
     monkeypatch.setattr(ModelKernel, "error_rates", error_rates)
-    evaluate_group(grid, train, test, (1.7,), 0.1, 0, 3, 0, 0)
+    evaluate_group(grid, train, test, (1.7,), 0.1, 0, 3)
     in_window = [k for k in range(1, steps + 1)
                  if k > steps - window and (k % 5 == 0 or k == steps)]
     assert step[0] == steps
@@ -390,10 +397,11 @@ def test_evaluate_cell_evaluates_only_in_window_eval_steps(monkeypatch, batch_si
 
 GROUP_ALPHAS = (1.3, 1.6, 1.8, 2.0)
 
-# (width, sigma1, seed, settings, diverged flags of GROUP_ALPHAS)
+# (width, sigma1, seed, settings, diverged flags of GROUP_ALPHAS); the
+# mixed cases' seeds are ones whose stream diverges some alphas, not all
 GROUP_CASES = {
-    "relu-mixed-divergence": (4, 1e11, 0, {}, [True, True, False, False]),
-    "linear-mixed-divergence": (0, 5e10, 0, {}, [True, True, True, False]),
+    "relu-mixed-divergence": (4, 1e11, 4, {}, [True, True, False, False]),
+    "linear-mixed-divergence": (0, 5e10, 12, {}, [True, True, True, False]),
     "linear-all-diverged": (0, 1.5e11, 2, {}, [True] * 4),
     "linear-sigma1-zero": (0, 0.0, 3, {}, [False] * 4),
     "relu-sigma1-zero": (4, 0.0, 3, {}, [False] * 4),
@@ -408,11 +416,11 @@ def test_group_rows_are_the_one_alpha_cell_rows(monkeypatch, case):
     grid = _reducer_grid(width=width, **settings)
     _pin_cores(monkeypatch, 1)  # the four alphas in one lockstep group, on any host
     train, test = load_grid_datasets(grid)
-    rows = evaluate_group(grid, train, test, GROUP_ALPHAS, sigma1, width, seed, 1, 2)
+    rows = evaluate_group(grid, train, test, GROUP_ALPHAS, sigma1, width, seed)
     assert [record.diverged for record, _ in rows] == diverged
     for alpha, (record, trace) in zip(GROUP_ALPHAS, rows):
         ((alone, alone_trace),) = evaluate_group(grid, train, test, (alpha,), sigma1, width,
-                                                 seed, 1, 2)
+                                                 seed)
         assert _bits(record) == _bits(alone)
         assert trace.grad_sq.tobytes() == alone_trace.grad_sq.tobytes()
     if sigma1 == 0.0:  # no stable noise: alpha changes nothing but the alpha field
@@ -444,7 +452,7 @@ def test_group_evaluates_each_data_set_once_per_eval_step(monkeypatch, batch_siz
 
     monkeypatch.setattr(ModelKernel, "gradient", gradient)
     monkeypatch.setattr(ModelKernel, "error_rates", error_rates)
-    rows = evaluate_group(grid, train, test, GROUP_ALPHAS[:group_size], 0.1, width, 3, 0, 0)
+    rows = evaluate_group(grid, train, test, GROUP_ALPHAS[:group_size], 0.1, width, 3)
     assert not any(record.diverged for record, _ in rows)
     assert gradients[0] == steps * group_size
     in_window = [k for k in range(1, steps + 1)
@@ -479,12 +487,12 @@ def test_split_group_is_the_one_process_group(monkeypatch, workers):
     grid = _reducer_grid(width=width)
     train, test = load_grid_datasets(grid)
     _pin_cores(monkeypatch, 1)
-    serial = evaluate_group(grid, train, test, alphas, sigma1, width, seed, 1, 2)
+    serial = evaluate_group(grid, train, test, alphas, sigma1, width, seed)
 
     forks, real_fork = [], os.fork
     monkeypatch.setattr(grid_mod.os, "fork", lambda: forks.append(1) or real_fork())
     _pin_cores(monkeypatch, workers)
-    split = evaluate_group(grid, train, test, alphas, sigma1, width, seed, 1, 2)
+    split = evaluate_group(grid, train, test, alphas, sigma1, width, seed)
     assert len(forks) == workers - 1
     _no_child_left()
     assert [record.diverged for record, _ in split] == diverged[::-1]
@@ -531,7 +539,7 @@ def test_failed_worker_is_an_error(monkeypatch, fail, message):
     grid = _reducer_grid()
     train, test = load_grid_datasets(grid)
     with pytest.raises(RuntimeError, match=message):
-        evaluate_group(grid, train, test, GROUP_ALPHAS, 0.1, 0, 3, 0, 0)
+        evaluate_group(grid, train, test, GROUP_ALPHAS, 0.1, 0, 3)
     _no_child_left()
 
 
@@ -551,7 +559,7 @@ def test_error_in_this_process_stops_the_workers(monkeypatch):
     train, test = load_grid_datasets(grid)
     start = time.monotonic()
     with pytest.raises(RuntimeError, match="chunk failure in this process"):
-        evaluate_group(grid, train, test, GROUP_ALPHAS, 0.1, 0, 3, 0, 0)
+        evaluate_group(grid, train, test, GROUP_ALPHAS, 0.1, 0, 3)
     assert time.monotonic() - start < 30  # the sleeping workers were killed, not awaited
     _no_child_left()
 
@@ -566,10 +574,10 @@ def test_minibatch_group_never_forks(monkeypatch):
     _pin_cores(monkeypatch, 4)
     grid = _reducer_grid(batch_size=16)
     train, test = load_grid_datasets(grid)
-    rows = evaluate_group(grid, train, test, GROUP_ALPHAS, 0.1, 0, 3, 0, 0)
+    rows = evaluate_group(grid, train, test, GROUP_ALPHAS, 0.1, 0, 3)
     assert len(rows) == len(GROUP_ALPHAS)
     with pytest.raises(AssertionError, match="os.fork called"):  # the same group at full batch
-        evaluate_group(_reducer_grid(), train, test, GROUP_ALPHAS, 0.1, 0, 3, 0, 0)
+        evaluate_group(_reducer_grid(), train, test, GROUP_ALPHAS, 0.1, 0, 3)
 
 
 @pytest.mark.parametrize("missing", ["sched_getaffinity", "fork"])
@@ -579,13 +587,13 @@ def test_group_is_serial_where_the_platform_cannot_split(monkeypatch, missing):
     grid = _reducer_grid()
     train, test = load_grid_datasets(grid)
     _pin_cores(monkeypatch, 1)
-    serial = evaluate_group(grid, train, test, GROUP_ALPHAS, 0.1, 0, 3, 0, 0)
+    serial = evaluate_group(grid, train, test, GROUP_ALPHAS, 0.1, 0, 3)
 
     _pin_cores(monkeypatch, 4)
     monkeypatch.delattr(grid_mod.os, missing)
     if missing != "fork":
         monkeypatch.setattr(grid_mod.os, "fork", lambda: pytest.fail("os.fork called"))
-    rows = evaluate_group(grid, train, test, GROUP_ALPHAS, 0.1, 0, 3, 0, 0)
+    rows = evaluate_group(grid, train, test, GROUP_ALPHAS, 0.1, 0, 3)
     assert [_bits(record) for record, _ in rows] == [_bits(record) for record, _ in serial]
 
 
@@ -601,9 +609,9 @@ def test_resume_runs_only_the_pending_alphas_of_each_group(tmp_path, monkeypatch
 
     real_evaluate_group, calls = grid_mod.evaluate_group, []
 
-    def evaluate_group_spy(grid, train, test, alphas, sigma1, width, seed, *indices):
+    def evaluate_group_spy(grid, train, test, alphas, sigma1, width, seed):
         calls.append((sigma1, seed, tuple(alphas)))
-        return real_evaluate_group(grid, train, test, alphas, sigma1, width, seed, *indices)
+        return real_evaluate_group(grid, train, test, alphas, sigma1, width, seed)
 
     monkeypatch.setattr(grid_mod, "evaluate_group", evaluate_group_spy)
     executed = []
@@ -648,7 +656,7 @@ def test_group_draws_its_stream_once_per_step(monkeypatch, width, group_size):
     steps = 40
     grid = _reducer_grid(width=width, batch_size=16, sigma2=0.05, steps=steps)
     train, test = load_grid_datasets(grid)
-    rows = evaluate_group(grid, train, test, GROUP_ALPHAS[:group_size], 0.1, width, 3, 0, 0)
+    rows = evaluate_group(grid, train, test, GROUP_ALPHAS[:group_size], 0.1, width, 3)
     assert not any(record.diverged for record, _ in rows)
     (stream,) = streams
     layers = 1 if width == 0 else 2  # init_params draws one Gaussian block per layer
@@ -659,14 +667,13 @@ def test_group_draws_its_stream_once_per_step(monkeypatch, width, group_size):
 
 
 def test_reference_light_noise_group_reproduces_committed_rows():
-    # the committed reference profile's sigma1 index 1 (sigma1 * sqrt(d) =
-    # 10), seed 0: all 10 alphas in one group, each written line equal to
+    # the committed reference profile's light noise group (sigma1 * sqrt(d)
+    # = 10), seed 0: all 10 alphas in one group, each written line equal to
     # its line in the committed records
     reference = Path(__file__).resolve().parent.parent / "reference"
     grid = _grid_spec(parse_config(reference / "phase_transition.cfg"), "")
     train, test = load_grid_datasets(grid)
-    rows = evaluate_group(grid, train, test, grid.alphas, grid.sigma1s[1], grid.widths[0],
-                          0, 1, 0)
+    rows = evaluate_group(grid, train, test, grid.alphas, grid.sigma1s[1], grid.widths[0], 0)
     committed = (reference / "phase_transition_records.csv").read_bytes().splitlines(True)
     for record, _ in rows:
         written = _ROW.format(*record[:9], "true" if record.diverged else "false").encode()

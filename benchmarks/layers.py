@@ -14,8 +14,7 @@ repeats of a batch of calls, reported per call as min / median / quartiles
   gradient, the stable term (the subordinator's uniforms and G, drawn
   once per group, then the alpha's scale sqrt(A) and its multiply into
   the group's draw buffer), one EM update, and what an eval step adds:
-  the train error as the argmax of the gradient's own logits, and the
-  test set's forward pass and argmax.
+  one ``ModelKernel.error_rates`` call each on the train and test sets.
 - ``public.*``: the validating public functions, as a caller outside the
   loop sees them.
 - ``data.generate_synthetic``: building the data set of the MNIST-shaped
@@ -166,18 +165,15 @@ def step_layers(spec, train, test, cfg, params):
     d = params.size
     rng = lb.RngStream(0, 1)
     rows = np.arange(train.n)
-    kernel, test_eval = models.ModelKernel(spec, train.n), models.ModelKernel(spec, test.n)
-    x, y = train.features[rows], train.labels[rows]
-    label_index, preds = kernel.row_starts + y, np.empty(train.n, dtype=np.intp)
+    kernel = models.ModelKernel(spec, train.n)
+    x, label_index = train.features[rows], kernel.row_starts + train.labels[rows]
+    eval_sets = [(models.ModelKernel(spec, data.n), data) for data in (train, test)]
 
     def gradient():
         return kernel.gradient(params, x, label_index)
 
-    def train_error():
-        return float(np.mean(np.argmax(kernel.logits, axis=1, out=preds) != y))
-
-    def test_error():
-        return test_eval.error_rates((params,), test.features, test.labels)[0]
+    def errors():
+        return [k.error_rates((params,), data.features, data.labels) for k, data in eval_sets]
 
     noise, gaussian, buffer = stable.StableNoise(cfg.alpha), np.empty(d), np.empty(d)
 
@@ -192,7 +188,7 @@ def step_layers(spec, train, test, cfg, params):
         ("gradient", gradient, 200),
         ("stable_draw", stable_draw, 1000),
         ("em_update", lambda: update(params, grad, draw, None, out), 2000),
-        ("eval", lambda: (train_error(), test_error()), 500),
+        ("eval", errors, 500),
     ]
 
 

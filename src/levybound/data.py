@@ -283,8 +283,10 @@ def parse_records(lines, path) -> list[RunRecord]:
 
 
 def parse_config(path) -> dict[str, str]:
-    """Flat key=value config; '#' starts a comment, blank lines are skipped."""
+    """Flat key=value config; '#' starts a comment, blank lines are skipped.
+    A key set twice is an error, not a silent override."""
     out: dict[str, str] = {}
+    lines: dict[str, int] = {}
     with open(path) as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.strip()
@@ -292,6 +294,10 @@ def parse_config(path) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise DataFormatError(f"{path}:{lineno}: expected key=value")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in lines:
+                raise DataFormatError(
+                    f"{path}:{lineno}: key {key!r} is already set on line {lines[key]}"
+                )
+            out[key], lines[key] = value, lineno
     return out

@@ -22,11 +22,11 @@ window)`` skips the eval steps before the trailing ``window``, and the
 row is reduced from the cell's ``RunTrace`` by ``robust_gap``,
 ``integral_estimate`` and ``bound_estimate``. At an eval step the
 group's live alphas are evaluated together, in one forward pass over
-each data set (``ModelKernel.error_rates``). The wider product can round
-differently from one alpha's own, so a row is its one-alpha row bit for
-bit unless one of the window's test (or minibatch train) rows has two
-logits within rounding of each other; the reference and MNIST-shaped
-profiles' rows are identical.
+each data set, train and test (``ModelKernel.error_rates``), in either
+batch mode. The wider product can round differently from one alpha's
+own, so a row is its one-alpha row bit for bit unless one of the
+window's test or train rows has two logits within rounding of each
+other; the reference and MNIST-shaped profiles' rows are identical.
 
 Each cell's random stream is keyed by its seed alone, so the records are
 a function of the set of cells, not of the order of the config's lists.
@@ -167,8 +167,10 @@ def evaluate_group(
     same key (see ``_run_split``); since each trace is its alpha's own,
     the split changes no row. A trace is the cell's ``run_training``
     trace less the evals before the window, which ``robust_gap`` does not
-    read. Only numerical divergence of a run yields a diverged row; any
-    other error, in this process or a worker, propagates to the caller.
+    read; each eval in the window takes both errors from the chunk's one
+    ``error_rates`` call per data set, train and test. Only numerical
+    divergence of a run yields a diverged row; any other error, in this
+    process or a worker, propagates to the caller.
     """
     spec = _model_for(width, train)
     d = param_count(spec)

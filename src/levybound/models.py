@@ -112,12 +112,13 @@ class ModelKernel:
     sized on that job's first call.
 
     Calls do no validation and overwrite the previous call's results: the
-    returned logits and gradient are the kernel's own buffers. The public
-    functions below validate their inputs and then call a fresh kernel;
-    the training loop keeps one for the gradient and one per data set it
-    evaluates. ``error_rates`` is the one eval entry point: it evaluates
-    all the runs of a group that ask for it in one pass over the rows. A
-    kernel that only evaluates never allocates the gradient's arrays.
+    returned gradient is the kernel's own buffer. The public functions
+    below validate their inputs and then call a fresh kernel; the training
+    loop keeps one for the gradient and one each for the train and test
+    sets it evaluates. ``error_rates`` is the one eval entry point: it
+    evaluates all the runs of a group in one pass over the rows, and the
+    gradient computes no 0-1 error. A kernel that only evaluates never
+    allocates the gradient's arrays.
     """
 
     def __init__(self, spec: ModelSpec, rows: int):
@@ -160,12 +161,12 @@ class ModelKernel:
         alone up to the GEMM kernel BLAS picks for the wider product; the
         later layers are the one-run products. On OpenBLAS 0.3.31 the
         blocks are bit-identical to the one-run products at 2504x784x10,
-        626x784x10 and 126x25x32, but small products (for example
-        60x784x10 or 64x25x10) can differ in the last bits. So what holds
-        is that each run's error rate is the one a call with that vector
-        alone gives it unless two of a row's logits lie within rounding of
-        each other (60x784x10: 0 of 120,000 rows changed their argmax); the
-        logits themselves may differ.
+        626x784x10, 500x25x32 and 126x25x32, but small products (for
+        example 60x784x10 or 64x25x10) can differ in the last bits. So
+        what holds is that each run's error rate is the one a call with
+        that vector alone gives it unless two of a row's logits lie within
+        rounding of each other (60x784x10: 0 of 120,000 rows changed their
+        argmax); the logits themselves may differ.
         """
         if len(params_list) != self.stack_count:
             self._size_stack(len(params_list))
@@ -192,18 +193,13 @@ class ModelKernel:
         self.delta = np.empty((rows, classes))
         self.row_stat = np.empty((rows, 1))
 
-    def gradient(
-        self, params: np.ndarray, x: np.ndarray, label_index: np.ndarray,
-        preds: np.ndarray | None = None,
-    ) -> np.ndarray:
+    def gradient(self, params: np.ndarray, x: np.ndarray, label_index: np.ndarray) -> np.ndarray:
         """Gradient of the mean cross-entropy over the rows; ``log_p`` keeps
         the log-softmax. Same arithmetic, in the same order, as the
         unbuffered formulation in ``surrogate_loss_and_grad``'s docstring.
 
         ``label_index`` is ``row_starts + y``, the flat index of each row's
-        label in the logits. A ``preds`` array (intp, one per row) receives
-        each row's argmax logit, lowest index on ties, as ``error_rates``
-        picks it from the same forward pass.
+        label in the logits.
         """
         if self.grad is None:
             self._size_gradient()
@@ -214,8 +210,6 @@ class ModelKernel:
             np.maximum(h, 0.0, out=h)
             a = h
         logits = np.matmul(a, mats[-1], out=self.logits)
-        if preds is not None:
-            np.argmax(logits, axis=1, out=preds)
         logits -= _row_reduce(np.maximum, logits, self.row_stat)
         np.exp(logits, out=self.delta)
         log_z = np.log(_row_reduce(np.add, self.delta, self.row_stat), out=self.row_stat)

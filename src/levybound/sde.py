@@ -187,15 +187,14 @@ def run_group(
     and the Brownian vector once, and only the scale sqrt(A) of the
     stable draw is computed per alpha. Step k is evaluated when k >
     ``after`` and k is a multiple of ``eval_interval`` or the last step:
-    the live runs then get their test errors, and in a minibatch run
-    their train errors, from one ``ModelKernel.error_rates`` call per
-    data set, on the parameters the step's gradient will use; a
-    full-batch run takes its train error from its gradient's own forward
-    pass. Every live run then takes its gradient, update and divergence
-    check in turn; a run that diverges stops while the others go on.
-    Each run keeps its own parameters, update and measurements; the
-    model kernels and draw buffers are the group's, and the eval-only
-    kernels (test set, minibatch train set) hold no gradient arrays.
+    the live runs get their train and test errors from one
+    ``ModelKernel.error_rates`` call per data set, in either batch mode,
+    on the parameters the step's gradient will use. Every live run then
+    takes its gradient, update and divergence check in turn; a run that
+    diverges stops while the others go on. Each run keeps its own
+    parameters, update and measurements; the model kernels and draw
+    buffers are the group's, and the two eval kernels hold no gradient
+    arrays.
     Each returned trace is the trace ``run_training`` gives its alpha
     alone on a stream of the same key, less its evals up to ``after``:
     the dynamics bit for bit, and the errors as ``error_rates`` promises
@@ -217,45 +216,36 @@ def run_group(
     n = train.n
     full_batch = cfg.batch_size is None
     model = ModelKernel(spec, n if full_batch else cfg.batch_size)
-    test_eval = ModelKernel(spec, test.n)
+    eval_sets = [(ModelKernel(spec, data.n), data) for data in (train, test)]
     gaussian, stable = (np.empty(d), np.empty(d)) if cfg.sigma1 > 0.0 else (None, None)
     brownian = np.empty(d) if cfg.sigma2 > 0.0 else None
     if full_batch:
-        x, y = np.ascontiguousarray(train.features), train.labels
-        label_index = model.row_starts + y
-        preds = np.empty(n, dtype=np.intp)
-    else:
-        train_eval, preds = ModelKernel(spec, n), None
+        x = np.ascontiguousarray(train.features)
+        label_index = model.row_starts + train.labels
     live = runs
 
     for k in range(1, cfg.steps + 1):
         if not full_batch:
             idx = rng.gen.choice(n, size=cfg.batch_size, replace=False)
-            x, y = train.features[idx], train.labels[idx]
-            label_index = model.row_starts + y
+            x = train.features[idx]
+            label_index = model.row_starts + train.labels[idx]
         if gaussian is not None:
             u, w = cms_uniforms(rng)
             rng.gen.standard_normal(out=gaussian)
         if brownian is not None:
             rng.gen.standard_normal(out=brownian)
 
-        evaluate = k > after and (k % cfg.eval_interval == 0 or k == cfg.steps)
-        errors = [(None, None)] * len(live)
-        if evaluate:
+        if k > after and (k % cfg.eval_interval == 0 or k == cfg.steps):
             ps = [run.params for run in live]
-            train_errs = ([None] * len(ps) if full_batch
-                          else train_eval.error_rates(ps, train.features, train.labels))
-            errors = zip(train_errs, test_eval.error_rates(ps, test.features, test.labels))
-
-        for run, (train_err, test_err) in zip(live, errors):
-            grad = model.gradient(run.params, x, label_index, preds if evaluate else None)
-            run.grad_sq[k - 1] = grad @ grad
-            run.steps = k
-            if evaluate:
-                if full_batch:
-                    train_err = float(np.mean(preds != y))
+            train_errs, test_errs = (kernel.error_rates(ps, data.features, data.labels)
+                                     for kernel, data in eval_sets)
+            for run, train_err, test_err in zip(live, train_errs, test_errs):
                 run.evals.append((k, train_err, test_err))
 
+        for run in live:
+            grad = model.gradient(run.params, x, label_index)
+            run.grad_sq[k - 1] = grad @ grad
+            run.steps = k
             stable_draw = None
             if gaussian is not None:
                 stable_draw = np.multiply(gaussian, run.noise.scale(u, w), out=stable)
@@ -292,10 +282,12 @@ def run_training(
     and draw buffers are set up once, before the loop or on their first
     call. Parameters that reach a step passed the previous step's
     divergence check, so the loop skips the validation the public
-    gradient, sampler and update functions do. In a full-batch run the
-    train error is the argmax of the gradient's own forward logits: the
-    same arithmetic on the same rows as a separate evaluation, so the
-    same value.
+    gradient, sampler and update functions do. Both errors come from
+    ``ModelKernel.error_rates``, the one eval path of every run.
+
+    The default stream ``RngStream(cfg.seed)`` is not a grid cell's: a
+    grid keys each cell by its seed as ``RngStream(seed, mix64(0, 0))``,
+    so pass that as ``rng`` to reproduce a records row.
     """
     (trace,) = run_group(spec, train, test, cfg, (cfg.alpha,), init_scale, rng)
     return trace

@@ -132,7 +132,7 @@ class TestKendallTau:
             kendall_tau([1.0, 1.0, 1.0], [1, 2, 3])
 
     def test_merge_path_matches_brute_force(self):
-        # longer than the insertion-sort cutoff, so the merge step runs
+        # a long input with many ties: 700 pairs, longer than any group's
         rng = np.random.default_rng(8)
         x = rng.integers(0, 30, size=700).astype(float)
         y = rng.integers(0, 30, size=700).astype(float)

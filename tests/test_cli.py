@@ -848,8 +848,8 @@ class TestRunConfigErrors:
                                               settings, message):
         cfg = tmp_path / "run.cfg"
         lines = _write_idx_files(tmp_path)
-        cfg.write_text(BASE_CFG + "alphas=1.7\nsigma1s=0.1\n"
-                       "eval_interval=10\n" + "\n".join(lines) + "\n")
+        cfg.write_text(BASE_CFG.replace("eval_interval=5", "eval_interval=10")
+                       + "alphas=1.7\nsigma1s=0.1\n" + "\n".join(lines) + "\n")
         out_csv = tmp_path / "records.csv"
         argv = [command, "--config", str(cfg), "--out", str(out_csv)]
         for setting in settings:
@@ -859,6 +859,32 @@ class TestRunConfigErrors:
         assert err.startswith("config error:") and message in err
         assert "Traceback" not in err and out == ""
         assert not out_csv.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "grid"])
+    def test_config_key_set_twice_exits_1_before_data(self, capsys, tmp_path, monkeypatch,
+                                                      no_training, command):
+        def no_data(*args, **kwargs):
+            raise AssertionError("data was loaded")
+
+        monkeypatch.setattr(levybound.cli, "load_grid_datasets", no_data)
+        monkeypatch.setattr(levybound.grid, "load_grid_datasets", no_data)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(BASE_CFG + "alphas=1.7\nsigma1s=0.1\nsteps=30\n")
+        out_csv = tmp_path / "records.csv"
+        code, out, err = run_cli(capsys, command, "--config", str(cfg), "--out", str(out_csv))
+        assert code == 1 and out == ""
+        assert err == f"config error: {cfg}:16: key 'steps' is already set on line 5\n"
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "grid"])
+    def test_repeated_set_keeps_the_last_value(self, capsys, tmp_path, command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(BASE_CFG + "alphas=1.7\nsigma1s=0.1\n")
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "records.csv")]
+        code, _, err = run_cli(capsys, *argv, "--set", "trim=0.15", "--set", "trim=2")
+        assert code == 1 and "trim must be in [0, 1), got 2.0" in err
+        code, _, _ = run_cli(capsys, *argv, "--set", "trim=2", "--set", "trim=0.15")
+        assert code == 0
 
     def test_trim_that_keeps_one_eval_runs(self, capsys, tmp_path):
         # the boundary of the check above: two evals in the window, one trimmed

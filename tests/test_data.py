@@ -466,3 +466,9 @@ class TestParseConfig:
         path.write_text("gamma 0.01\n")
         with pytest.raises(DataFormatError, match=":1:"):
             parse_config(path)
+
+    def test_key_set_twice_names_both_lines(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("steps=50\n# comment\ngamma=0.01\n steps = 40\n")
+        with pytest.raises(DataFormatError, match=r":4: key 'steps' is already set on line 1"):
+            parse_config(path)

@@ -363,22 +363,24 @@ def test_largest_trim_is_the_boundary():
 @pytest.mark.parametrize("steps, window", [(40, 30), (43, 23), (40, 100)])
 def test_evaluate_cell_evaluates_only_in_window_eval_steps(monkeypatch, batch_size, steps,
                                                              window):
-    # count the 0-1 evaluations: the eval entry point on either data set,
-    # called before the step's gradient, and a full-batch gradient asked
-    # for its argmax, each tagged with its step
+    # count the 0-1 evaluations: one error_rates call per data set, train
+    # and test, made before the step's gradient and tagged with its step;
+    # the gradient takes no eval output and makes no eval call
     grid = _reducer_grid(batch_size=batch_size, steps=steps, window=window)
     train, test = load_grid_datasets(grid)
-    step, evals = [0], []
+    step, evals, in_gradient = [0], [], [False]
     real_gradient, real_error_rates = ModelKernel.gradient, ModelKernel.error_rates
 
-    def gradient(self, params, x, label_index, preds=None):
+    def gradient(self, params, x, label_index):
         step[0] += 1
-        if preds is not None:
-            evals.append((step[0], "train"))
-        return real_gradient(self, params, x, label_index, preds)
+        in_gradient[0] = True
+        try:
+            return real_gradient(self, params, x, label_index)
+        finally:
+            in_gradient[0] = False
 
     def error_rates(self, params_list, x, labels):
-        assert len(params_list) == 1
+        assert len(params_list) == 1 and not in_gradient[0]
         evals.append((step[0] + 1, "train" if x is train.features else "test"))
         return real_error_rates(self, params_list, x, labels)
 
@@ -388,8 +390,7 @@ def test_evaluate_cell_evaluates_only_in_window_eval_steps(monkeypatch, batch_si
     in_window = [k for k in range(1, steps + 1)
                  if k > steps - window and (k % 5 == 0 or k == steps)]
     assert step[0] == steps
-    # a full-batch step's test eval comes before its gradient's train argmax
-    assert sorted(evals) == sorted([(k, data) for k in in_window for data in ("train", "test")])
+    assert evals == [(k, data) for k in in_window for data in ("train", "test")]
 
 
 # --- Groups: the alphas of one (sigma1, width, seed) group train in
@@ -433,19 +434,25 @@ def test_group_rows_are_the_one_alpha_cell_rows(monkeypatch, case):
 def test_group_evaluates_each_data_set_once_per_eval_step(monkeypatch, batch_size, width,
                                                           group_size):
     # every eval call, tagged with its step (it comes before the step's
-    # gradients), its data set and the number of runs it evaluates
+    # gradients), its data set and the number of runs it evaluates; the
+    # gradient takes no eval output and makes no eval call
     steps = 40
     grid = _reducer_grid(width=width, batch_size=batch_size, steps=steps)
     train, test = load_grid_datasets(grid)
-    gradients, calls = [0], []
+    gradients, calls, in_gradient = [0], [], [False]
     real_gradient, real_error_rates = ModelKernel.gradient, ModelKernel.error_rates
     _pin_cores(monkeypatch, 1)  # the calls are counted in this process
 
-    def gradient(self, *args):
+    def gradient(self, params, x, label_index):
         gradients[0] += 1
-        return real_gradient(self, *args)
+        in_gradient[0] = True
+        try:
+            return real_gradient(self, params, x, label_index)
+        finally:
+            in_gradient[0] = False
 
     def error_rates(self, params_list, x, labels):
+        assert not in_gradient[0]
         data = "train" if x is train.features else "test"
         calls.append((gradients[0] // group_size + 1, data, len(params_list)))
         return real_error_rates(self, params_list, x, labels)
@@ -457,9 +464,8 @@ def test_group_evaluates_each_data_set_once_per_eval_step(monkeypatch, batch_siz
     assert gradients[0] == steps * group_size
     in_window = [k for k in range(1, steps + 1)
                  if k > steps - grid.window and (k % 5 == 0 or k == steps)]
-    # a full-batch run's train error is its gradient's own argmax
-    data_sets = ("test",) if batch_size is None else ("train", "test")
-    assert calls == [(k, data, group_size) for k in in_window for data in data_sets]
+    # one train and one test call per eval step, in either batch mode
+    assert calls == [(k, data, group_size) for k in in_window for data in ("train", "test")]
 
 
 # --- Split groups: a full-batch group's alphas train in contiguous chunks,

@@ -260,6 +260,19 @@ class TestErrorRates:
             assert rates == [_oracle_error_rate(spec, p, data.features, data.labels)
                              for p in ps]
 
+    def test_reference_profile_train_shape(self):
+        # the reference profile's train set: 500 rows of 25 inputs through a
+        # 25 -> 32 -> 2 ReLU net, a group of 10 runs, as every eval step of a
+        # reference group evaluates it
+        train, _ = generate_synthetic(SyntheticSpec(313, 25, 2, 2.0, 1.0, seed=2024))
+        assert train.n == 500
+        spec = ModelSpec((25, 32, 2))
+        rng = RngStream(1)
+        ps = [init_params(spec, 1.0, rng) for _ in range(10)]
+        rates = ModelKernel(spec, train.n).error_rates(ps, train.features, train.labels)
+        assert rates == [zero_one_error(spec, p, train) for p in ps]
+        assert rates == [_oracle_error_rate(spec, p, train.features, train.labels) for p in ps]
+
     def test_eval_only_kernel_holds_no_gradient_arrays(self):
         # the MNIST-shaped train set (2504 rows, 784 -> 10) evaluated for a
         # group of 10 runs: the kernel keeps error_rates' stacked arrays and

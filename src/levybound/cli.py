@@ -277,7 +277,7 @@ def _cmd_simulate(args) -> int:
         inputs = replace(inputs, d=record.d, n=record.n)
         if sigma1 > 0.0:
             g_hat, thm = record.g_hat, stable_bound(i_hat, inputs)
-            if 0.0 < tc.gamma * tc.eta < 1.0:
+            if tc.eta > 0.0:
                 disc = discrete_bound(trace, inputs)
         if tc.sigma2 > 0.0:
             brown = brownian_bound(i_hat, inputs)

@@ -4,13 +4,13 @@ A grid is the cartesian product (alpha values) x (sigma1 values) x
 (widths) x (seeds) over one shared dataset. Cells run group by group:
 the pending alphas of one (sigma1, width, seed) group train together in
 lockstep through ``evaluate_group``, and each row is, bit for bit, the
-row of that alpha's one-alpha group (``simulate``'s one cell), up to
-the eval's rounding noted below. A full-batch group's alphas are split
+row of that alpha's one-alpha group (``simulate``'s one cell), up to the
+eval's rounding (``run_group``). A full-batch group's alphas are split
 into contiguous chunks, one per usable core (``os.sched_getaffinity``):
 this process trains the first and a forked worker each other one, so
 ``taskset -c 0`` runs a sweep serially, as does a platform without
-``os.sched_getaffinity`` or ``os.fork``. A group's rows are appended to the
-output CSV when the group finishes, so an interrupted sweep loses at
+``os.sched_getaffinity`` or ``os.fork``. A group's rows are appended to
+the output CSV when the group finishes, so an interrupted sweep loses at
 most one group's unfinished cells and resumes by skipping rows already
 on disk (a row torn by the interruption is dropped and recomputed). A
 resumed file may hold only this grid's cells, each once, with this
@@ -20,20 +20,10 @@ seed) so its content does not depend on execution order.
 A cell evaluates only what its row reads: ``run_group(after=steps -
 window)`` skips the eval steps before the trailing ``window``, and the
 row is reduced from the cell's ``RunTrace`` by ``robust_gap``,
-``integral_estimate`` and ``bound_estimate``. At an eval step the
-group's live alphas are evaluated together, in one forward pass over
-each data set, train and test (``ModelKernel.error_rates``), in either
-batch mode. The wider product can round differently from one alpha's
-own, so a row is its one-alpha row bit for bit unless one of the
-window's test or train rows has two logits within rounding of each
-other; the reference and MNIST-shaped profiles' rows are identical.
-
-Each cell's random stream is keyed by its seed alone, so the records are
-a function of the set of cells, not of the order of the config's lists.
-Alpha is deliberately excluded from the key: noise-free cells then share
-their trajectory across alpha, and noisy cells see common underlying
-randomness (across sigma1 too, at one width), which makes the correlation
-between alpha and the gap less noisy and lets a group draw its stream once.
+``integral_estimate`` and ``bound_estimate``. The reference and
+MNIST-shaped profiles' rows equal their one-alpha rows bit for bit.
+Each cell trains on ``run_group``'s default stream, keyed by its seed
+alone (see ``sde``), so the records do not depend on list order.
 """
 
 import math
@@ -57,7 +47,6 @@ from .data import (
 )
 from .errors import DataFormatError, InvalidParameterError
 from .models import Dataset, ModelSpec, param_count
-from .rng import RngStream, mix64
 from .sde import RunTrace, TrainConfig, run_group
 
 
@@ -101,15 +90,15 @@ class GridSpec:
             # a repeated value names a cell twice, and resume would skip the second
             if len(set(values)) != len(values):
                 raise InvalidParameterError(f"grid list {name} repeats a value: {values}")
-        if any(not 1.0 < a <= 2.0 for a in self.alphas):
-            raise InvalidParameterError("grid alphas must be in (1, 2]")
-        if any(not s >= 0.0 for s in self.sigma1s):
-            raise InvalidParameterError("grid sigma1 values must be >= 0")
+        # each cell's run is the template with these replaced: TrainConfig checks them
+        for name, field in (("alphas", "alpha"), ("sigma1s", "sigma1"), ("seeds", "seed")):
+            for value in getattr(self, name):
+                try:
+                    replace(self.train, **{field: value})
+                except InvalidParameterError as exc:
+                    raise InvalidParameterError(f"grid {name}: {exc}") from None
         if any(w < 0 for w in self.widths):
             raise InvalidParameterError("grid widths must be >= 0 (0 = linear)")
-        # a cell's stream is keyed by its seed's low 64 bits: two seeds outside would alias
-        if any(not 0 <= s < 2**64 for s in self.seeds):
-            raise InvalidParameterError("grid seeds must be in [0, 2**64)")
         if not self.init_scale >= 0.0:
             raise InvalidParameterError(f"init_scale must be >= 0, got {self.init_scale}")
         if not self.radius > 0.0:
@@ -159,28 +148,24 @@ def evaluate_group(
     alphas, sigma1: float, width: int, seed: int,
 ) -> list[tuple[RunRecord, RunTrace]]:
     """Train the cells of ``alphas`` in one (sigma1, width, seed) group in
-    lockstep (``run_group``) on the stream keyed by the seed alone; return
-    each cell's records row and trace, in the order of ``alphas``.
+    lockstep (``run_group``) on the seed's stream; return each cell's
+    records row and trace, in the order of ``alphas``.
 
     A full-batch group's alphas are split into contiguous chunks, one per
     usable core, each trained by ``run_group`` on a fresh stream of the
-    same key (see ``_run_split``); since each trace is its alpha's own,
-    the split changes no row. A trace is the cell's ``run_training``
-    trace less the evals before the window, which ``robust_gap`` does not
-    read; each eval in the window takes both errors from the chunk's one
-    ``error_rates`` call per data set, train and test. Only numerical
-    divergence of a run yields a diverged row; any other error, in this
-    process or a worker, propagates to the caller.
+    seed (see ``_run_split``); since each trace is its alpha's own, the
+    split changes no row. A trace is the cell's ``run_training`` trace
+    less the evals before the window, which ``robust_gap`` does not read.
+    Only numerical divergence of a run yields a diverged row; any other
+    error, in this process or a worker, propagates to the caller.
     """
     spec = _model_for(width, train)
     d = param_count(spec)
     cfg = replace(grid.train, sigma1=sigma1, seed=seed)
 
     def train_chunk(chunk):
-        return run_group(
-            spec, train, test, cfg, chunk, grid.init_scale,
-            rng=RngStream(seed, mix64(0, 0)), after=cfg.steps - grid.window,
-        )
+        return run_group(spec, train, test, cfg, chunk, grid.init_scale,
+                         after=cfg.steps - grid.window)
 
     # A minibatch group stays serial: a forked worker's peak RSS starts from
     # this process's resident set, data set included, and on the MNIST-shaped

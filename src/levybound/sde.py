@@ -14,6 +14,13 @@ whose scale is zero are skipped entirely, which keeps noise-free runs
 bit-identical to plain gradient descent with weight decay. No draw
 depends on alpha, so ``run_group`` trains several alphas of one stream
 in lockstep and draws each step once for all of them.
+
+A run's stream is keyed by its seed alone, ``RngStream(seed,
+CELL_STREAM)``, so a grid's records are a function of the set of cells,
+not of the order of its lists. Alpha is deliberately left out of the
+key: noise-free runs then share their trajectory across alpha, and noisy
+runs see common underlying randomness (across sigma1 too, at one width),
+which makes the correlation between alpha and the gap less noisy.
 """
 
 import hashlib
@@ -24,10 +31,14 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidParameterError
 from .models import Dataset, ModelKernel, ModelSpec, init_params, param_count
-from .rng import RngStream
+from .rng import RngStream, mix64
 from .stable import StableNoise, cms_uniforms
 
 DIVERGENCE_NORM = 1e12
+# Not stream 0: generate_synthetic and subsample draw stream 0 at their
+# seeds, and seed and data_seed both default to 0, so a run on stream 0
+# would replay its data's draws.
+CELL_STREAM = mix64(0, 0)
 
 
 @dataclass(frozen=True)
@@ -54,13 +65,18 @@ class TrainConfig:
         if not 1.0 < self.alpha <= 2.0:
             raise InvalidParameterError(f"alpha must be in (1, 2], got {self.alpha}")
         if not (self.sigma1 >= 0.0 and self.sigma2 >= 0.0):
-            raise InvalidParameterError("noise scales must be >= 0")
+            raise InvalidParameterError(
+                f"noise scales must be >= 0, got sigma1={self.sigma1}, sigma2={self.sigma2}"
+            )
         if self.steps < 1:
             raise InvalidParameterError("steps must be >= 1")
         if self.batch_size is not None and self.batch_size < 1:
             raise InvalidParameterError("batch_size must be >= 1 or None")
         if self.eval_interval < 1:
             raise InvalidParameterError("eval_interval must be >= 1")
+        # RngStream keeps a seed's low 64 bits: two seeds outside would alias
+        if not 0 <= self.seed < 2**64:
+            raise InvalidParameterError(f"seed must be in [0, 2**64), got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -180,7 +196,8 @@ def run_group(
     rng: RngStream | None = None,
     after: int = 0,
 ) -> list[RunTrace]:
-    """Run ``cfg`` at each of ``alphas`` in lockstep on one random stream.
+    """Run ``cfg`` at each of ``alphas`` in lockstep on one random stream,
+    ``rng`` or by default the stream of ``cfg.seed``.
 
     The runs differ only in alpha, and alpha changes no draw: each step
     draws the batch indices, the subordinator's uniforms, the Gaussian G
@@ -208,7 +225,7 @@ def run_group(
             f"batch_size {cfg.batch_size} exceeds training rows {train.n}"
         )
     if rng is None:
-        rng = RngStream(cfg.seed)
+        rng = RngStream(cfg.seed, CELL_STREAM)
 
     d = param_count(spec)
     init = init_params(spec, init_scale, rng)
@@ -284,10 +301,6 @@ def run_training(
     divergence check, so the loop skips the validation the public
     gradient, sampler and update functions do. Both errors come from
     ``ModelKernel.error_rates``, the one eval path of every run.
-
-    The default stream ``RngStream(cfg.seed)`` is not a grid cell's: a
-    grid keys each cell by its seed as ``RngStream(seed, mix64(0, 0))``,
-    so pass that as ``rng`` to reproduce a records row.
     """
     (trace,) = run_group(spec, train, test, cfg, (cfg.alpha,), init_scale, rng)
     return trace

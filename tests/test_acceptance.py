@@ -30,6 +30,7 @@ from levybound import (
     k_alpha_d,
     k_bar,
     kendall_tau,
+    mix64,
     p_alpha,
     run_training,
     sample_isotropic_stable,
@@ -161,7 +162,7 @@ def test_08_noise_free_run_is_gradient_descent():
         )
         trace = run_training(spec, train, test, cfg, init_scale=1.0)
 
-        oracle_rng = RngStream(cfg.seed)
+        oracle_rng = RngStream(cfg.seed, mix64(0, 0))  # the run's stream
         w = init_params(spec, 1.0, oracle_rng)
         all_rows = np.arange(train.n)
         for _ in range(cfg.steps):

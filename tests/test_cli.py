@@ -754,13 +754,13 @@ class TestConfigErrors:
             ("grid", "R=-1", "radius R must be > 0"),
             ("grid", "R=0", "radius R must be > 0"),
             ("grid", "R=nan", "radius R must be > 0"),
-            ("grid", "sigma1s=nan", "sigma1 values must be >= 0"),
+            ("grid", "sigma1s=nan", "grid sigma1s: noise scales must be >= 0"),
             ("grid", "sigma2=nan", "noise scales must be >= 0"),
             ("grid", "eta=nan", "eta must be >= 0"),
             ("grid", "init_scale=nan", "init_scale must be >= 0"),
             ("grid", "init_scale=-1", "init_scale must be >= 0"),
             ("simulate", "R=-1", "radius R must be > 0"),
-            ("simulate", "sigma1s=nan", "sigma1 values must be >= 0"),
+            ("simulate", "sigma1s=nan", "grid sigma1s: noise scales must be >= 0"),
             ("simulate", "init_scale=nan", "init_scale must be >= 0"),
             ("simulate", "s=0", "s must be > 0"),
             ("simulate", "zeta=1", "zeta must be in (0, 1)"),
@@ -840,8 +840,14 @@ class TestRunConfigErrors:
             ("grid", ["widths=0,3,3"], "grid list widths repeats a value"),
             ("grid", ["seeds=4,4"], "grid list seeds repeats a value"),
             # -1 and 2**64 - 1 have the same low 64 bits, the whole of a stream's key
-            ("grid", ["seeds=-1,18446744073709551615"], "grid seeds must be in [0, 2**64)"),
-            ("simulate", ["seeds=18446744073709551616"], "grid seeds must be in [0, 2**64)"),
+            ("grid", ["seeds=-1,18446744073709551615"],
+             "grid seeds: seed must be in [0, 2**64), got -1"),
+            ("simulate", ["seeds=18446744073709551616"],
+             "grid seeds: seed must be in [0, 2**64), got 18446744073709551616"),
+            # each list value is checked by the TrainConfig its cells run
+            ("grid", ["alphas=1.7,2.5"], "grid alphas: alpha must be in (1, 2], got 2.5"),
+            ("simulate", ["sigma1s=-1"],
+             "grid sigma1s: noise scales must be >= 0, got sigma1=-1.0"),
         ],
     )
     def test_rejected_before_data_or_training(self, capsys, tmp_path, no_training, command,

@@ -1,3 +1,4 @@
+import math
 import os
 import struct
 import time
@@ -267,11 +268,12 @@ def _bits(record):
 
 
 def _row_from_trace(grid, train, test, alpha, sigma1, width, seed):
-    """The records row and the run_training trace of one cell on its seed's stream."""
+    """The records row and the run_training trace of one cell, on run_training's
+    default stream."""
     spec = _model_for(width, train)
     d = param_count(spec)
     cfg = replace(grid.train, alpha=alpha, sigma1=sigma1, seed=seed)
-    trace = run_training(spec, train, test, cfg, grid.init_scale, RngStream(seed, mix64(0, 0)))
+    trace = run_training(spec, train, test, cfg, grid.init_scale)
     nan = float("nan")
     if trace.diverged:
         return RunRecord(alpha, sigma1, d, width, train.n, seed, nan, nan, nan, True), trace
@@ -346,10 +348,23 @@ def test_row_does_not_read_the_evals_before_the_window(case, batch_size):
         assert evals[0] > evals[1]
 
 
+@pytest.mark.parametrize("batch_size", [None, 16], ids=["full", "batch16"])
+def test_run_training_default_stream_gives_the_records_row(tmp_path, batch_size):
+    # run_training with no rng, reduced by the public estimators, is the
+    # row the grid writes for the cell, bit for bit
+    grid = replace(_reducer_grid(batch_size=batch_size), out=str(tmp_path / "r.csv"))
+    execute_grid(grid)
+    train, test = load_grid_datasets(grid)
+    expected, trace = _row_from_trace(grid, train, test, 1.7, 0.1, 0, 3)
+    assert not trace.diverged
+    assert [_bits(r) for r in read_records(grid.out)] == [_bits(expected)]
+
+
 def test_seeds_must_fit_64_bits():
     tiny_grid("", seeds=(0, 2**64 - 1))
     for seed in (-1, 2**64):
-        with pytest.raises(InvalidParameterError, match=r"seeds must be in \[0, 2\*\*64\)"):
+        with pytest.raises(InvalidParameterError,
+                           match=r"grid seeds: seed must be in \[0, 2\*\*64\)"):
             tiny_grid("", seeds=(seed,))
 
 
@@ -357,6 +372,40 @@ def test_largest_trim_is_the_boundary():
     _reducer_grid(window=23, trim=LARGEST_TRIM)
     with pytest.raises(InvalidParameterError, match="removes all of them"):
         _reducer_grid(window=23, trim=float(np.nextafter(LARGEST_TRIM, 1.0)))
+
+
+def test_window_eval_count_matches_the_steps_run_group_evaluates():
+    # GridSpec counts the window's evals in closed form; the oracle lists the
+    # steps run_group(after=steps - window) evaluates and counts them
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(st.integers(1, 120), st.integers(1, 40), st.integers(1, 150), st.data())
+    def check(steps, every, window, data):
+        after = steps - window
+        count = len([k for k in range(1, steps + 1)
+                     if k > after and (k % every == 0 or k == steps)])
+        edge = (count - 1) / count  # the largest trim that keeps one eval, up to rounding
+        trim = data.draw(st.one_of(
+            st.floats(0.0, 1.0, exclude_max=True),
+            st.sampled_from([edge, float(np.nextafter(edge, 0.0)),
+                             float(np.nextafter(edge, 1.0))]),
+        ))
+        train = TrainConfig(gamma=0.05, eta=0.001, alpha=2.0, sigma1=0.0, steps=steps,
+                            eval_interval=every)
+
+        def make():
+            return replace(tiny_grid("", seeds=(0,)), train=train, window=window, trim=trim)
+
+        if math.ceil(trim * count) < count:
+            make()
+        else:
+            with pytest.raises(InvalidParameterError,
+                               match=rf"holds {count} eval\(s\) .* removes all of them"):
+                make()
+
+    check()
 
 
 @pytest.mark.parametrize("batch_size", [None, 16], ids=["full", "batch16"])
@@ -648,7 +697,7 @@ class _CountingGenerator:
 @pytest.mark.parametrize("width", [0, 4], ids=["linear", "relu"])
 @pytest.mark.parametrize("group_size", [1, 4])
 def test_group_draws_its_stream_once_per_step(monkeypatch, width, group_size):
-    import levybound.grid as grid_mod
+    import levybound.sde as sde_mod
 
     streams = []
 
@@ -658,7 +707,7 @@ def test_group_draws_its_stream_once_per_step(monkeypatch, width, group_size):
             self.gen = _CountingGenerator(self.gen)
             streams.append(self)
 
-    monkeypatch.setattr(grid_mod, "RngStream", CountingStream)
+    monkeypatch.setattr(sde_mod, "RngStream", CountingStream)
     steps = 40
     grid = _reducer_grid(width=width, batch_size=16, sigma2=0.05, steps=steps)
     train, test = load_grid_datasets(grid)

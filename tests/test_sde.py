@@ -11,6 +11,7 @@ from levybound import (
     TrainConfig,
     em_step,
     init_params,
+    mix64,
     run_training,
     sample_isotropic_stable,
     sample_subordinator,
@@ -47,6 +48,11 @@ class TestConfig:
             TrainConfig(gamma=0.1, eta=0.0, alpha=1.0, sigma1=0.1)
         with pytest.raises(InvalidParameterError):
             TrainConfig(gamma=0.1, eta=0.0, alpha=1.5, sigma1=-0.1)
+        TrainConfig(gamma=0.1, eta=0.0, alpha=1.5, sigma1=0.1, seed=2**64 - 1)
+        # a stream keeps a seed's low 64 bits: -1 would alias 2**64 - 1, and 2**64 alias 0
+        for seed in (-1, 2**64):
+            with pytest.raises(InvalidParameterError, match=r"seed must be in \[0, 2\*\*64\)"):
+                TrainConfig(gamma=0.1, eta=0.0, alpha=1.5, sigma1=0.1, seed=seed)
 
 
 class TestEmStep:
@@ -86,8 +92,8 @@ class TestRunTraining:
         )
         trace = run_training(spec, data, test, cfg, init_scale=1.0)
 
-        # independently coded GD-with-decay loop
-        rng = RngStream(cfg.seed)
+        # independently coded GD-with-decay loop, on the run's stream
+        rng = RngStream(cfg.seed, mix64(0, 0))
         w = init_params(spec, 1.0, rng)
         for _ in range(cfg.steps):
             _, g = surrogate_loss_and_grad(spec, w, data, np.arange(data.n))

@@ -158,17 +158,13 @@ def _data_source(cfg):
             seed=_value(cfg, "data_seed", int),
         )
     if kind == "idx":
-        for key in ("train_images", "train_labels", "test_images", "test_labels"):
+        paths = ("train_images", "train_labels", "test_images", "test_labels")
+        for key in paths:
             if key not in cfg:
                 raise InvalidParameterError(f"idx data source needs config key {key!r}")
-        return IdxSource(
-            train_images=cfg["train_images"],
-            train_labels=cfg["train_labels"],
-            test_images=cfg["test_images"],
-            test_labels=cfg["test_labels"],
-            subsample_fraction=_value(cfg, "subsample", float),
-            subsample_seed=_value(cfg, "subsample_seed", int),
-        )
+        return IdxSource(*(cfg[key] for key in paths),
+                         subsample_fraction=_value(cfg, "subsample", float),
+                         subsample_seed=_value(cfg, "subsample_seed", int))
     raise InvalidParameterError(f"data must be 'synthetic' or 'idx', got {cfg['data']!r}")
 
 
@@ -268,7 +264,7 @@ def _cmd_simulate(args) -> int:
     if args.out:
         open(args.out, "w").close()  # an unwritable --out fails before the cell trains
     train, test = load_grid_datasets(grid)
-    ((record, trace),) = evaluate_group(grid, train, test, (alpha,), sigma1, width, seed)
+    (record,) = evaluate_group(grid, train, test, (alpha,), sigma1, width, seed)
 
     # fields that do not apply to the cell stay None (empty)
     gap = i_hat = g_hat = thm = disc = brown = None
@@ -278,7 +274,7 @@ def _cmd_simulate(args) -> int:
         if sigma1 > 0.0:
             g_hat, thm = record.g_hat, stable_bound(i_hat, inputs)
             if tc.eta > 0.0:
-                disc = discrete_bound(trace, inputs)
+                disc = discrete_bound(i_hat, inputs)
         if tc.sigma2 > 0.0:
             brown = brownian_bound(i_hat, inputs)
     row = (*record[:6], gap, i_hat, g_hat, thm, disc, brown, "true" if record.diverged else "false")

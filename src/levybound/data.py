@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DataFormatError, InvalidParameterError
 from .models import Dataset
-from .rng import RngStream
+from .rng import RngStream, check_seed
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -68,6 +68,7 @@ class SyntheticSpec:
             raise InvalidParameterError("need at least 2 classes")
         if not (self.separation >= 0.0 and self.noise_std > 0.0):
             raise InvalidParameterError("separation must be >= 0 and noise_std > 0")
+        check_seed(self.seed, "data_seed")
 
 
 def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset]:
@@ -211,7 +212,14 @@ def subsample(data: Dataset, fraction: float, seed: int) -> Dataset:
 
 
 def write_records(path, records) -> None:
-    _write_rows(path, "w", records)
+    """Replace ``path`` through a sibling file, so a failed write leaves it whole."""
+    tmp = f"{path}.tmp"
+    try:
+        _write_rows(tmp, "w", records)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def append_records(path, records) -> None:
@@ -237,16 +245,6 @@ def complete_lines(path) -> bytes:
     with open(path, "rb") as f:
         text = f.read()
     return text[:text.rfind(b"\n") + 1]
-
-
-def drop_torn_row(path) -> None:
-    """Cut a records file to its ``complete_lines``. A file left without a
-    complete line (a torn header) is removed."""
-    keep = len(complete_lines(path))
-    if keep == 0:
-        Path(path).unlink()
-    elif keep < os.path.getsize(path):
-        os.truncate(path, keep)
 
 
 def read_records(path) -> list[RunRecord]:

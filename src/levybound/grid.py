@@ -12,7 +12,7 @@ this process trains the first and a forked worker each other one, so
 ``os.sched_getaffinity`` or ``os.fork``. A group's rows are appended to
 the output CSV when the group finishes, so an interrupted sweep loses at
 most one group's unfinished cells and resumes by skipping rows already
-on disk (a row torn by the interruption is dropped and recomputed). A
+on disk (a row torn by the interruption is cut off and recomputed). A
 resumed file may hold only this grid's cells, each once, with this
 grid's d and n. The final file is rewritten sorted by (alpha, sigma1, d,
 seed) so its content does not depend on execution order.
@@ -20,7 +20,8 @@ seed) so its content does not depend on execution order.
 A cell evaluates only what its row reads: ``run_group(after=steps -
 window)`` skips the eval steps before the trailing ``window``, and the
 row is reduced from the cell's ``RunTrace`` by ``robust_gap``,
-``integral_estimate`` and ``bound_estimate``. The reference and
+``integral_estimate`` and ``bound_estimate`` where it trained, so a
+forked worker sends back rows, not traces. The reference and
 MNIST-shaped profiles' rows equal their one-alpha rows bit for bit.
 Each cell trains on ``run_group``'s default stream, keyed by its seed
 alone (see ``sde``), so the records do not depend on list order.
@@ -39,7 +40,6 @@ from .data import (
     SyntheticSpec,
     append_records,
     complete_lines,
-    drop_torn_row,
     generate_synthetic,
     load_idx,
     parse_records,
@@ -47,6 +47,7 @@ from .data import (
 )
 from .errors import DataFormatError, InvalidParameterError
 from .models import Dataset, ModelSpec, param_count
+from .rng import check_seed
 from .sde import RunTrace, TrainConfig, run_group
 
 
@@ -64,6 +65,7 @@ class IdxSource:
             raise InvalidParameterError(
                 f"subsample must be in (0, 1], got {self.subsample_fraction}"
             )
+        check_seed(self.subsample_seed, "subsample_seed")
 
 
 @dataclass(frozen=True)
@@ -146,26 +148,26 @@ def _model_for(width: int, train: Dataset) -> ModelSpec:
 def evaluate_group(
     grid: GridSpec, train: Dataset, test: Dataset,
     alphas, sigma1: float, width: int, seed: int,
-) -> list[tuple[RunRecord, RunTrace]]:
+) -> list[RunRecord]:
     """Train the cells of ``alphas`` in one (sigma1, width, seed) group in
     lockstep (``run_group``) on the seed's stream; return each cell's
-    records row and trace, in the order of ``alphas``.
+    records row, in the order of ``alphas``.
 
     A full-batch group's alphas are split into contiguous chunks, one per
     usable core, each trained by ``run_group`` on a fresh stream of the
-    seed (see ``_run_split``); since each trace is its alpha's own, the
-    split changes no row. A trace is the cell's ``run_training`` trace
-    less the evals before the window, which ``robust_gap`` does not read.
-    Only numerical divergence of a run yields a diverged row; any other
-    error, in this process or a worker, propagates to the caller.
+    seed and reduced to rows where it trained (see ``_run_split``); since
+    each trace is its alpha's own, the split changes no row. Only
+    numerical divergence of a run yields a diverged row; any other error,
+    in this process or a worker, propagates to the caller.
     """
     spec = _model_for(width, train)
     d = param_count(spec)
     cfg = replace(grid.train, sigma1=sigma1, seed=seed)
 
     def train_chunk(chunk):
-        return run_group(spec, train, test, cfg, chunk, grid.init_scale,
-                         after=cfg.steps - grid.window)
+        traces = run_group(spec, train, test, cfg, chunk, grid.init_scale,
+                           after=cfg.steps - grid.window)
+        return [_row(grid, train.n, d, width, trace) for trace in traces]
 
     # A minibatch group stays serial: a forked worker's peak RSS starts from
     # this process's resident set, data set included, and on the MNIST-shaped
@@ -176,14 +178,13 @@ def evaluate_group(
             and hasattr(os, "sched_getaffinity") and hasattr(os, "fork")):
         workers = min(len(os.sched_getaffinity(0)), len(alphas))
     bounds = [len(alphas) * i // workers for i in range(workers + 1)]
-    traces = _run_split(train_chunk, [alphas[a:b] for a, b in zip(bounds, bounds[1:])])
-    return [(_row(grid, train.n, d, width, trace), trace) for trace in traces]
+    return _run_split(train_chunk, [alphas[a:b] for a, b in zip(bounds, bounds[1:])])
 
 
-def _run_split(train_chunk, chunks) -> list[RunTrace]:
-    """The traces of ``train_chunk`` over ``chunks``, concatenated: the
+def _run_split(train_chunk, chunks) -> list:
+    """The lists ``train_chunk`` returns over ``chunks``, concatenated: the
     first chunk trains here, each other one in a child made by ``os.fork``
-    that pickles back its traces, or its exception, which is raised here.
+    that pickles back its list, or its exception, which is raised here.
     No worker outlives the call."""
     reads, running = [], []  # read ends not yet closed; pids not yet reaped
     try:
@@ -197,7 +198,7 @@ def _run_split(train_chunk, chunks) -> list[RunTrace]:
             finally:
                 os.close(write)
             running.append(pid)
-        traces = train_chunk(chunks[0])
+        results = train_chunk(chunks[0])
         for pid, read in zip(list(running), list(reads)):
             reads.remove(read)
             with open(read, "rb") as pipe:
@@ -209,10 +210,8 @@ def _run_split(train_chunk, chunks) -> list[RunTrace]:
             kind, value = pickle.loads(payload)
             if kind == "error":
                 raise value
-            for trace in value:
-                trace.grad_sq.flags.writeable = False
-            traces += value
-        return traces
+            results += value
+        return results
     finally:
         for read in reads:
             os.close(read)
@@ -225,7 +224,7 @@ def _run_split(train_chunk, chunks) -> list[RunTrace]:
 
 
 def _worker(train_chunk, chunk, write, reads):
-    """A forked worker's whole life: send ("ok", traces) or ("error",
+    """A forked worker's whole life: send ("ok", results) or ("error",
     exception) through ``write`` and end the process. ``os._exit`` keeps it
     out of the caller's stack, ``atexit`` handlers and unflushed buffers;
     closing the inherited read ends makes a write to a dead reader fail."""
@@ -292,10 +291,10 @@ def execute_grid(grid: GridSpec, progress=None) -> list[RunRecord]:
     dims = {width: param_count(_model_for(width, train)) for width in grid.widths}
     done: dict[tuple, RunRecord] = {}
     if os.path.exists(grid.out):
-        # the complete rows are checked before the torn one is cut, so a
-        # refused resume leaves the file as it was
-        lines = complete_lines(grid.out).decode().splitlines(keepends=True)
-        for r in parse_records(lines, grid.out) if lines else ():
+        # a row torn by a kill in mid-append is cut only after the complete
+        # rows pass their checks, so a refused resume leaves the file as it was
+        kept = complete_lines(grid.out)
+        for r in parse_records(kept.decode().splitlines(True), grid.out) if kept else ():
             key = (r.alpha, r.sigma1, r.width, r.seed)
             cell = "alpha={}, sigma1={}, width={}, seed={}".format(*key)
             if key not in cells:
@@ -308,7 +307,7 @@ def execute_grid(grid: GridSpec, progress=None) -> list[RunRecord]:
                     f"gives d={dims[r.width]}, n={train.n}"
                 )
             done[key] = r
-        drop_torn_row(grid.out)
+        os.truncate(grid.out, len(kept))
     append_records(grid.out, [])  # the header: an unwritable path fails before any cell trains
 
     for sigma1, width, seed in product(grid.sigma1s, grid.widths, grid.seeds):
@@ -316,8 +315,8 @@ def execute_grid(grid: GridSpec, progress=None) -> list[RunRecord]:
         if not pending:
             continue
         rows = evaluate_group(grid, train, test, pending, sigma1, width, seed)
-        append_records(grid.out, [record for record, _ in rows])
-        for record, _ in rows:
+        append_records(grid.out, rows)
+        for record in rows:
             done[(record.alpha, sigma1, width, seed)] = record
             if progress is not None:
                 progress(record)

@@ -8,7 +8,15 @@ statistically independent and safe to consume concurrently.
 
 import numpy as np
 
+from .errors import InvalidParameterError
+
 _MASK64 = (1 << 64) - 1
+
+
+def check_seed(seed: int, name: str = "seed") -> None:
+    """``RngStream`` keeps a seed's low 64 bits: refuse a seed it would alias."""
+    if not 0 <= seed < 2**64:
+        raise InvalidParameterError(f"{name} must be in [0, 2**64), got {seed}")
 
 
 def mix64(*parts: int) -> int:

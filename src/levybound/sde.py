@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidParameterError
 from .models import Dataset, ModelKernel, ModelSpec, init_params, param_count
-from .rng import RngStream, mix64
+from .rng import RngStream, check_seed, mix64
 from .stable import StableNoise, cms_uniforms
 
 DIVERGENCE_NORM = 1e12
@@ -74,9 +74,7 @@ class TrainConfig:
             raise InvalidParameterError("batch_size must be >= 1 or None")
         if self.eval_interval < 1:
             raise InvalidParameterError("eval_interval must be >= 1")
-        # RngStream keeps a seed's low 64 bits: two seeds outside would alias
-        if not 0 <= self.seed < 2**64:
-            raise InvalidParameterError(f"seed must be in [0, 2**64), got {self.seed}")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)

@@ -119,7 +119,7 @@ class TestBrownianBound:
 
 class TestDiscreteBound:
     def test_zero_gradients(self):
-        got = discrete_bound(make_trace([0.0] * 5), inputs(zeta=ZETA_E, lam=0.0))
+        got = discrete_bound(0.0, inputs(zeta=ZETA_E, lam=0.0))
         assert got == pytest.approx(2 * 0.5 * math.sqrt(1.0 / 100), rel=1e-12)
 
     def test_prefactor_term_matches_integral_at_tiny_gamma_eta(self):
@@ -131,14 +131,31 @@ class TestDiscreteBound:
         delta_term = discrete_prefactor(inp.gamma, inp.eta, inp.alpha) * 6.0
         assert delta_term == pytest.approx(integral_estimate(trace), rel=1e-3)
 
+    def test_gradient_sum_is_i_hat_over_gamma(self):
+        # the trace's I_hat gives the bound on its own gradient sum, 1 + 4 + 9
+        from levybound.constants import discrete_prefactor
+
+        inp = inputs(gamma=0.1, zeta=ZETA_E, lam=0.0)
+        i_hat = integral_estimate(make_trace([1.0, 4.0, 9.0], gamma=0.1))
+        k = k_alpha_d(inp.alpha, inp.d, inp.radius)
+        delta = discrete_prefactor(inp.gamma, inp.eta, inp.alpha)
+        want = 2 * 0.5 * math.sqrt(k / 0.5**1.5 * delta * 14.0 + 1.0 / 100)
+        assert discrete_bound(i_hat, inp) == pytest.approx(want, rel=1e-14)
+
     def test_monotone_in_gradient_sum(self):
-        assert discrete_bound(make_trace([5.0]), inputs()) > discrete_bound(
-            make_trace([1.0]), inputs()
-        )
+        assert discrete_bound(0.05, inputs()) > discrete_bound(0.01, inputs())
 
     def test_diverged_rejected(self):
-        with pytest.raises(DivergedTraceError):
-            discrete_bound(make_trace([1.0], diverged=True), inputs())
+        # a diverged row's i_hat is NaN
+        with pytest.raises(InvalidParameterError, match="i_hat must be >= 0, got nan"):
+            discrete_bound(math.nan, inputs())
+
+
+@pytest.mark.parametrize("bound", [bound_estimate, stable_bound, brownian_bound, discrete_bound])
+@pytest.mark.parametrize("i_hat", [math.nan, -1.0])
+def test_every_bound_refuses_a_bad_i_hat(bound, i_hat):
+    with pytest.raises(InvalidParameterError, match="i_hat must be >= 0"):
+        bound(i_hat, inputs(sigma2=1.0))
 
 
 class TestValidation:

@@ -672,7 +672,7 @@ class TestTablesMatchLibrary:
             window=30,
         )
         train, test = load_grid_datasets(grid)
-        ((r, trace),) = evaluate_group(grid, train, test, (1.7,), sigma1, width, 2)
+        (r,) = evaluate_group(grid, train, test, (1.7,), sigma1, width, 2)
         row = [_f(1.7), _f(sigma1), str(r.d), str(width), str(r.n), "2"]
         if r.diverged:
             row += [""] * 6 + ["true"]
@@ -681,7 +681,7 @@ class TestTablesMatchLibrary:
                                  zeta=0.05, lam=0.0)
             row += [_f(r.gap), _f(r.i_hat)]
             row += [_f(r.g_hat), _f(stable_bound(r.i_hat, inputs))] if sigma1 > 0 else ["", ""]
-            row += [_f(discrete_bound(trace, inputs)) if sigma1 > 0 and eta > 0 else ""]
+            row += [_f(discrete_bound(r.i_hat, inputs)) if sigma1 > 0 and eta > 0 else ""]
             row += [_f(brownian_bound(r.i_hat, inputs)) if sigma2 > 0 else "", "false"]
         header = (
             "alpha,sigma1,d,width,n,seed,gap,i_hat,g_hat,"
@@ -783,6 +783,34 @@ class TestConfigErrors:
         assert code == 1
         assert err.startswith("config error:") and message in err
         assert "Traceback" not in err and out == ""
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "grid"])
+    @pytest.mark.parametrize("settings, message", [
+        (["data_seed=-1"], "data_seed must be in [0, 2**64), got -1"),
+        (["data_seed=18446744073709551616"],
+         "data_seed must be in [0, 2**64), got 18446744073709551616"),
+        (["data=idx", "subsample_seed=-1", "train_images=missing", "train_labels=missing",
+          "test_images=missing", "test_labels=missing"],
+         "subsample_seed must be in [0, 2**64), got -1"),
+    ], ids=["data-seed-negative", "data-seed-2**64", "subsample-seed-negative"])
+    def test_data_seed_outside_64_bits_rejected_before_data_loads(
+            self, capsys, tmp_path, monkeypatch, command, settings, message):
+        # RngStream keeps a seed's low 64 bits: -1 and 2**64 - 1 would draw
+        # the same data
+        def no_data(*args, **kwargs):
+            raise AssertionError("data were loaded")
+
+        monkeypatch.setattr(levybound.grid, "generate_synthetic", no_data)
+        monkeypatch.setattr(levybound.grid, "load_idx", no_data)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(BASE_CFG + "alphas=1.7\nsigma1s=0.1\n")
+        out_csv = tmp_path / "records.csv"
+        argv = [command, "--config", str(cfg), "--out", str(out_csv)]
+        for setting in settings:
+            argv += ["--set", setting]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (1, "", f"config error: {message}\n")
         assert not out_csv.exists()
 
     def test_nan_init_scale_rejected_by_init_params(self):

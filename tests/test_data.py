@@ -53,6 +53,14 @@ class TestSynthetic:
         assert (a_train.labels == b_train.labels).all()
         assert (a_test.features == b_test.features).all()
 
+    def test_seed_must_fit_64_bits(self):
+        # RngStream keeps a seed's low 64 bits: -1 and 2**64 - 1 would alias
+        SyntheticSpec(10, 3, 2, 1.0, 1.0, seed=2**64 - 1)
+        for seed in (-1, 2**64):
+            with pytest.raises(InvalidParameterError,
+                               match=r"data_seed must be in \[0, 2\*\*64\)"):
+                SyntheticSpec(10, 3, 2, 1.0, 1.0, seed=seed)
+
     def test_split_sizes(self):
         train, test = generate_synthetic(SyntheticSpec(50, 8, 2, 2.0, 1.0, seed=1))
         assert train.n == 80 and test.n == 20
@@ -318,6 +326,18 @@ class TestRecordsCsv:
         path = tmp_path / "records.csv"
         write_records(path, [])
         assert path.read_text().splitlines()[0] == ",".join(RECORD_HEADER)
+
+    def test_failed_rewrite_keeps_the_old_file(self, tmp_path):
+        # a row that cannot be formatted fails the rewrite in mid-write; the
+        # rows already on disk stay, and no temporary file is left
+        path = tmp_path / "records.csv"
+        old = self.random_records(3)
+        write_records(path, old)
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            write_records(path, [old[0], old[1]._replace(gap=None), old[2]])
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["records.csv"]
 
     def test_shuffled_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -18,7 +18,6 @@ from levybound import (
     SyntheticSpec,
     TrainConfig,
     bound_estimate,
-    discrete_bound,
     execute_grid,
     integral_estimate,
     mix64,
@@ -33,6 +32,7 @@ from levybound.errors import DataFormatError, InvalidParameterError
 from levybound.grid import (
     _model_for,
     _row,
+    _run_split,
     evaluate_group,
     load_grid_datasets,
     sort_key,
@@ -248,8 +248,8 @@ def test_idx_test_label_beyond_train_classes_is_a_data_error(tmp_path):
 
 
 # --- The cell reducer against the default trace: a one-alpha group skips
-# the evals robust_gap never reads, so its row and trace are checked against
-# run_training's full RunTrace and the row the public reducers give it.
+# the evals robust_gap never reads, so its row is checked against the row
+# the public reducers give run_training's full RunTrace.
 
 
 def _reducer_grid(batch_size=None, width=0, steps=40, eval_interval=5, window=30,
@@ -311,19 +311,10 @@ def test_evaluate_cell_matches_trace_reducers(case, batch_size, width):
     sigma1 = settings.pop("sigma1", 0.1)
     grid = _reducer_grid(batch_size=batch_size, width=width, **settings)
     train, test = load_grid_datasets(grid)
-    ((record, cell_trace),) = evaluate_group(grid, train, test, (1.7,), sigma1, width, 3)
+    (record,) = evaluate_group(grid, train, test, (1.7,), sigma1, width, 3)
     expected, trace = _row_from_trace(grid, train, test, 1.7, sigma1, width, 3)
     assert _bits(record) == _bits(expected)
-    assert record.diverged == (case == "diverged") == trace.diverged == cell_trace.diverged
-    # the cell's trace is run_training's, less the evals before the window
-    assert cell_trace.grad_sq.tobytes() == trace.grad_sq.tobytes()
-    after = grid.train.steps - grid.window
-    assert cell_trace.evals == tuple(e for e in trace.evals if e[0] > after)
-    assert cell_trace.final_params_hash == trace.final_params_hash
-    if not trace.diverged and sigma1 > 0.0:
-        inputs = BoundInputs(alpha=1.7, d=record.d, n=record.n, sigma1=sigma1,
-                             gamma=0.05, eta=0.001)
-        assert discrete_bound(cell_trace, inputs) == discrete_bound(trace, inputs)
+    assert record.diverged == (case == "diverged") == trace.diverged
 
 
 @pytest.mark.parametrize("case", REDUCER_CASES)
@@ -467,14 +458,12 @@ def test_group_rows_are_the_one_alpha_cell_rows(monkeypatch, case):
     _pin_cores(monkeypatch, 1)  # the four alphas in one lockstep group, on any host
     train, test = load_grid_datasets(grid)
     rows = evaluate_group(grid, train, test, GROUP_ALPHAS, sigma1, width, seed)
-    assert [record.diverged for record, _ in rows] == diverged
-    for alpha, (record, trace) in zip(GROUP_ALPHAS, rows):
-        ((alone, alone_trace),) = evaluate_group(grid, train, test, (alpha,), sigma1, width,
-                                                 seed)
+    assert [record.diverged for record in rows] == diverged
+    for alpha, record in zip(GROUP_ALPHAS, rows):
+        (alone,) = evaluate_group(grid, train, test, (alpha,), sigma1, width, seed)
         assert _bits(record) == _bits(alone)
-        assert trace.grad_sq.tobytes() == alone_trace.grad_sq.tobytes()
     if sigma1 == 0.0:  # no stable noise: alpha changes nothing but the alpha field
-        assert all(_bits(record)[1:] == _bits(rows[0][0])[1:] for record, _ in rows)
+        assert all(_bits(record)[1:] == _bits(rows[0])[1:] for record in rows)
 
 
 @pytest.mark.parametrize("batch_size", [None, 16], ids=["full", "batch16"])
@@ -509,7 +498,7 @@ def test_group_evaluates_each_data_set_once_per_eval_step(monkeypatch, batch_siz
     monkeypatch.setattr(ModelKernel, "gradient", gradient)
     monkeypatch.setattr(ModelKernel, "error_rates", error_rates)
     rows = evaluate_group(grid, train, test, GROUP_ALPHAS[:group_size], 0.1, width, 3)
-    assert not any(record.diverged for record, _ in rows)
+    assert not any(record.diverged for record in rows)
     assert gradients[0] == steps * group_size
     in_window = [k for k in range(1, steps + 1)
                  if k > steps - grid.window and (k % 5 == 0 or k == steps)]
@@ -550,15 +539,27 @@ def test_split_group_is_the_one_process_group(monkeypatch, workers):
     split = evaluate_group(grid, train, test, alphas, sigma1, width, seed)
     assert len(forks) == workers - 1
     _no_child_left()
-    assert [record.diverged for record, _ in split] == diverged[::-1]
-    for (record, trace), (alone, alone_trace) in zip(split, serial, strict=True):
-        assert _bits(record) == _bits(alone)
-        assert trace.config == alone_trace.config
-        assert trace.grad_sq.tobytes() == alone_trace.grad_sq.tobytes()
-        assert trace.evals == alone_trace.evals
-        assert trace.final_params_hash == alone_trace.final_params_hash
-        assert trace.diverged == alone_trace.diverged
-        assert not trace.grad_sq.flags.writeable  # also on a trace a worker pickled
+    assert [record.diverged for record in split] == diverged[::-1]
+    assert [_bits(record) for record in split] == [_bits(record) for record in serial]
+
+    # the traces behind the rows: run_group over the same chunks, the later
+    # ones pickled back by forked workers, gives the one-process group's traces
+    spec, cfg = _model_for(width, train), replace(grid.train, sigma1=sigma1, seed=seed)
+
+    def run_chunk(chunk):
+        return run_group(spec, train, test, cfg, chunk, grid.init_scale,
+                         after=cfg.steps - grid.window)
+
+    bounds = [len(alphas) * i // workers for i in range(workers + 1)]
+    traces = _run_split(run_chunk, [alphas[a:b] for a, b in zip(bounds, bounds[1:])])
+    assert len(forks) == 2 * (workers - 1)
+    _no_child_left()
+    for trace, alone in zip(traces, run_chunk(alphas), strict=True):
+        assert trace.config == alone.config
+        assert trace.grad_sq.tobytes() == alone.grad_sq.tobytes()
+        assert trace.evals == alone.evals
+        assert trace.final_params_hash == alone.final_params_hash
+        assert trace.diverged == alone.diverged
 
 
 class _NotUnpicklable(Exception):
@@ -649,7 +650,7 @@ def test_group_is_serial_where_the_platform_cannot_split(monkeypatch, missing):
     if missing != "fork":
         monkeypatch.setattr(grid_mod.os, "fork", lambda: pytest.fail("os.fork called"))
     rows = evaluate_group(grid, train, test, GROUP_ALPHAS, 0.1, 0, 3)
-    assert [_bits(record) for record, _ in rows] == [_bits(record) for record, _ in serial]
+    assert [_bits(record) for record in rows] == [_bits(record) for record in serial]
 
 
 def test_resume_runs_only_the_pending_alphas_of_each_group(tmp_path, monkeypatch):
@@ -712,7 +713,7 @@ def test_group_draws_its_stream_once_per_step(monkeypatch, width, group_size):
     grid = _reducer_grid(width=width, batch_size=16, sigma2=0.05, steps=steps)
     train, test = load_grid_datasets(grid)
     rows = evaluate_group(grid, train, test, GROUP_ALPHAS[:group_size], 0.1, width, 3)
-    assert not any(record.diverged for record, _ in rows)
+    assert not any(record.diverged for record in rows)
     (stream,) = streams
     layers = 1 if width == 0 else 2  # init_params draws one Gaussian block per layer
     # per step: the batch indices, the two subordinator uniforms, G and the
@@ -730,7 +731,7 @@ def test_reference_light_noise_group_reproduces_committed_rows():
     train, test = load_grid_datasets(grid)
     rows = evaluate_group(grid, train, test, grid.alphas, grid.sigma1s[1], grid.widths[0], 0)
     committed = (reference / "phase_transition_records.csv").read_bytes().splitlines(True)
-    for record, _ in rows:
+    for record in rows:
         written = _ROW.format(*record[:9], "true" if record.diverged else "false").encode()
         assert committed.count(written) == 1, written
-    assert len(rows) == 10 and not any(record.diverged for record, _ in rows)
+    assert len(rows) == 10 and not any(record.diverged for record in rows)

@@ -15,8 +15,6 @@ repeats of a batch of calls, reported per call as min / median / quartiles
   once per group, then the alpha's scale sqrt(A) and its multiply into
   the group's draw buffer), one EM update, and what an eval step adds:
   one ``ModelKernel.error_rates`` call each on the train and test sets.
-- ``public.*``: the validating public functions, as a caller outside the
-  loop sees them.
 - ``data.generate_synthetic``: building the data set of the MNIST-shaped
   profile of ``perfbench``'s ``mnist-linear-minibatch`` workload
   (``SyntheticSpec(313, 784, 10, 3.0, 1.0, seed=0)``: 2504 train rows of
@@ -192,21 +190,6 @@ def step_layers(spec, train, test, cfg, params):
     ]
 
 
-def public_layers(spec, train, test, cfg, params):
-    d = params.size
-    rng = lb.RngStream(0, 2)
-    rows = np.arange(train.n)
-    grad = lb.surrogate_loss_and_grad(spec, params, train, rows)[1]
-    draw = lb.sample_isotropic_stable(cfg.alpha, d, rng)
-    return [
-        ("gradient", lambda: lb.surrogate_loss_and_grad(spec, params, train, rows), 200),
-        ("stable_draw", lambda: lb.sample_isotropic_stable(cfg.alpha, d, rng), 1000),
-        ("em_update", lambda: lb.em_step(params, grad, cfg, draw), 2000),
-        ("eval", lambda: (lb.zero_one_error(spec, params, train),
-                          lb.zero_one_error(spec, params, test)), 500),
-    ]
-
-
 def mnist_grid():
     """One alpha of perfbench's mnist-linear-minibatch profile."""
     return lb.GridSpec(
@@ -334,11 +317,10 @@ def main():
     layers = {"group.ref.tracemalloc": group_peak(ref_group, train, test)}
     peak = layers["group.ref.tracemalloc"]["tracemalloc_peak_bytes"]
     print(f"group.ref.tracemalloc: peak {peak} B", flush=True)
-    for prefix, make in (("loop", step_layers), ("public", public_layers)):
-        for name, fn, number in make(spec, train, test, cfg, params):
-            key = f"{prefix}.{name}"
-            layers[key] = time_calls(fn, number)
-            print(f"{key}: median {layers[key]['median']:.2f} us", flush=True)
+    for name, fn, number in step_layers(spec, train, test, cfg, params):
+        key = f"loop.{name}"
+        layers[key] = time_calls(fn, number)
+        print(f"{key}: median {layers[key]['median']:.2f} us", flush=True)
     mnist = mnist_grid()
     layers["data.generate_synthetic"] = time_generate(mnist.data, GENERATE_REPEATS)
     print(f"data.generate_synthetic: median {layers['data.generate_synthetic']['median']:.1f} ms,"

@@ -271,11 +271,11 @@ def estimate_radius(
     xs = [s.group for s in scan]
     taus = [s.tau_mean_gap for s in scan]
     crossing = None
-    for i in range(len(xs) - 1):
+    for i in range(len(xs)):
         if taus[i] == 0.0:
             crossing = xs[i]
             break
-        if taus[i] * taus[i + 1] < 0.0:
+        if i + 1 < len(xs) and taus[i] * taus[i + 1] < 0.0:
             t = taus[i] / (taus[i] - taus[i + 1])
             crossing = xs[i] + t * (xs[i + 1] - xs[i])
             break

@@ -14,8 +14,9 @@ the output CSV when the group finishes, so an interrupted sweep loses at
 most one group's unfinished cells and resumes by skipping rows already
 on disk (a row torn by the interruption is cut off and recomputed). A
 resumed file may hold only this grid's cells, each once, with this
-grid's d and n. The final file is rewritten sorted by (alpha, sigma1, d,
-seed) so its content does not depend on execution order.
+grid's d and n. The final file is rewritten sorted by cell (alpha,
+sigma1, d, width, n, seed) so its content does not depend on execution
+order.
 
 A cell evaluates only what its row reads: ``run_group(after=steps -
 window)`` skips the eval steps before the trailing ``window``, and the
@@ -268,10 +269,6 @@ def _row(grid: GridSpec, n: int, d: int, width: int, trace: RunTrace) -> RunReco
     return RunRecord(alpha, sigma1, d, width, n, seed, gap, i_hat, g_hat, False)
 
 
-def sort_key(r: RunRecord):
-    return (r.alpha, r.sigma1, r.d, r.seed)
-
-
 def execute_grid(grid: GridSpec, progress=None) -> list[RunRecord]:
     """Run every pending cell, persist incrementally, return the sorted records.
 
@@ -321,6 +318,6 @@ def execute_grid(grid: GridSpec, progress=None) -> list[RunRecord]:
             if progress is not None:
                 progress(record)
 
-    records = sorted(done.values(), key=sort_key)
+    records = sorted(done.values())  # a record's first six fields name its cell
     write_records(grid.out, records)
     return records

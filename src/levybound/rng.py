@@ -14,7 +14,7 @@ _MASK64 = (1 << 64) - 1
 
 
 def check_seed(seed: int, name: str = "seed") -> None:
-    """``RngStream`` keeps a seed's low 64 bits: refuse a seed it would alias."""
+    """Refuse a seed that is not one 64-bit word of a Philox key."""
     if not 0 <= seed < 2**64:
         raise InvalidParameterError(f"{name} must be in [0, 2**64), got {seed}")
 
@@ -40,8 +40,9 @@ class RngStream:
     __slots__ = ("seed", "stream", "gen")
 
     def __init__(self, seed: int, stream: int = 0):
-        self.seed = int(seed) & _MASK64
-        self.stream = int(stream) & _MASK64
+        self.seed, self.stream = int(seed), int(stream)
+        check_seed(self.seed)
+        check_seed(self.stream, "stream")
         key = np.array([self.seed, self.stream], dtype=np.uint64)
         self.gen = np.random.Generator(np.random.Philox(key=key))
 

@@ -5,12 +5,15 @@ The scalar sampler is the Chambers-Mallows-Stuck transform in the
 1-parameterization (location added after scaling), restricted to
 alpha != 1. Isotropic d-dimensional vectors are built by Gaussian
 subordination: X = sqrt(A) * G with A a totally skewed positive
-(alpha/2)-stable variable and G standard normal. The empirical
-characteristic function estimator is the validation oracle for both:
-for a unit-time isotropic alpha-stable increment,
+(alpha/2)-stable variable and G standard normal. Every isotropic draw,
+single or batched, is ``StableNoise(alpha).scale(u, w)`` times G, with
+the subordinator's uniforms ``(u, w)`` drawn first at every alpha.
+The empirical characteristic function estimator is the validation
+oracle for both: for a unit-time isotropic alpha-stable increment,
 E[cos(xi . X)] = exp(-||xi||^alpha) and E[sin(xi . X)] = 0.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,18 +84,14 @@ class _ChambersMallowsStuck:
         )
         return self.location + self.scale * x
 
-    def draws(self, rng: RngStream, size: int | None = None):
-        """A float when ``size`` is None, else an array of ``size`` draws."""
-        out = self.transform(*cms_uniforms(rng, size))
-        return float(out) if size is None else out
-
 
 def sample_skewed_stable(params: StableParams, rng: RngStream, size: int | None = None):
     """Draw from S(alpha, beta, scale, location) via the CMS transform.
 
     Returns a float when ``size`` is None, else an array of ``size`` draws.
     """
-    return _ChambersMallowsStuck(params).draws(rng, size)
+    out = _ChambersMallowsStuck(params).transform(*cms_uniforms(rng, size))
+    return float(out) if size is None else out
 
 
 def subordinator_scale(alpha: float) -> float:
@@ -100,69 +99,61 @@ def subordinator_scale(alpha: float) -> float:
     return 2.0 * np.cos(np.pi * alpha / 4.0) ** (2.0 / alpha)
 
 
-def _subordinator_law(alpha: float) -> _ChambersMallowsStuck:
-    return _ChambersMallowsStuck(StableParams(alpha / 2.0, 1.0, subordinator_scale(alpha), 0.0))
+class StableNoise:
+    """The (alpha/2)-stable subordinator A of isotropic alpha-stable draws
+    sqrt(A) G, their only part that depends on alpha. ``mix`` and ``scale``
+    give A and sqrt(A) of the uniforms ``cms_uniforms`` draws at every alpha
+    (floats for floats, arrays for arrays), so a caller may draw the uniforms
+    and G once for several alphas. Inputs are not validated; the samplers do."""
 
+    def __init__(self, alpha: float):
+        self.law = None if alpha == 2.0 else _ChambersMallowsStuck(
+            StableParams(alpha / 2.0, 1.0, subordinator_scale(alpha), 0.0))
 
-def _mixer_value(law: _ChambersMallowsStuck, u: float, w: float) -> float:
-    a = float(law.transform(u, w))
-    if not a > 0.0:
-        raise RuntimeError(f"non-positive subordinator draw {a}: sampler bug")
-    return a
+    def mix(self, u, w):
+        """A of uniforms ``(u, w)``, checked strictly positive; alpha < 2 only."""
+        a = self.law.transform(u, w)
+        if isinstance(a, float):  # one draw: stay in Python floats
+            a = float(a)
+            if not a > 0.0:
+                raise RuntimeError(f"non-positive subordinator draw {a}: sampler bug")
+        elif not (a > 0.0).all():
+            raise RuntimeError("non-positive subordinator draw: sampler bug")
+        return a
+
+    def scale(self, u, w):
+        """sqrt(A) of uniforms ``(u, w)``; sqrt(2) at alpha = 2."""
+        if self.law is None:
+            return np.sqrt(2.0)
+        a = self.mix(u, w)
+        # IEEE sqrt is correctly rounded, so math.sqrt gives np.sqrt's bits
+        # on one float at a fraction of its call cost
+        return math.sqrt(a) if isinstance(a, float) else np.sqrt(a)
 
 
 def sample_subordinator(alpha: float, rng: RngStream, size: int | None = None):
     """Draw A ~ S(alpha/2, 1, 2 cos(pi alpha/4)^(2/alpha), 0); strictly positive."""
     if not 1.0 < alpha < 2.0:
         raise InvalidParameterError(f"subordinator needs alpha in (1, 2), got {alpha}")
-    law = _subordinator_law(alpha)
-    if size is None:
-        return _mixer_value(law, *cms_uniforms(rng))
-    a = law.draws(rng, size)
-    if not (a > 0.0).all():
-        raise RuntimeError("non-positive subordinator draw: sampler bug")
-    return a
-
-
-class StableNoise:
-    """The factor sqrt(A) of isotropic alpha-stable draws sqrt(A) G, their
-    only part that depends on alpha: ``scale`` computes it from the
-    subordinator's uniforms (``cms_uniforms``), which every alpha draws,
-    so a caller may draw the uniforms and G once for several alphas.
-    Inputs are not validated; ``sample_isotropic_stable`` does that."""
-
-    def __init__(self, alpha: float):
-        self.mixer = None if alpha == 2.0 else _subordinator_law(alpha)
-
-    def scale(self, u: float, w: float):
-        """sqrt(A) of the subordinator draw of ``(u, w)``; sqrt(2) at alpha = 2."""
-        if self.mixer is None:
-            return np.sqrt(2.0)
-        return np.sqrt(_mixer_value(self.mixer, u, w))
+    return StableNoise(alpha).mix(*cms_uniforms(rng, size))
 
 
 def sample_isotropic_stable(alpha: float, dim: int, rng: RngStream, size: int | None = None):
     """Draw isotropic symmetric alpha-stable vectors in R^dim.
 
-    For alpha < 2 uses sqrt(A) * G subordination; alpha = 2 is handled
-    analytically as sqrt(2) * G because the subordinator scale
-    degenerates to 0 there. Every alpha consumes the same uniforms before
-    G, so one stream key gives the same G at every alpha. Output shape is
-    (dim,) or (size, dim).
+    sqrt(A) * G subordination through ``StableNoise``; at alpha = 2 the
+    subordinator degenerates and sqrt(A) is sqrt(2). The uniforms are
+    drawn before G at every alpha, so one stream key gives the same G at
+    every alpha. Output shape is (dim,) or (size, dim).
     """
     if not 1.0 < alpha <= 2.0:
         raise InvalidParameterError(f"alpha must be in (1, 2], got {alpha}")
     if dim < 1:
         raise InvalidParameterError(f"dim must be >= 1, got {dim}")
+    scale = StableNoise(alpha).scale(*cms_uniforms(rng, size))
     if size is None:
-        scale = StableNoise(alpha).scale(*cms_uniforms(rng))
         return rng.gen.standard_normal(dim) * scale
-    if alpha == 2.0:
-        cms_uniforms(rng, size)
-        scale = np.sqrt(2.0)
-    else:
-        scale = np.sqrt(sample_subordinator(alpha, rng, size))[:, None]
-    return scale * rng.gen.standard_normal((size, dim))
+    return np.reshape(scale, (-1, 1)) * rng.gen.standard_normal((size, dim))
 
 
 def empirical_char_fn(samples, xi) -> tuple[float, float]:

@@ -332,6 +332,13 @@ class TestEstimateRadius:
         above = min(d for d in dims if sigma1 * math.sqrt(d) >= 1.0)
         assert sigma1 * math.sqrt(below) <= got <= sigma1 * math.sqrt(above)
 
+    @pytest.mark.parametrize("taus, x", [
+        ([0.0, 0.5], 100.0), ([0.5, 0.0, -0.5], 400.0), ([0.5, 0.0], 400.0),
+    ], ids=["first", "middle", "last"])
+    def test_zero_tau_is_the_crossing_at_any_group(self, taus, x):
+        scan = scan_points(zip((100.0, 400.0, 900.0), taus))
+        assert estimate_radius(scan, "d", sigma1=0.1) == 0.1 * math.sqrt(x)
+
     def test_sigma_axis(self):
         scan = scan_points([(0.01, 0.6), (0.1, -0.6)])
         got = estimate_radius(scan, "sigma1", d=400)

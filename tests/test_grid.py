@@ -35,7 +35,6 @@ from levybound.grid import (
     _run_split,
     evaluate_group,
     load_grid_datasets,
-    sort_key,
 )
 from levybound.models import ModelKernel
 from levybound.sde import run_group
@@ -104,7 +103,18 @@ def test_noise_free_grid_ignores_alpha(tmp_path):
 def test_output_sorted(tmp_path):
     grid = tiny_grid(tmp_path / "r.csv", alphas=(2.0, 1.6), sigma1s=(0.2, 0.1), seeds=(1, 0))
     records = execute_grid(grid)
-    assert records == sorted(records, key=sort_key)
+    assert records == sorted(records, key=lambda r: (r.alpha, r.sigma1, r.d, r.width, r.seed))
+
+
+def test_widths_with_one_d_write_the_same_file_in_either_order(tmp_path):
+    # with 2 inputs and 2 classes the linear model (width 0) and width 1
+    # both have d = 4, so only the width orders their rows
+    grid = replace(tiny_grid(tmp_path / "a.csv", alphas=(1.7,), seeds=(0,), widths=(0, 1)),
+                   data=SyntheticSpec(20, 2, 2, 2.0, 1.0, seed=7))
+    assert {param_count(_model_for(w, load_grid_datasets(grid)[0])) for w in (0, 1)} == {4}
+    execute_grid(grid)
+    execute_grid(replace(grid, widths=(1, 0), out=str(tmp_path / "b.csv")))
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 def test_cell_failure_propagates_and_resumes(tmp_path, monkeypatch):

@@ -12,7 +12,12 @@ from levybound import (
     sample_subordinator,
 )
 from levybound.errors import DimensionMismatchError, InvalidParameterError
-from levybound.stable import _subordinator_law, cms_uniforms
+from levybound.stable import (
+    StableNoise,
+    _ChambersMallowsStuck,
+    cms_uniforms,
+    subordinator_scale,
+)
 
 # Monte-Carlo tolerance: 5 / sqrt(N) on both ECF parts.
 N_MC = 200_000
@@ -198,6 +203,12 @@ def test_alpha_two_uses_the_gaussians_of_alpha_below_two(size):
     assert heavy_rng.gen.random() == gauss_rng.gen.random()
 
 
+def _frozen_subordinator_law(alpha):
+    """The (alpha/2)-stable subordinator's CMS transform, built apart from
+    ``StableNoise`` so the frozen draws below stay frozen."""
+    return _ChambersMallowsStuck(StableParams(alpha / 2.0, 1.0, subordinator_scale(alpha), 0.0))
+
+
 def _frozen_stable_noise_draw(alpha, dim, rng):
     """One isotropic draw as the earlier per-alpha sampler made it, with one
     noise object and buffer per alpha: the subordinator's two uniforms, the
@@ -206,8 +217,23 @@ def _frozen_stable_noise_draw(alpha, dim, rng):
     out = np.empty(dim)
     u = rng.unit_open()
     w = -np.log(rng.unit_open())
-    scale = np.sqrt(2.0) if alpha == 2.0 else np.sqrt(float(_subordinator_law(alpha).transform(u, w)))
+    law = None if alpha == 2.0 else _frozen_subordinator_law(alpha)
+    scale = np.sqrt(2.0) if law is None else np.sqrt(float(law.transform(u, w)))
     return np.multiply(rng.gen.standard_normal(out=out), scale, out=out)
+
+
+def _frozen_batched_draws(alpha, dim, rng, size):
+    """``size`` isotropic draws as the earlier batched sampler made them:
+    ``size`` uniforms u, then ``size`` exponentials w, the scales sqrt(A)
+    (sqrt(2) at alpha = 2, the uniforms drawn all the same), then the
+    (size, dim) block of G scaled row by row."""
+    u = rng.unit_open(size)
+    w = -np.log(rng.unit_open(size))
+    if alpha == 2.0:
+        scale = np.sqrt(2.0)
+    else:
+        scale = np.sqrt(_frozen_subordinator_law(alpha).transform(u, w))[:, None]
+    return scale * rng.gen.standard_normal((size, dim))
 
 
 @pytest.mark.parametrize("dim", [1, 7, 864])
@@ -219,6 +245,47 @@ def test_isotropic_draw_matches_frozen_per_alpha_buffer_draw(alpha, dim):
             draw = sample_isotropic_stable(alpha, dim, new)
             assert draw.tobytes() == _frozen_stable_noise_draw(alpha, dim, old).tobytes()
         assert new.gen.random() == old.gen.random()
+
+
+@pytest.mark.parametrize("dim", [1, 7])
+@pytest.mark.parametrize("alpha", [1.3, 1.6, 2.0])
+def test_batched_draws_match_frozen_batched_draws(alpha, dim):
+    for seed in range(40):
+        new, old = RngStream(seed, 12), RngStream(seed, 12)
+        for _ in range(3):
+            draws = sample_isotropic_stable(alpha, dim, new, size=4)
+            assert draws.tobytes() == _frozen_batched_draws(alpha, dim, old, 4).tobytes()
+            if alpha < 2.0:
+                a = sample_subordinator(alpha, new, size=4)
+                assert a.tobytes() == _frozen_subordinator_law(alpha).transform(
+                    old.unit_open(4), -np.log(old.unit_open(4))).tobytes()
+        assert new.gen.random() == old.gen.random()
+
+
+@pytest.mark.parametrize("u, w", [(1e-300, 1.0), (np.array([0.5, 1e-300]), np.ones(2))],
+                         ids=["float", "array"])
+def test_noise_refuses_a_non_positive_subordinator_draw(u, w):
+    # u far below any unit_open draw puts theta at -pi/2, where A rounds to 0
+    for method in (StableNoise(1.5).mix, StableNoise(1.5).scale):
+        with pytest.raises(RuntimeError, match="non-positive subordinator draw"):
+            method(u, w)
+
+
+@pytest.mark.parametrize("dim", [1, 5])
+@pytest.mark.parametrize("alpha", [1.3, 1.7, 2.0])
+def test_one_at_a_time_draws_match_char_fn(alpha, dim):
+    # the per-step path: each draw made alone, as a training step makes it
+    n = 20_000
+    rng = RngStream(41, int(alpha * 100) * 100 + dim)
+    draws = np.array([sample_isotropic_stable(alpha, dim, rng) for _ in range(n)])
+    tol = 5.0 / math.sqrt(n)
+    freq_rng = RngStream(98, dim)
+    for norm in (0.5, 1.0, 1.5):
+        xi = freq_rng.gen.standard_normal(dim)
+        xi *= norm / np.linalg.norm(xi)
+        cos_part, sin_part = empirical_char_fn(draws, xi)
+        assert abs(cos_part - math.exp(-(norm**alpha))) < tol
+        assert abs(sin_part) < tol
 
 
 def test_cms_uniforms_size():

@@ -246,26 +246,16 @@ def alpha_regression(records) -> tuple[float, float, float]:
     return slope, intercept, 2.0 - 4.0 * slope
 
 
-def estimate_radius(
-    scan: list[GroupScan],
-    axis: str,
-    sigma1: float | None = None,
-    d: int | None = None,
-) -> float:
+def estimate_radius(scan, sigma1: float | None = None, d: int | None = None) -> float:
     """Radius estimate from the first sign change of the seed-averaged tau.
 
-    Linearly interpolates the crossing along the scan axis and returns
-    sigma1 * sqrt(d) evaluated there: for a d-scan supply the fixed
-    sigma1, for a sigma1-scan supply the fixed d.
+    Give exactly one fixed value: ``sigma1`` for a d-scan, ``d`` for a
+    sigma1-scan. The crossing is interpolated linearly along ``scan``, a
+    sequence of GroupScans by ascending group, and sigma1 * sqrt(d) is
+    returned there.
     """
-    if axis == "d":
-        if sigma1 is None:
-            raise InvalidParameterError("a d-scan needs the fixed sigma1")
-    elif axis == "sigma1":
-        if d is None:
-            raise InvalidParameterError("a sigma1-scan needs the fixed d")
-    else:
-        raise InvalidParameterError(f"axis must be 'd' or 'sigma1', got {axis!r}")
+    if (sigma1 is None) == (d is None):
+        raise InvalidParameterError("give exactly one of sigma1 (a d-scan) or d (a sigma1-scan)")
     if len(scan) < 2:
         raise AnalysisPreconditionError("need at least 2 groups to locate a crossing")
     xs = [s.group for s in scan]
@@ -281,7 +271,7 @@ def estimate_radius(
             break
     if crossing is None:
         raise AnalysisPreconditionError("tau never changes sign along the scan")
-    if axis == "d":
+    if d is None:
         return sigma1 * math.sqrt(crossing)
     return crossing * math.sqrt(d)
 
@@ -314,7 +304,7 @@ def build_report(records, group_key: str, radius: float = 1.0) -> AnalysisReport
         at = {other: fixed.pop()}
         regimes = [_regime(radius, **{group_key: s.group}, **at) for s in scans]
         try:
-            radius_estimate, radius_note = estimate_radius(list(scans), group_key, **at), None
+            radius_estimate, radius_note = estimate_radius(scans, **at), None
         except AnalysisPreconditionError as exc:
             radius_note = str(exc)
 

@@ -86,10 +86,7 @@ def _finite(text: str) -> float:
 def _cfg_from(args) -> dict[str, str]:
     cfg = dict(DEFAULTS)
     if getattr(args, "config", None):
-        try:
-            cfg.update(parse_config(args.config))
-        except DataFormatError as exc:
-            raise InvalidParameterError(str(exc)) from None
+        cfg.update(parse_config(args.config))
     for item in getattr(args, "set", None) or []:
         if "=" not in item:
             raise InvalidParameterError(f"--set needs key=value, got {item!r}")
@@ -262,7 +259,8 @@ def _cmd_simulate(args) -> int:
     )
     inputs.validate()
     if args.out:
-        open(args.out, "w").close()  # an unwritable --out fails before the cell trains
+        # an unwritable --out fails before the cell trains; an existing one keeps its bytes
+        open(args.out, "a").close()
     train, test = load_grid_datasets(grid)
     (record,) = evaluate_group(grid, train, test, (alpha,), sigma1, width, seed)
 

@@ -12,6 +12,7 @@ import csv
 import math
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -235,8 +236,17 @@ def _write_rows(path, mode: str, records) -> None:
             f.write(_ROW.format(*r[:9], "true" if r.diverged else "false"))
 
 
-def complete_lines(path) -> bytes:
-    """A records file's bytes up to its last line terminator.
+@contextmanager
+def _utf8(path):
+    """Report a UnicodeDecodeError met reading ``path`` as a DataFormatError."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def complete_lines(path) -> tuple[list[str], int]:
+    """A records file's decoded lines up to its last line terminator, and their byte count.
 
     Rows are appended a whole line at a time, so a last line without its
     line terminator is a row torn by a kill in mid-append; the caller
@@ -244,11 +254,13 @@ def complete_lines(path) -> bytes:
     """
     with open(path, "rb") as f:
         text = f.read()
-    return text[:text.rfind(b"\n") + 1]
+    kept = text[:text.rfind(b"\n") + 1]
+    with _utf8(path):
+        return kept.decode().splitlines(True), len(kept)
 
 
 def read_records(path) -> list[RunRecord]:
-    with open(path, newline="") as f:
+    with _utf8(path), open(path, encoding="utf-8", newline="") as f:
         return parse_records(f, path)
 
 
@@ -282,19 +294,20 @@ def parse_records(lines, path) -> list[RunRecord]:
 
 def parse_config(path) -> dict[str, str]:
     """Flat key=value config; '#' starts a comment, blank lines are skipped.
-    A key set twice is an error, not a silent override."""
+    A line that is not key=value, or a key set twice, is an
+    InvalidParameterError; a file that is not UTF-8 is a DataFormatError."""
     out: dict[str, str] = {}
     lines: dict[str, int] = {}
-    with open(path) as f:
+    with _utf8(path), open(path, encoding="utf-8") as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise DataFormatError(f"{path}:{lineno}: expected key=value")
+                raise InvalidParameterError(f"{path}:{lineno}: expected key=value")
             key, value = (part.strip() for part in line.split("=", 1))
             if key in lines:
-                raise DataFormatError(
+                raise InvalidParameterError(
                     f"{path}:{lineno}: key {key!r} is already set on line {lines[key]}"
                 )
             out[key], lines[key] = value, lineno

@@ -290,8 +290,8 @@ def execute_grid(grid: GridSpec, progress=None) -> list[RunRecord]:
     if os.path.exists(grid.out):
         # a row torn by a kill in mid-append is cut only after the complete
         # rows pass their checks, so a refused resume leaves the file as it was
-        kept = complete_lines(grid.out)
-        for r in parse_records(kept.decode().splitlines(True), grid.out) if kept else ():
+        kept, size = complete_lines(grid.out)
+        for r in parse_records(kept, grid.out) if kept else ():
             key = (r.alpha, r.sigma1, r.width, r.seed)
             cell = "alpha={}, sigma1={}, width={}, seed={}".format(*key)
             if key not in cells:
@@ -304,7 +304,7 @@ def execute_grid(grid: GridSpec, progress=None) -> list[RunRecord]:
                     f"gives d={dims[r.width]}, n={train.n}"
                 )
             done[key] = r
-        os.truncate(grid.out, len(kept))
+        os.truncate(grid.out, size)
     append_records(grid.out, [])  # the header: an unwritable path fails before any cell trains
 
     for sigma1, width, seed in product(grid.sigma1s, grid.widths, grid.seeds):

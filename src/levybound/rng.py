@@ -14,7 +14,10 @@ _MASK64 = (1 << 64) - 1
 
 
 def check_seed(seed: int, name: str = "seed") -> None:
-    """Refuse a seed that is not one 64-bit word of a Philox key."""
+    """Refuse a seed that is not one 64-bit word of a Philox key: an int or
+    numpy integer (not a bool) in [0, 2**64)."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise InvalidParameterError(f"{name} must be an integer, got {seed!r}")
     if not 0 <= seed < 2**64:
         raise InvalidParameterError(f"{name} must be in [0, 2**64), got {seed}")
 
@@ -40,9 +43,9 @@ class RngStream:
     __slots__ = ("seed", "stream", "gen")
 
     def __init__(self, seed: int, stream: int = 0):
+        check_seed(seed)
+        check_seed(stream, "stream")
         self.seed, self.stream = int(seed), int(stream)
-        check_seed(self.seed)
-        check_seed(self.stream, "stream")
         key = np.array([self.seed, self.stream], dtype=np.uint64)
         self.gen = np.random.Generator(np.random.Philox(key=key))
 

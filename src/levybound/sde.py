@@ -23,7 +23,6 @@ runs see common underlying randomness (across sigma1 too, at one width),
 which makes the correlation between alpha and the gap less noisy.
 """
 
-import hashlib
 import math
 from dataclasses import dataclass, replace
 
@@ -88,13 +87,14 @@ class StepRecord:
 @dataclass(frozen=True, eq=False)
 class RunTrace:
     """What one run measured: ``grad_sq`` holds the squared gradient norm
-    of each step run (a read-only float64 array), ``evals`` the
-    (step, train_error, test_error) of each evaluated step, in order."""
+    of each step run, ``evals`` the (step, train_error, test_error) of each
+    evaluated step, in order, and ``final_params`` the last step's parameters
+    (non-finite if the run diverged). Both arrays are read-only float64."""
 
     config: TrainConfig
     grad_sq: np.ndarray
     evals: tuple[tuple[int, float, float], ...]
-    final_params_hash: int
+    final_params: np.ndarray
     diverged: bool = False
 
     @property
@@ -103,14 +103,6 @@ class RunTrace:
         errors = {k: (train, test) for k, train, test in self.evals}
         return tuple(StepRecord(k, g, *errors.get(k, (None, None)))
                      for k, g in enumerate(self.grad_sq.tolist(), 1))
-
-
-def params_hash(params: np.ndarray) -> int:
-    """64-bit digest of the raw parameter bytes."""
-    return int.from_bytes(
-        hashlib.blake2b(np.ascontiguousarray(params).tobytes(), digest_size=8).digest(),
-        "big",
-    )
 
 
 class EulerMaruyama:
@@ -179,9 +171,9 @@ class _Run:
         self.diverged = False
 
     def trace(self) -> RunTrace:
-        self.grad_sq.flags.writeable = False
+        self.grad_sq.flags.writeable = self.params.flags.writeable = False
         return RunTrace(self.cfg, self.grad_sq[: self.steps], tuple(self.evals),
-                        params_hash(self.params), self.diverged)
+                        self.params, self.diverged)
 
 
 def run_group(

@@ -314,20 +314,21 @@ class TestEstimateRadius:
     def test_hand_interpolated_crossing(self):
         scan = scan_points([(1e4, 0.5), (6.4e4, 0.1), (1e5, -0.2)])
         # zero of the segment (6.4e4, 0.1) -> (1e5, -0.2) is at d* = 7.6e4
-        got = estimate_radius(scan, "d", sigma1=0.01)
+        got = estimate_radius(scan, sigma1=0.01)
         assert got == pytest.approx(0.01 * math.sqrt(7.6e4), rel=1e-12)
+        assert estimate_radius(tuple(scan), sigma1=0.01) == got
 
     def test_all_positive_errors(self):
         scan = scan_points([(10.0, 0.5), (100.0, 0.4), (1000.0, 0.1)])
         with pytest.raises(AnalysisPreconditionError):
-            estimate_radius(scan, "d", sigma1=0.01)
+            estimate_radius(scan, sigma1=0.01)
 
     def test_synthetic_transition_within_one_cell(self):
         # tau flips where sigma1 sqrt(d) crosses 1
         sigma1 = 0.01
         dims = [2000.0 * 2**k for k in range(8)]  # sigma1 sqrt(d): 0.45 ... 5.1
         scan = scan_points([(d, 0.8 if sigma1 * math.sqrt(d) < 1.0 else -0.8) for d in dims])
-        got = estimate_radius(scan, "d", sigma1=sigma1)
+        got = estimate_radius(scan, sigma1=sigma1)
         below = max(d for d in dims if sigma1 * math.sqrt(d) < 1.0)
         above = min(d for d in dims if sigma1 * math.sqrt(d) >= 1.0)
         assert sigma1 * math.sqrt(below) <= got <= sigma1 * math.sqrt(above)
@@ -337,19 +338,19 @@ class TestEstimateRadius:
     ], ids=["first", "middle", "last"])
     def test_zero_tau_is_the_crossing_at_any_group(self, taus, x):
         scan = scan_points(zip((100.0, 400.0, 900.0), taus))
-        assert estimate_radius(scan, "d", sigma1=0.1) == 0.1 * math.sqrt(x)
+        assert estimate_radius(scan, sigma1=0.1) == 0.1 * math.sqrt(x)
 
     def test_sigma_axis(self):
         scan = scan_points([(0.01, 0.6), (0.1, -0.6)])
-        got = estimate_radius(scan, "sigma1", d=400)
+        got = estimate_radius(scan, d=400)
         assert got == pytest.approx(0.055 * 20.0, rel=1e-12)
 
     def test_axis_validation(self):
         scan = scan_points([(1.0, 0.5), (2.0, -0.5)])
         with pytest.raises(InvalidParameterError):
-            estimate_radius(scan, "d")
+            estimate_radius(scan)
         with pytest.raises(InvalidParameterError):
-            estimate_radius(scan, "width", sigma1=0.1)
+            estimate_radius(scan, sigma1=0.1, d=400)
 
 
 class TestBuildReport:

@@ -302,6 +302,25 @@ class TestSimulateCommand:
         assert (code, out) == (2, "")
         assert f"i/o error: [Errno 2] No such file or directory: '{out_csv}'" in err
 
+    def test_failed_run_keeps_an_existing_out(self, capsys, tmp_path):
+        cfg = tmp_path / "idx.cfg"
+        cfg.write_text(BASE_CFG + "alphas=1.7\nsigma1s=0.1\ndata=idx\n"
+                       + "".join(f"{stem}={tmp_path / 'missing.idx'}\n" for stem in
+                                 ("train_images", "train_labels", "test_images", "test_labels")))
+        out_csv = tmp_path / "keep.csv"
+        out_csv.write_bytes(b"kept,row\n")
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(out_csv))
+        assert (code, out) == (2, "")
+        assert "i/o error: [Errno 2] No such file or directory" in err
+        assert out_csv.read_bytes() == b"kept,row\n"
+
+    def test_config_that_is_not_utf8_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(BASE_CFG.encode() + b"alphas=1.7\nsigma1s=0.1\nsteps=\xff\n")
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"i/o error: {cfg}: not UTF-8 text") and "Traceback" not in err
+
 
 class TestConfigKeys:
     """A simulate config names one cell, and a key no subcommand reads is a
@@ -423,6 +442,16 @@ class TestGridResume:
         assert f"config error: {out_csv} holds a row outside this grid" in err
         assert out_csv.read_bytes() == before
 
+    def test_records_file_that_is_not_utf8_exits_2(self, capsys, grid_run):
+        cfg, out_csv = grid_run
+        header, first, *rest = out_csv.read_bytes().split(b"\r\n")
+        out_csv.write_bytes(b"\r\n".join([header, first + b"\xff", *rest]))
+        before = out_csv.read_bytes()
+        code, out, err = run_cli(capsys, "grid", "--config", str(cfg), "--out", str(out_csv))
+        assert (code, out) == (2, "")
+        assert f"i/o error: {out_csv}: not UTF-8 text" in err and "Traceback" not in err
+        assert out_csv.read_bytes() == before
+
 
 class TestGridCommand:
     def test_worker_error_exits_1_and_leaves_no_process(self, capsys, tmp_path, monkeypatch):
@@ -529,6 +558,14 @@ class TestAnalyzeCommand:
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "analyze", "--records", str(tmp_path / "nope.csv"))
         assert code == 2
+
+    def test_records_file_that_is_not_utf8_exits_2(self, capsys, tmp_path):
+        records_csv = tmp_path / "records.csv"
+        self.write_power_law_records(records_csv)
+        records_csv.write_bytes(records_csv.read_bytes().replace(b"false", b"f\xffalse", 1))
+        code, out, err = run_cli(capsys, "analyze", "--records", str(records_csv))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"i/o error: {records_csv}: not UTF-8 text")
 
     def test_single_alpha_exits_3(self, capsys, tmp_path):
         records_csv = tmp_path / "records.csv"

@@ -60,6 +60,9 @@ class TestSynthetic:
             with pytest.raises(InvalidParameterError,
                                match=r"data_seed must be in \[0, 2\*\*64\)"):
                 SyntheticSpec(10, 3, 2, 1.0, 1.0, seed=seed)
+        for seed in (1.5, True):
+            with pytest.raises(InvalidParameterError, match="data_seed must be an integer"):
+                SyntheticSpec(10, 3, 2, 1.0, 1.0, seed=seed)
 
     def test_split_sizes(self):
         train, test = generate_synthetic(SyntheticSpec(50, 8, 2, 2.0, 1.0, seed=1))
@@ -477,6 +480,13 @@ def test_malformed_records_match_reference_reader(tmp_path, body):
         assert same_records(read_records(path), want)
 
 
+def test_records_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "records.csv"
+    path.write_bytes(f"{','.join(RECORD_HEADER)}\r\n{GOOD_ROW}".encode() + b"\xff\r\n")
+    with pytest.raises(DataFormatError, match=f"{path}: not UTF-8 text"):
+        read_records(path)
+
+
 class TestParseConfig:
     def test_basic(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -486,11 +496,17 @@ class TestParseConfig:
     def test_missing_equals(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("gamma 0.01\n")
-        with pytest.raises(DataFormatError, match=":1:"):
+        with pytest.raises(InvalidParameterError, match=":1:"):
             parse_config(path)
 
     def test_key_set_twice_names_both_lines(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("steps=50\n# comment\ngamma=0.01\n steps = 40\n")
-        with pytest.raises(DataFormatError, match=r":4: key 'steps' is already set on line 1"):
+        with pytest.raises(InvalidParameterError, match=r":4: key 'steps' is already set on line 1"):
+            parse_config(path)
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"gamma=0.01\nsteps=\xff\n")
+        with pytest.raises(DataFormatError, match=f"{path}: not UTF-8 text"):
             parse_config(path)

@@ -568,7 +568,7 @@ def test_split_group_is_the_one_process_group(monkeypatch, workers):
         assert trace.config == alone.config
         assert trace.grad_sq.tobytes() == alone.grad_sq.tobytes()
         assert trace.evals == alone.evals
-        assert trace.final_params_hash == alone.final_params_hash
+        assert trace.final_params.tobytes() == alone.final_params.tobytes()
         assert trace.diverged == alone.diverged
 
 

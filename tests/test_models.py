@@ -273,6 +273,16 @@ class TestErrorRates:
         assert rates == [zero_one_error(spec, p, train) for p in ps]
         assert rates == [_oracle_error_rate(spec, p, train.features, train.labels) for p in ps]
 
+    @pytest.mark.parametrize("rows", [400, 100])
+    def test_reference_widths_match_plain_forward_pass(self, rows):
+        # test_mnist_profile_shape pins the 2504- and 626-row 784 -> 10 shapes
+        data = make_dataset(rows, 25, 2, seed=rows)
+        spec = ModelSpec((25, 32, 2))
+        rng = RngStream(2)
+        ps = [init_params(spec, 1.0, rng) for _ in range(10)]
+        rates = ModelKernel(spec, rows).error_rates(ps, data.features, data.labels)
+        assert rates == [_oracle_error_rate(spec, p, data.features, data.labels) for p in ps]
+
     def test_eval_only_kernel_holds_no_gradient_arrays(self):
         # the MNIST-shaped train set (2504 rows, 784 -> 10) evaluated for a
         # group of 10 runs: the kernel keeps error_rates' stacked arrays and

@@ -15,12 +15,11 @@ from levybound import (
     run_training,
     sample_isotropic_stable,
     sample_subordinator,
-    surrogate_loss_and_grad,
     zero_one_error,
 )
 from levybound.errors import DimensionMismatchError, InvalidParameterError
 from levybound.models import ModelKernel
-from levybound.sde import RunTrace, StepRecord, params_hash, run_group
+from levybound.sde import EulerMaruyama, RunTrace, StepRecord, run_group
 
 
 def blob_data(seed=0, n=120, dim=6, classes=2, sep=2.0):
@@ -34,8 +33,8 @@ def blob_data(seed=0, n=120, dim=6, classes=2, sep=2.0):
 
 def _same(a, b):
     """Traces compare by what they recorded, their final parameters and flag."""
-    return (a.records, a.final_params_hash, a.diverged) == (
-        b.records, b.final_params_hash, b.diverged)
+    return (a.records, a.final_params.tobytes(), a.diverged) == (
+        b.records, b.final_params.tobytes(), b.diverged)
 
 
 class TestConfig:
@@ -52,6 +51,9 @@ class TestConfig:
         # a stream keeps a seed's low 64 bits: -1 would alias 2**64 - 1, and 2**64 alias 0
         for seed in (-1, 2**64):
             with pytest.raises(InvalidParameterError, match=r"seed must be in \[0, 2\*\*64\)"):
+                TrainConfig(gamma=0.1, eta=0.0, alpha=1.5, sigma1=0.1, seed=seed)
+        for seed in (2.5, True):
+            with pytest.raises(InvalidParameterError, match="seed must be an integer"):
                 TrainConfig(gamma=0.1, eta=0.0, alpha=1.5, sigma1=0.1, seed=seed)
 
 
@@ -96,9 +98,11 @@ class TestRunTraining:
         rng = RngStream(cfg.seed, mix64(0, 0))
         w = init_params(spec, 1.0, rng)
         for _ in range(cfg.steps):
-            _, g = surrogate_loss_and_grad(spec, w, data, np.arange(data.n))
+            g, _ = _frozen_gradient(spec, w, data, np.arange(data.n))
             w = w - cfg.gamma * g - cfg.eta * cfg.gamma * w
-        assert trace.final_params_hash == params_hash(w)
+        assert trace.final_params.tobytes() == w.tobytes()
+        assert trace.final_params.dtype == np.float64
+        assert not trace.final_params.flags.writeable
         assert not trace.diverged
 
     def test_full_integer_batch_equals_full_batch(self):
@@ -133,7 +137,7 @@ class TestRunTraining:
         t1 = run_training(spec, data, test, TrainConfig(**base, eval_interval=3))
         t2 = run_training(spec, data, test, TrainConfig(**base, eval_interval=1000))
         assert [r.grad_sq for r in t1.records] == [r.grad_sq for r in t2.records]
-        assert t1.final_params_hash == t2.final_params_hash
+        assert t1.final_params.tobytes() == t2.final_params.tobytes()
 
     def test_eval_cadence_fields(self):
         data = blob_data(12)
@@ -311,7 +315,7 @@ def _frozen_run(spec, train, test, cfg, init_scale, rng):
     return RunTrace(cfg, np.array([r.grad_sq for r in records]),
                     tuple((r.step, r.train_error, r.test_error) for r in records
                           if r.train_error is not None),
-                    params_hash(params), diverged)
+                    params, diverged)
 
 
 @pytest.mark.parametrize("alpha", [1.6, 1.95, 2.0])
@@ -344,7 +348,7 @@ def test_diverging_run_matches_frozen_loop(hidden):
     assert trace.diverged and frozen.diverged
     assert 0 < len(trace.records) < cfg.steps
     assert trace.records == frozen.records
-    assert trace.final_params_hash == frozen.final_params_hash
+    assert trace.final_params.tobytes() == frozen.final_params.tobytes()
 
 
 def test_subordinator_draws_match_frozen_scalar_cms():
@@ -357,6 +361,37 @@ def test_subordinator_draws_match_frozen_scalar_cms():
             assert type(a) is float
             mismatches += a != _frozen_subordinator(alpha, old)
     assert mismatches == 0
+
+
+# --- Kernel oracles: the loop's gradient and update against the plain
+# numpy lines they compute, byte for byte.
+
+
+@pytest.mark.parametrize("widths", [(6, 4, 2), (25, 32, 2), (784, 10), (20, 8, 3)])
+def test_model_kernel_gradient_matches_plain_numpy(widths):
+    spec = ModelSpec(widths)
+    data = blob_data(80 + len(widths), n=60, dim=widths[0], classes=widths[-1])
+    params = init_params(spec, 1.0, RngStream(7))
+    kernel = ModelKernel(spec, data.n)
+    grad = kernel.gradient(params, data.features, kernel.row_starts + data.labels)
+    want, _ = _frozen_gradient(spec, params, data, np.arange(data.n))
+    assert grad.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("alpha", [1.3, 1.7, 2.0])
+@pytest.mark.parametrize("noisy", [True, False])
+def test_euler_maruyama_matches_plain_numpy(alpha, noisy):
+    gamma, eta, sigma1, sigma2 = 0.05, 0.01, 0.3, 0.07
+    cfg = TrainConfig(gamma=gamma, eta=eta, alpha=alpha, sigma1=sigma1, sigma2=sigma2)
+    p, g, s, b = RngStream(8).gen.standard_normal((4, 50))
+    want = p - gamma * g - (eta * gamma) * p
+    if noisy:
+        want = (want + (gamma ** (1 / alpha) * sigma1) * s
+                + (np.sqrt(2 * gamma) * sigma2) * b)
+    else:
+        s = b = None
+    got = EulerMaruyama(cfg, p.size)(p, g, s, b, np.empty(p.size))
+    assert got.tobytes() == want.tobytes()
 
 
 # --- The group runner: alphas of one stream trained in lockstep, each
@@ -402,7 +437,7 @@ def test_run_group_diverging_alphas_match_frozen_loop(hidden, sigma1, diverged):
         frozen = _frozen_run(spec, train, test, replace(cfg, alpha=alpha), 1.0, RngStream(6))
         assert trace.diverged == frozen.diverged
         assert trace.records == frozen.records
-        assert trace.final_params_hash == frozen.final_params_hash
+        assert trace.final_params.tobytes() == frozen.final_params.tobytes()
 
 
 @pytest.mark.parametrize("after", [0, 4, 7, 21, 39, 40])
@@ -434,8 +469,8 @@ def test_after_k_trace_has_one_record_per_step_and_evals_above_k(hidden, batch_s
                              if k % 3 == 0 or k == cfg.steps]
         assert [e[0] for e in trace.evals] == evaluated
         assert trace.evals == tuple(e for e in whole.evals if e[0] > after)
-        assert (trace.final_params_hash, trace.diverged) == (
-            whole.final_params_hash, whole.diverged)
+        assert (trace.final_params.tobytes(), trace.diverged) == (
+            whole.final_params.tobytes(), whole.diverged)
 
 
 @pytest.mark.parametrize("hidden", [(), (5,)], ids=["linear", "relu"])

@@ -146,6 +146,22 @@ def test_streams_are_deterministic():
     assert (a != c).any()
 
 
+@pytest.mark.parametrize("seed, stream", [(2.9, 0), (2.0, 0), (True, 0), (np.bool_(True), 0),
+                                          ("2", 0), (2, 1.5), (2, False)],
+                         ids=["float", "integral-float", "bool", "numpy-bool", "str",
+                              "float-stream", "bool-stream"])
+def test_stream_key_must_be_integers(seed, stream):
+    # int() would truncate 2.9 to 2 and True to 1: another key's stream
+    with pytest.raises(InvalidParameterError, match="must be an integer, got"):
+        RngStream(seed, stream)
+
+
+def test_numpy_integer_key_is_the_int_key():
+    a = RngStream(np.uint64(2**64 - 1), np.int64(3))
+    assert (a.seed, a.stream) == (2**64 - 1, 3)
+    assert a.gen.random() == RngStream(2**64 - 1, 3).gen.random()
+
+
 def test_scalar_draws_are_floats():
     x = sample_skewed_stable(StableParams(1.5, 0.0), RngStream(0))
     assert isinstance(x, float)

@@ -34,10 +34,13 @@ repeats of a batch of calls, reported per call as min / median / quartiles
   of work; a tree that trains a group's alphas one cell at a time is
   timed the same way. Both run as a user's ``levybound grid`` does: the
   reference group's full-batch alphas are split across the usable CPUs,
-  and the MNIST-shaped minibatch group trains in this process.
-- ``group.ref.one_core``: ``group.ref`` with this process pinned to its
-  first usable CPU (``os.sched_setaffinity``, restored afterwards), so
-  the group trains serially, as under ``taskset -c 0``.
+  and the MNIST-shaped minibatch group trains in this process, its evals
+  on ``run_group``'s helper thread.
+- ``group.ref.one_core`` and ``group.mnist.one_core``: ``group.ref`` and
+  ``group.mnist`` with this process pinned to its first usable CPU
+  (``os.sched_setaffinity``, restored afterwards), as under ``taskset -c
+  0``: the reference group trains serially, and the eval helper thread
+  shares the one CPU with the training loop.
 - ``group.ref.tracemalloc``: the peak bytes ``tracemalloc`` sees
   allocated during one ``grid.evaluate_group`` call of that reference
   group, its data set loaded before tracing starts, measured before any
@@ -244,7 +247,7 @@ def time_group(grid, repeats):
 
 @contextlib.contextmanager
 def one_core():
-    """Pin this process, and any worker it forks, to its first usable CPU."""
+    """Pin this process, its threads and any worker it forks to its first usable CPU."""
     cpus = os.sched_getaffinity(0)
     os.sched_setaffinity(0, {min(cpus)})
     try:
@@ -332,6 +335,8 @@ def main():
         ("group.ref.one_core", ref_group, GROUP_REPEATS, one_core()),
         ("group.mnist", replace(mnist, alphas=grid.alphas), MNIST_GROUP_REPEATS,
          contextlib.nullcontext()),
+        ("group.mnist.one_core", replace(mnist, alphas=grid.alphas), MNIST_GROUP_REPEATS,
+         one_core()),
     ):
         with cores:
             layers[key] = time_group(group, repeats)

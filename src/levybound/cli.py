@@ -8,6 +8,7 @@ flag overrides, and emits CSV to stdout or ``--out``. Exit codes:
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import replace
 
@@ -258,25 +259,34 @@ def _cmd_simulate(args) -> int:
         lam=_value(cfg, "Lambda", float),
     )
     inputs.validate()
+    created = False
     if args.out:
-        # an unwritable --out fails before the cell trains; an existing one keeps its bytes
+        # an unwritable --out fails before the cell trains; an existing one
+        # keeps its bytes, and one made here is removed if the run fails
+        created = not os.path.exists(args.out)
         open(args.out, "a").close()
-    train, test = load_grid_datasets(grid)
-    (record,) = evaluate_group(grid, train, test, (alpha,), sigma1, width, seed)
+    try:
+        train, test = load_grid_datasets(grid)
+        (record,) = evaluate_group(grid, train, test, (alpha,), sigma1, width, seed)
 
-    # fields that do not apply to the cell stay None (empty)
-    gap = i_hat = g_hat = thm = disc = brown = None
-    if not record.diverged:
-        gap, i_hat = record.gap, record.i_hat
-        inputs = replace(inputs, d=record.d, n=record.n)
-        if sigma1 > 0.0:
-            g_hat, thm = record.g_hat, stable_bound(i_hat, inputs)
-            if tc.eta > 0.0:
-                disc = discrete_bound(i_hat, inputs)
-        if tc.sigma2 > 0.0:
-            brown = brownian_bound(i_hat, inputs)
-    row = (*record[:6], gap, i_hat, g_hat, thm, disc, brown, "true" if record.diverged else "false")
-    _emit(args.out, SIMULATE_HEADER, [row])
+        # fields that do not apply to the cell stay None (empty)
+        gap = i_hat = g_hat = thm = disc = brown = None
+        if not record.diverged:
+            gap, i_hat = record.gap, record.i_hat
+            inputs = replace(inputs, d=record.d, n=record.n)
+            if sigma1 > 0.0:
+                g_hat, thm = record.g_hat, stable_bound(i_hat, inputs)
+                if tc.eta > 0.0:
+                    disc = discrete_bound(i_hat, inputs)
+            if tc.sigma2 > 0.0:
+                brown = brownian_bound(i_hat, inputs)
+        row = (*record[:6], gap, i_hat, g_hat, thm, disc, brown,
+               "true" if record.diverged else "false")
+        _emit(args.out, SIMULATE_HEADER, [row])
+    except BaseException:
+        if created:
+            os.remove(args.out)
+        raise
     return 0
 
 

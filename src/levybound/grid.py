@@ -8,15 +8,19 @@ row of that alpha's one-alpha group (``simulate``'s one cell), up to the
 eval's rounding (``run_group``). A full-batch group's alphas are split
 into contiguous chunks, one per usable core (``os.sched_getaffinity``):
 this process trains the first and a forked worker each other one, so
-``taskset -c 0`` runs a sweep serially, as does a platform without
-``os.sched_getaffinity`` or ``os.fork``. A group's rows are appended to
-the output CSV when the group finishes, so an interrupted sweep loses at
-most one group's unfinished cells and resumes by skipping rows already
-on disk (a row torn by the interruption is cut off and recomputed). A
-resumed file may hold only this grid's cells, each once, with this
-grid's d and n. The final file is rewritten sorted by cell (alpha,
-sigma1, d, width, n, seed) so its content does not depend on execution
-order.
+``taskset -c 0`` runs a sweep in one process, as does a platform without
+``os.sched_getaffinity`` or ``os.fork``. A minibatch group trains in
+this process and uses a second core through ``run_group``'s eval helper
+thread, which shares the data set, not through a fork. No thread
+outlives its ``run_group``, so a group forks with no helper running.
+
+A group's rows are appended to the output CSV when the group finishes,
+so an interrupted sweep loses at most one group's unfinished cells and
+resumes by skipping rows already on disk (a row torn by the
+interruption is cut off and recomputed). A resumed file may hold only
+this grid's cells, each once, with this grid's d and n. The final file
+is rewritten sorted by cell (alpha, sigma1, d, width, n, seed) so its
+content does not depend on execution order.
 
 A cell evaluates only what its row reads: ``run_group(after=steps -
 window)`` skips the eval steps before the trailing ``window``, and the
@@ -170,10 +174,11 @@ def evaluate_group(
                            after=cfg.steps - grid.window)
         return [_row(grid, train.n, d, width, trace) for trace in traces]
 
-    # A minibatch group stays serial: a forked worker's peak RSS starts from
+    # A minibatch group is not split: a forked worker's peak RSS starts from
     # this process's resident set, data set included, and on the MNIST-shaped
     # minibatch profile a split raised the measured peak RSS by 8% (146 -> 158 MB).
-    # A platform without os.sched_getaffinity or os.fork runs every group serially.
+    # Its evals take the second core instead, on run_group's helper thread.
+    # A platform without os.sched_getaffinity or os.fork splits no group.
     workers = 1
     if (cfg.batch_size is None and len(alphas) > 1
             and hasattr(os, "sched_getaffinity") and hasattr(os, "fork")):

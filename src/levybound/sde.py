@@ -176,6 +176,21 @@ class _Run:
                         self.params, self.diverged)
 
 
+def _error_rates(eval_sets, params) -> list[list[float]]:
+    """The train and test errors of each row of ``params``: the helper's job."""
+    return [kernel.error_rates(params, data.features, data.labels)
+            for kernel, data in eval_sets]
+
+
+def _record(pending) -> None:
+    """Append the errors of the eval step ``pending`` (if any) to its runs,
+    once the helper has them; the helper's exception is raised here."""
+    if pending is not None:
+        k, runs, errors = pending
+        for run, train_err, test_err in zip(runs, *errors.result()):
+            run.evals.append((k, train_err, test_err))
+
+
 def run_group(
     spec: ModelSpec,
     train: Dataset,
@@ -202,12 +217,28 @@ def run_group(
     parameters, update and measurements; the model kernels and draw
     buffers are the group's, and the two eval kernels hold no gradient
     arrays.
+
+    The evals run on one helper thread while the loop goes on with the
+    step's gradients and updates (numpy's matmul and argmax release the
+    GIL, so a second core does the eval, on the same data set). Before any
+    update, the calling thread copies the live runs' parameters into one
+    snapshot and notes which runs they are; it collects the previous
+    eval step's errors before it hands over the next, so each run's
+    ``evals`` stay in step order, and collects the last before it
+    returns, also when every run has diverged. An eval's exception is
+    raised here. No thread outlives the call, on any path out: a process
+    forked with a live thread (``grid``'s split forks between groups) can
+    deadlock on the locks that thread held.
+
     Each returned trace is the trace ``run_training`` gives its alpha
     alone on a stream of the same key, less its evals up to ``after``:
     the dynamics bit for bit, and the errors as ``error_rates`` promises
     them (the same rates unless two of a row's logits lie within rounding
     of each other).
     """
+    # imported here, not with the module, so that loading levybound does not pay for it
+    from concurrent.futures import ThreadPoolExecutor
+
     if train.input_dim != test.input_dim or train.num_classes != test.num_classes:
         raise DimensionMismatchError("train and test datasets do not match")
     if cfg.batch_size is not None and cfg.batch_size > train.n:
@@ -230,41 +261,43 @@ def run_group(
         x = np.ascontiguousarray(train.features)
         label_index = model.row_starts + train.labels
     live = runs
+    pending = None  # the eval step on the helper: (step, its runs, their errors to come)
 
-    for k in range(1, cfg.steps + 1):
-        if not full_batch:
-            idx = rng.gen.choice(n, size=cfg.batch_size, replace=False)
-            x = train.features[idx]
-            label_index = model.row_starts + train.labels[idx]
-        if gaussian is not None:
-            u, w = cms_uniforms(rng)
-            rng.gen.standard_normal(out=gaussian)
-        if brownian is not None:
-            rng.gen.standard_normal(out=brownian)
-
-        if k > after and (k % cfg.eval_interval == 0 or k == cfg.steps):
-            ps = [run.params for run in live]
-            train_errs, test_errs = (kernel.error_rates(ps, data.features, data.labels)
-                                     for kernel, data in eval_sets)
-            for run, train_err, test_err in zip(live, train_errs, test_errs):
-                run.evals.append((k, train_err, test_err))
-
-        for run in live:
-            grad = model.gradient(run.params, x, label_index)
-            run.grad_sq[k - 1] = grad @ grad
-            run.steps = k
-            stable_draw = None
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        for k in range(1, cfg.steps + 1):
+            if not full_batch:
+                idx = rng.gen.choice(n, size=cfg.batch_size, replace=False)
+                x = train.features[idx]
+                label_index = model.row_starts + train.labels[idx]
             if gaussian is not None:
-                stable_draw = np.multiply(gaussian, run.noise.scale(u, w), out=stable)
-            params = run.update(run.params, grad, stable_draw, brownian, run.spare)
-            run.params, run.spare = params, run.params
-            # a NaN or overflowed coordinate makes the norm NaN or inf
-            run.diverged = not math.sqrt(params @ params) <= DIVERGENCE_NORM
+                u, w = cms_uniforms(rng)
+                rng.gen.standard_normal(out=gaussian)
+            if brownian is not None:
+                rng.gen.standard_normal(out=brownian)
 
-        if any(run.diverged for run in live):
-            live = [run for run in live if not run.diverged]
-            if not live:
-                break
+            if k > after and (k % cfg.eval_interval == 0 or k == cfg.steps):
+                _record(pending)
+                # a copy: the next step's update writes into these arrays
+                snapshot = np.array([run.params for run in live])
+                pending = (k, live, helper.submit(_error_rates, eval_sets, snapshot))
+
+            for run in live:
+                grad = model.gradient(run.params, x, label_index)
+                run.grad_sq[k - 1] = grad @ grad
+                run.steps = k
+                stable_draw = None
+                if gaussian is not None:
+                    stable_draw = np.multiply(gaussian, run.noise.scale(u, w), out=stable)
+                params = run.update(run.params, grad, stable_draw, brownian, run.spare)
+                run.params, run.spare = params, run.params
+                # a NaN or overflowed coordinate makes the norm NaN or inf
+                run.diverged = not math.sqrt(params @ params) <= DIVERGENCE_NORM
+
+            if any(run.diverged for run in live):
+                live = [run for run in live if not run.diverged]
+                if not live:
+                    break
+        _record(pending)
 
     return [run.trace() for run in runs]
 

@@ -314,6 +314,17 @@ class TestSimulateCommand:
         assert "i/o error: [Errno 2] No such file or directory" in err
         assert out_csv.read_bytes() == b"kept,row\n"
 
+    def test_failed_run_removes_the_out_it_created(self, capsys, tmp_path):
+        cfg = tmp_path / "idx.cfg"
+        cfg.write_text(BASE_CFG + "alphas=1.7\nsigma1s=0.1\ndata=idx\n"
+                       + "".join(f"{stem}={tmp_path / 'missing.idx'}\n" for stem in
+                                 ("train_images", "train_labels", "test_images", "test_labels")))
+        out_csv = tmp_path / "new.csv"
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(out_csv))
+        assert (code, out) == (2, "")
+        assert "i/o error: [Errno 2] No such file or directory" in err
+        assert not out_csv.exists()
+
     def test_config_that_is_not_utf8_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes(BASE_CFG.encode() + b"alphas=1.7\nsigma1s=0.1\nsteps=\xff\n")
@@ -454,6 +465,15 @@ class TestGridResume:
 
 
 class TestGridCommand:
+    def test_minibatch_reference_is_byte_identical(self, capsys, tmp_path):
+        # the committed records of the minibatch smoke profile (784 inputs,
+        # 10 classes, batch 64, Brownian noise; see reference/RUN_LOG.md)
+        out = tmp_path / "minibatch_smoke_records.csv"
+        code, _, err = run_cli(capsys, "grid", "--config", str(REFERENCE / "minibatch_smoke.cfg"),
+                               "--out", str(out))
+        assert (code, err) == (0, f"cells: 8\nwrote 8 records to {out}\n")
+        assert out.read_bytes() == (REFERENCE / "minibatch_smoke_records.csv").read_bytes()
+
     def test_worker_error_exits_1_and_leaves_no_process(self, capsys, tmp_path, monkeypatch):
         parent, real_run_group = os.getpid(), levybound.grid.run_group
 

@@ -1,6 +1,7 @@
 import math
 import os
 import struct
+import threading
 import time
 from collections import Counter
 from dataclasses import replace
@@ -414,24 +415,27 @@ def test_window_eval_count_matches_the_steps_run_group_evaluates():
 def test_evaluate_cell_evaluates_only_in_window_eval_steps(monkeypatch, batch_size, steps,
                                                              window):
     # count the 0-1 evaluations: one error_rates call per data set, train
-    # and test, made before the step's gradient and tagged with its step;
-    # the gradient takes no eval output and makes no eval call
+    # and test, on the parameters the step's gradient takes, and tagged
+    # with that step; the gradient takes no eval output and makes no eval
+    # call. The evals run on run_group's helper thread, alongside the
+    # gradients, so a call is tagged by its parameters once the run is over.
     grid = _reducer_grid(batch_size=batch_size, steps=steps, window=window)
     train, test = load_grid_datasets(grid)
-    step, evals, in_gradient = [0], [], [False]
+    step, evals, in_gradient, step_of = [0], [], threading.local(), {}
     real_gradient, real_error_rates = ModelKernel.gradient, ModelKernel.error_rates
 
     def gradient(self, params, x, label_index):
         step[0] += 1
-        in_gradient[0] = True
+        step_of[params.tobytes()] = step[0]
+        in_gradient.on = True
         try:
             return real_gradient(self, params, x, label_index)
         finally:
-            in_gradient[0] = False
+            in_gradient.on = False
 
     def error_rates(self, params_list, x, labels):
-        assert len(params_list) == 1 and not in_gradient[0]
-        evals.append((step[0] + 1, "train" if x is train.features else "test"))
+        assert len(params_list) == 1 and not getattr(in_gradient, "on", False)
+        evals.append((params_list[0].tobytes(), "train" if x is train.features else "test"))
         return real_error_rates(self, params_list, x, labels)
 
     monkeypatch.setattr(ModelKernel, "gradient", gradient)
@@ -440,7 +444,8 @@ def test_evaluate_cell_evaluates_only_in_window_eval_steps(monkeypatch, batch_si
     in_window = [k for k in range(1, steps + 1)
                  if k > steps - window and (k % 5 == 0 or k == steps)]
     assert step[0] == steps
-    assert evals == [(k, data) for k in in_window for data in ("train", "test")]
+    assert [(step_of[params], data) for params, data in evals] == [
+        (k, data) for k in in_window for data in ("train", "test")]
 
 
 # --- Groups: the alphas of one (sigma1, width, seed) group train in
@@ -481,28 +486,31 @@ def test_group_rows_are_the_one_alpha_cell_rows(monkeypatch, case):
 @pytest.mark.parametrize("group_size", [1, 4])
 def test_group_evaluates_each_data_set_once_per_eval_step(monkeypatch, batch_size, width,
                                                           group_size):
-    # every eval call, tagged with its step (it comes before the step's
-    # gradients), its data set and the number of runs it evaluates; the
-    # gradient takes no eval output and makes no eval call
+    # every eval call, tagged with its step (the step whose gradients take
+    # the parameters it evaluates, found once the run is over, since the
+    # evals run on run_group's helper thread), its data set and the number
+    # of runs it evaluates; the gradient takes no eval output and makes no
+    # eval call
     steps = 40
     grid = _reducer_grid(width=width, batch_size=batch_size, steps=steps)
     train, test = load_grid_datasets(grid)
-    gradients, calls, in_gradient = [0], [], [False]
+    gradients, calls, in_gradient, step_of = [0], [], threading.local(), {}
     real_gradient, real_error_rates = ModelKernel.gradient, ModelKernel.error_rates
     _pin_cores(monkeypatch, 1)  # the calls are counted in this process
 
     def gradient(self, params, x, label_index):
+        step_of[params.tobytes()] = gradients[0] // group_size + 1
         gradients[0] += 1
-        in_gradient[0] = True
+        in_gradient.on = True
         try:
             return real_gradient(self, params, x, label_index)
         finally:
-            in_gradient[0] = False
+            in_gradient.on = False
 
     def error_rates(self, params_list, x, labels):
-        assert not in_gradient[0]
+        assert not getattr(in_gradient, "on", False)
         data = "train" if x is train.features else "test"
-        calls.append((gradients[0] // group_size + 1, data, len(params_list)))
+        calls.append(([params.tobytes() for params in params_list], data))
         return real_error_rates(self, params_list, x, labels)
 
     monkeypatch.setattr(ModelKernel, "gradient", gradient)
@@ -513,7 +521,8 @@ def test_group_evaluates_each_data_set_once_per_eval_step(monkeypatch, batch_siz
     in_window = [k for k in range(1, steps + 1)
                  if k > steps - grid.window and (k % 5 == 0 or k == steps)]
     # one train and one test call per eval step, in either batch mode
-    assert calls == [(k, data, group_size) for k in in_window for data in ("train", "test")]
+    tagged = [(sorted({step_of[params] for params in ps}), data, len(ps)) for ps, data in calls]
+    assert tagged == [([k], data, group_size) for k in in_window for data in ("train", "test")]
 
 
 # --- Split groups: a full-batch group's alphas train in contiguous chunks,
@@ -570,6 +579,22 @@ def test_split_group_is_the_one_process_group(monkeypatch, workers):
         assert trace.evals == alone.evals
         assert trace.final_params.tobytes() == alone.final_params.tobytes()
         assert trace.diverged == alone.diverged
+
+
+def test_no_thread_is_alive_when_a_group_forks(monkeypatch, tmp_path):
+    # each group's run_group joins its eval helper before it returns, so
+    # every group forks with only the threads there were before the grid ran
+    import levybound.grid as grid_mod
+
+    counts, real_fork = [], os.fork
+    monkeypatch.setattr(grid_mod.os, "fork",
+                        lambda: counts.append(threading.active_count()) or real_fork())
+    _pin_cores(monkeypatch, 2)
+    before = threading.active_count()
+    execute_grid(tiny_grid(tmp_path / "r.csv"))
+    assert counts == [before] * 3  # one worker for each of the three seeds' groups
+    assert threading.active_count() == before
+    _no_child_left()
 
 
 class _NotUnpicklable(Exception):

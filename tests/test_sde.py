@@ -1,4 +1,7 @@
 
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -488,3 +491,120 @@ def test_full_batch_run_ignores_train_feature_layout(hidden):
     got = run_group(spec, fortran, test, cfg, alphas, 1.0, RngStream(3))
     assert all(_same(a, b) for a, b in zip(got, want, strict=True))
     assert all(t.records for t in want)
+
+
+# --- The eval helper: run_group hands each eval step to one helper thread
+# and goes on training; it must evaluate the parameters of the step, keep
+# the evals in step order and leave no thread behind.
+
+
+def _slow_error_rates(monkeypatch, seconds=0.02):
+    """Make every eval wait before it reads its parameters, so the training
+    loop runs ahead of it by the steps to the next eval step."""
+    real = ModelKernel.error_rates
+
+    def error_rates(self, params_list, x, labels):
+        time.sleep(seconds)
+        return real(self, params_list, x, labels)
+
+    monkeypatch.setattr(ModelKernel, "error_rates", error_rates)
+
+
+@pytest.mark.parametrize(
+    "hidden, batch_size, sigma1, diverged",
+    [((5,), None, 1e10, [True, False, False, False]),
+     ((5,), 16, 3e9, [True, True, False, False])],
+    ids=["relu-full", "relu-batch16"],
+)
+def test_slow_eval_still_matches_frozen_loop_per_alpha(monkeypatch, hidden, batch_size, sigma1,
+                                                       diverged):
+    # each eval sleeps while the loop takes the steps up to the next eval
+    # step, whose updates overwrite the arrays of the evaluated parameters:
+    # an eval that read the runs' arrays instead of a snapshot taken before
+    # the step's update would see later parameters
+    train = blob_data(50, n=60, dim=12)
+    test = blob_data(51, n=25, dim=12)
+    spec = ModelSpec((12, *hidden, 2))
+    cfg = TrainConfig(gamma=0.5, eta=0.0, alpha=2.0, sigma1=sigma1, steps=40, eval_interval=3,
+                      batch_size=batch_size)
+    alphas = (1.3, 1.6, 1.95, 2.0)
+    _slow_error_rates(monkeypatch)
+    traces = run_group(spec, train, test, cfg, alphas, 1.0, RngStream(6))
+    assert [t.diverged for t in traces] == diverged
+    for alpha, trace in zip(alphas, traces):
+        frozen = _frozen_run(spec, train, test, replace(cfg, alpha=alpha), 1.0, RngStream(6))
+        assert _same(trace, frozen)
+        assert trace.evals
+
+
+def test_group_matches_frozen_loop_under_a_short_switch_interval():
+    # the interpreter switches threads every microsecond, so the helper's
+    # eval interleaves with every step's updates at a fine grain
+    train, test = blob_data(56, n=60, dim=12, classes=3), blob_data(57, n=25, dim=12, classes=3)
+    spec = ModelSpec((12, 5, 3))
+    cfg = TrainConfig(gamma=0.05, eta=0.01, alpha=2.0, sigma1=0.3, sigma2=0.05, steps=60,
+                      batch_size=16, eval_interval=2)
+    alphas = (1.3, 1.6, 1.95, 2.0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        traces = _run_within(60, lambda: run_group(spec, train, test, cfg, alphas, 1.0,
+                                                   RngStream(8)))
+    finally:
+        sys.setswitchinterval(interval)
+    for alpha, trace in zip(alphas, traces):
+        frozen = _frozen_run(spec, train, test, replace(cfg, alpha=alpha), 1.0, RngStream(8))
+        assert _same(trace, frozen)
+
+
+def _run_within(seconds, fn):
+    """``fn()``'s result or exception, failing if it takes over ``seconds``."""
+    outcome = []
+
+    def call():
+        try:
+            outcome.append(("ok", fn()))
+        except BaseException as exc:  # re-raised in the test's thread
+            outcome.append(("error", exc))
+
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    caller.join(seconds)
+    assert not caller.is_alive(), f"run_group did not return within {seconds} s"
+    kind, value = outcome[0]
+    if kind == "error":
+        raise value
+    return value
+
+
+@pytest.mark.parametrize("sigma1, diverged", [(0.3, [False, False]), (1e14, [True, True])],
+                         ids=["normal", "all-diverged"])
+def test_no_thread_outlives_run_group(sigma1, diverged):
+    train, test = blob_data(52, n=60, dim=12), blob_data(53, n=25, dim=12)
+    cfg = TrainConfig(gamma=0.05, eta=0.0, alpha=2.0, sigma1=sigma1, steps=30, eval_interval=1)
+    before = threading.active_count()
+    traces = run_group(ModelSpec((12, 5, 2)), train, test, cfg, (1.5, 2.0), 1.0, RngStream(7))
+    assert threading.active_count() == before
+    assert [t.diverged for t in traces] == diverged
+    assert all(t.evals for t in traces)
+
+
+@pytest.mark.parametrize("failing_call", [1, 6])
+def test_eval_exception_reaches_the_caller(monkeypatch, failing_call):
+    # the first eval, or one in mid-run while the loop trains ahead of it
+    train, test = blob_data(54, n=60, dim=12), blob_data(55, n=25, dim=12)
+    cfg = TrainConfig(gamma=0.05, eta=0.0, alpha=2.0, sigma1=0.3, steps=30, eval_interval=2,
+                      batch_size=16)
+    calls, real = [0], ModelKernel.error_rates
+
+    def error_rates(self, params_list, x, labels):
+        calls[0] += 1
+        if calls[0] == failing_call:
+            raise RuntimeError("eval failed")
+        return real(self, params_list, x, labels)
+
+    monkeypatch.setattr(ModelKernel, "error_rates", error_rates)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="eval failed"):
+        _run_within(60, lambda: run_group(ModelSpec((12, 2)), train, test, cfg, (1.5, 2.0)))
+    assert threading.active_count() == before

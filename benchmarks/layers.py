@@ -46,9 +46,11 @@ repeats of a batch of calls, reported per call as min / median / quartiles
   group, its data set loaded before tracing starts, measured before any
   other layer runs. It runs pinned to one CPU, since ``tracemalloc``
   does not see a forked worker's allocations.
-- ``records.*`` and ``analysis.*``: ``write_records`` and ``read_records``
-  on a seeded RECORD_ROWS-row d-scan records file, then ``build_report``
-  (group key d) and ``alpha_regression`` on the records read back.
+- ``records.*`` and ``analysis.*``: ``write_records``, ``read_records``
+  and ``read_table`` on a seeded RECORD_ROWS-row d-scan records file,
+  then ``build_report`` (group key d) and ``alpha_regression`` on the
+  table ``read_table`` returns, as ``analyze`` and ``regress-alpha`` run
+  them.
 
 BLAS is pinned to one thread (the script re-executes itself with the
 variables set); glibc's malloc is left at its defaults, as a user's
@@ -295,12 +297,13 @@ def records_layers(path):
     """(name, callable, calls per repeat) for the records file and its analysis."""
     records = d_scan_records(RECORD_ROWS)
     lb.write_records(path, records)
-    read = lb.read_records(path)
+    table = lb.read_table(path)
     return [
         ("records.write", lambda: lb.write_records(path, records), 1),
         ("records.read", lambda: lb.read_records(path), 1),
-        ("analysis.build_report", lambda: lb.build_report(read, "d"), 1),
-        ("analysis.alpha_regression", lambda: lb.alpha_regression(read), 5),
+        ("records.read_table", lambda: lb.read_table(path), 1),
+        ("analysis.build_report", lambda: lb.build_report(table, "d"), 1),
+        ("analysis.alpha_regression", lambda: lb.alpha_regression(table), 5),
     ]
 
 

@@ -40,12 +40,14 @@ from .constants import (
     stable_levy_constant,
 )
 from .data import (
+    RecordTable,
     RunRecord,
     SyntheticSpec,
     generate_synthetic,
     load_idx,
     parse_config,
     read_records,
+    read_table,
     subsample,
     write_records,
 )
@@ -77,6 +79,7 @@ __all__ = [
     "IdxSource",
     "ModelSpec",
     "REFINED_THRESHOLD",
+    "RecordTable",
     "RngStream",
     "RunRecord",
     "RunTrace",
@@ -112,6 +115,7 @@ __all__ = [
     "pearson",
     "phase_regime",
     "read_records",
+    "read_table",
     "robust_gap",
     "run_training",
     "sample_isotropic_stable",

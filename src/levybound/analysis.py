@@ -8,6 +8,16 @@ records by dimension or noise scale and correlate the gap with the tail
 index; the tail-index regression inverts the d^(1/2 - alpha/4) scaling
 of the bound; the radius estimate reads off where the correlation
 changes sign.
+
+The scan, the regression and the report work on the columns of a
+``RecordTable``; an iterable of ``RunRecord``s is converted once on
+entry. Groups come from stable sorts, so each (group, alpha) is one
+contiguous slice of gaps in record order: its mean and std are
+``np.mean`` and ``np.std`` of that slice, the same pairwise sums as over
+a list of those gaps. A group or an alpha takes the value of its first
+row in record order, which tells -0.0 from 0.0. Each seed's tau is
+formed from the integers ``kendall_tau`` forms, counted from pair signs
+for all seeds of one size at once, so it has the same bits.
 """
 
 import math
@@ -17,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import phase_regime
-from .data import RunRecord
+from .data import RecordTable
 from .errors import (
     AnalysisPreconditionError,
     DimensionMismatchError,
@@ -100,8 +110,8 @@ def _count_inversions(a: list[float]) -> int:
     Binary insertion: each value's inversions are the larger values already
     placed. The list insert's memmove makes it O(n^2), but in Python it
     beats a merge sort's per-element loop at the lengths ``correlation_scan``
-    passes (a group's distinct alphas, or one seed's rows of a group: tens
-    to hundreds of pairs). Counted on random values on a Xeon core, against
+    passes (a group's distinct alphas, tens of pairs, or a seed of more
+    than 256 rows in one group, which is rare). Counted on random values on a Xeon core, against
     a merge sort with insertion below 256: 0.11 against 0.15 ms at 300
     pairs and 2.5 against 3.7 ms at 3000, but 104 against 48 ms at 30000
     and 1.4 against 0.18 s at 100000.
@@ -159,56 +169,135 @@ def pearson(xs, ys) -> float:
     return float(dx @ dy) / math.sqrt(sx * sy)
 
 
+def _as_table(records) -> RecordTable:
+    return records if isinstance(records, RecordTable) else RecordTable.from_records(records)
+
+
+def _sorted_by(*keys) -> np.ndarray:
+    """Row order by the first key, ties by the next, ..., then record order."""
+    order = np.arange(len(keys[0]))
+    for key in reversed(keys):
+        order = order[np.argsort(key[order], kind="stable")]
+    return order
+
+
+def _run_bounds(*columns) -> np.ndarray:
+    """Where each run of equal rows of sorted ``columns`` starts, then their length."""
+    n = len(columns[0])
+    new = np.zeros(n, dtype=bool)
+    new[:1] = True
+    for c in columns:
+        new[1:] |= c[1:] != c[:-1]
+    return np.append(np.flatnonzero(new), n)
+
+
+def _signs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return (a > b).view(np.int8) - (a < b).view(np.int8)
+
+
+# Pairs the per-seed taus of one chunk of seeds hold at once, about 60
+# bytes of temporaries each; a seed with more pairs goes through kendall_tau.
+_PAIR_BUDGET = 1 << 15
+
+
+def _block_taus(x: np.ndarray, y: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Kendall tau of (x, y) over each block ``bounds[b]:bounds[b + 1]``;
+    NaN where tau is undefined (one row, or x or y constant).
+
+    Each tau is formed from the integers ``kendall_tau`` forms, so it has
+    the same bits: the pair count n0, the x and the y tie pairs, and
+    concordant minus discordant, here counted from the signs of every
+    pair. Blocks of one size share their pair indices and are counted
+    together, at most _PAIR_BUDGET pairs at a time.
+    """
+    starts, sizes = bounds[:-1], np.diff(bounds)
+    taus = np.full(sizes.size, np.nan)
+    for m in np.unique(sizes[sizes > 1]).tolist():
+        blocks = np.flatnonzero(sizes == m)
+        n0 = m * (m - 1) // 2
+        if n0 > _PAIR_BUDGET:
+            for b in blocks.tolist():
+                rows = slice(starts[b], starts[b] + m)
+                try:
+                    taus[b] = kendall_tau(x[rows], y[rows])
+                except AnalysisPreconditionError:
+                    pass
+            continue
+        first, second = np.triu_indices(m, 1)
+        per_chunk = _PAIR_BUDGET // n0
+        for lo in range(0, blocks.size, per_chunk):
+            chunk = blocks[lo:lo + per_chunk]
+            i, j = starts[chunk, None] + first, starts[chunk, None] + second
+            sx, sy = _signs(x[i], x[j]), _signs(y[i], y[j])
+            x_free = np.count_nonzero(sx, axis=1)  # n0 - x tie pairs
+            y_free = np.count_nonzero(sy, axis=1)
+            ok = (x_free > 0) & (y_free > 0)
+            concordant_minus_discordant = (sx * sy).sum(axis=1)
+            taus[chunk[ok]] = concordant_minus_discordant[ok] / np.sqrt(
+                (x_free[ok] * y_free[ok]).astype(float))
+    return taus
+
+
 def correlation_scan(records, group_key: str) -> list[GroupScan]:
     """Per-group correlation between alpha and the gap.
 
     Two variants per group: the per-seed tau (mean and std across seeds;
     seeds whose gaps are degenerate for tau are skipped) and the tau on
     seed-averaged gaps. Diverged records never enter; a non-diverged
-    record with a NaN gap is an error.
+    record with a NaN gap, alpha or sigma1 is an error. ``records`` is a
+    ``RecordTable`` or an iterable of ``RunRecord``s.
     """
     if group_key not in GROUP_KEYS:
         raise InvalidParameterError(f"group_key must be 'd' or 'sigma1', got {group_key!r}")
-    live = [r for r in records if not r.diverged]
-    if not live:
+    table = _as_table(records)
+    live = np.flatnonzero(~table.diverged)
+    if not live.size:
         raise AnalysisPreconditionError("no non-diverged records")
-    groups: dict[float, list[RunRecord]] = {}
-    for r in live:
-        if math.isnan(r.gap):
-            raise AnalysisPreconditionError(
-                f"non-diverged record with NaN gap: alpha={r.alpha} seed={r.seed} "
-                f"{group_key}={getattr(r, group_key)}"
-            )
-        groups.setdefault(getattr(r, group_key), []).append(r)
+    bad = np.isnan(table.gap[live]) | np.isnan(table.alpha[live]) | np.isnan(table.sigma1[live])
+    if bad.any():
+        r = table.record(live[bad.argmax()])
+        field = next(f for f in ("gap", "alpha", "sigma1") if math.isnan(getattr(r, f)))
+        raise AnalysisPreconditionError(
+            f"non-diverged record with NaN {field}: alpha={r.alpha} seed={r.seed} "
+            f"{group_key}={getattr(r, group_key)}"
+        )
+    key, alpha, gap, seed = (getattr(table, f)[live] for f in (group_key, "alpha", "gap", "seed"))
+
+    by_seed = _sorted_by(key, seed)
+    seed_bounds = _run_bounds(key[by_seed], seed[by_seed])
+    taus = _block_taus(alpha[by_seed], gap[by_seed], seed_bounds)
+    seed_runs = np.searchsorted(seed_bounds, _run_bounds(key[by_seed]))
+
+    by_alpha = _sorted_by(key, alpha)
+    alpha_bounds = _run_bounds(key[by_alpha], alpha[by_alpha])
+    group_bounds = _run_bounds(key[by_alpha])
+    alpha_runs = np.searchsorted(alpha_bounds, group_bounds)
+    gap = gap[by_alpha]
+    run_alphas = alpha[by_alpha][alpha_bounds[:-1]].tolist()
+    # a group, like an alpha, takes the value of its first row in record order
+    groups = key[np.minimum.reduceat(by_alpha, group_bounds[:-1])].tolist()
+
     scans = []
-    for g in sorted(groups):
-        by_alpha: dict[float, list[float]] = {}
-        by_seed: dict[int, list[tuple[float, float]]] = {}
-        for r in groups[g]:
-            by_alpha.setdefault(r.alpha, []).append(r.gap)
-            by_seed.setdefault(r.seed, []).append((r.alpha, r.gap))
-        alphas = sorted(by_alpha)
-        if len(alphas) < 2:
+    for k, g in enumerate(groups):
+        runs = range(alpha_runs[k], alpha_runs[k + 1])
+        if len(runs) < 2:
             raise AnalysisPreconditionError(
                 f"group {group_key}={g} has fewer than 2 distinct alpha values"
             )
-        taus = []
-        for seed in sorted(by_seed):
-            sub = by_seed[seed]
-            try:
-                taus.append(kendall_tau([a for a, _ in sub], [gp for _, gp in sub]))
-            except AnalysisPreconditionError:
-                continue  # fewer than 2 rows, or constant alphas or gaps, in this seed
+        seed_taus = taus[seed_runs[k]:seed_runs[k + 1]]
+        seed_taus = seed_taus[~np.isnan(seed_taus)]
+        slices = [gap[alpha_bounds[r]:alpha_bounds[r + 1]] for r in runs]
         alpha_gaps = tuple(
-            (a, float(np.mean(by_alpha[a])), float(np.std(by_alpha[a]))) for a in alphas
+            (run_alphas[r], float(np.mean(s)), float(np.std(s))) for r, s in zip(runs, slices)
         )
+        alphas = [a for a, _, _ in alpha_gaps]
         mean_gaps = [m for _, m, _ in alpha_gaps]
         scans.append(
             GroupScan(
                 group=float(g),
-                n_seeds=len(taus),
-                tau_seed_mean=float(np.mean(taus)) if taus else float("nan"),
-                tau_seed_std=float(np.std(taus)) if taus else float("nan"),
+                n_seeds=seed_taus.size,
+                tau_seed_mean=float(np.mean(seed_taus)) if seed_taus.size else float("nan"),
+                tau_seed_std=float(np.std(seed_taus)) if seed_taus.size else float("nan"),
                 tau_mean_gap=kendall_tau(alphas, mean_gaps),
                 pearson_mean_gap=pearson(alphas, mean_gaps),
                 alpha_gaps=alpha_gaps,
@@ -221,19 +310,22 @@ def alpha_regression(records) -> tuple[float, float, float]:
     """OLS of log(seed-averaged gap) on log(d); returns (r_hat, intercept, alpha_hat).
 
     alpha_hat = 2 - 4 r_hat inverts the d^(1/2 - alpha/4) scaling.
+    ``records`` is a ``RecordTable`` or an iterable of ``RunRecord``s.
     """
-    gaps_by_d: dict[int, list[float]] = {}
-    for r in records:
-        if not r.diverged:
-            gaps_by_d.setdefault(r.d, []).append(r.gap)
-    dims = sorted(gaps_by_d)
+    table = _as_table(records)
+    live = ~table.diverged
+    d, gap = table.d[live], table.gap[live]
+    order = np.argsort(d, kind="stable")
+    d, gap = d[order], gap[order]
+    bounds = _run_bounds(d)
+    dims = d[bounds[:-1]].tolist()
     if len(dims) < 2:
         raise AnalysisPreconditionError("need at least 2 distinct d values")
     mean_gaps = []
-    for d in dims:
-        g = float(np.mean(gaps_by_d[d]))
+    for dim, lo, hi in zip(dims, bounds[:-1], bounds[1:]):
+        g = float(np.mean(gap[lo:hi]))
         if not g > 0.0:
-            raise AnalysisPreconditionError(f"non-positive mean gap {g} at d={d}")
+            raise AnalysisPreconditionError(f"non-positive mean gap {g} at d={dim}")
         mean_gaps.append(g)
     x = np.log(np.asarray(dims, dtype=float))
     y = np.log(np.asarray(mean_gaps))
@@ -285,7 +377,8 @@ def _regime(radius: float, sigma1: float, d) -> tuple[str, str]:
 
 
 def build_report(records, group_key: str, radius: float = 1.0) -> AnalysisReport:
-    """Assemble the full analysis report for one records list.
+    """Assemble the full analysis report for a ``RecordTable`` or an
+    iterable of ``RunRecord``s.
 
     Regime labels need the scan axis isolated (one sigma1 for a d-scan,
     one d for a sigma1-scan) and a positive noise scale; the regression
@@ -294,14 +387,16 @@ def build_report(records, group_key: str, radius: float = 1.0) -> AnalysisReport
     """
     if not radius > 0.0:
         raise InvalidParameterError(f"radius must be > 0, got {radius}")
-    scans = tuple(correlation_scan(records, group_key))
-    # the scan axis is isolated when the other axis holds one value over the live rows
+    table = _as_table(records)
+    scans = tuple(correlation_scan(table, group_key))
+    # the scan axis is isolated when the other axis holds one value over the
+    # live rows; that value is its first live row's
     other = "sigma1" if group_key == "d" else "d"
-    fixed = {getattr(r, other) for r in records if not r.diverged}
+    fixed = getattr(table, other)[~table.diverged]
     regimes = [("", "")] * len(scans)
     radius_estimate, radius_note = None, "scan axis is not isolated"
-    if len(fixed) == 1:
-        at = {other: fixed.pop()}
+    if (fixed == fixed[0]).all():
+        at = {other: fixed.item(0)}
         regimes = [_regime(radius, **{group_key: s.group}, **at) for s in scans]
         try:
             radius_estimate, radius_note = estimate_radius(scans, **at), None
@@ -311,7 +406,7 @@ def build_report(records, group_key: str, radius: float = 1.0) -> AnalysisReport
     r_hat = intercept = alpha_hat = None
     regression_note = None
     try:
-        r_hat, intercept, alpha_hat = alpha_regression(records)
+        r_hat, intercept, alpha_hat = alpha_regression(table)
     except AnalysisPreconditionError as exc:
         regression_note = str(exc)
 

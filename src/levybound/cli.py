@@ -17,7 +17,7 @@ import numpy as np
 from . import analysis as an
 from . import constants as co
 from .bounds import BoundInputs, brownian_bound, discrete_bound, stable_bound
-from .data import SyntheticSpec, parse_config, read_records
+from .data import SyntheticSpec, parse_config, read_table
 from .errors import (
     AnalysisPreconditionError,
     DataFormatError,
@@ -309,8 +309,7 @@ REPORT_HEADER = (
 
 
 def _cmd_analyze(args) -> int:
-    records = read_records(args.records)
-    report = an.build_report(records, args.group_key, radius=args.radius)
+    report = an.build_report(read_table(args.records), args.group_key, radius=args.radius)
     if report.regression_note:
         print(f"alpha regression unavailable: {report.regression_note}", file=sys.stderr)
     if report.radius_note:
@@ -330,8 +329,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_regress_alpha(args) -> int:
-    records = read_records(args.records)
-    _emit(args.out, "r_hat,intercept,alpha_hat", [an.alpha_regression(records)])
+    _emit(args.out, "r_hat,intercept,alpha_hat", [an.alpha_regression(read_table(args.records))])
     return 0
 
 

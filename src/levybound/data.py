@@ -6,12 +6,25 @@ container (magic 0x00000803 for images, 0x00000801 for labels). Grid
 results persist as a plain CSV with a fixed header and 17-significant-
 digit floats, so a write/read roundtrip is lossless for finite values.
 Run configs are flat ``key=value`` text files.
+
+Records are read two ways. ``parse_records`` is the row parser: it
+defines what a records file is and words every error about one, and
+``grid`` resumes through it. ``read_table`` reads a whole file into a
+``RecordTable``, one numpy array per field, for the analysis. Its fast
+path is one ``np.loadtxt`` over the body, which takes only what the row
+parser reads to the same values: the exact header, numbers numpy parses
+(a subset of what ``float`` and ``int`` take, to the same values), and
+flags that are exactly ``true`` or ``false``. Anything else, a malformed
+file included, goes to the row parser. So the two readers give the same
+values and the same errors, and a file the writer made never leaves the
+fast path.
 """
 
 import csv
 import math
 import os
 import struct
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,6 +60,13 @@ class RunRecord(NamedTuple):
 
 RECORD_HEADER = list(RunRecord._fields)
 _DIVERGED = {"true": True, "false": False}
+# A row as read_table's fast path reads it: float64 and int64 fields, and
+# the flag as text one character longer than "false", so that a longer
+# field, cut to fit, never reads as a flag.
+_TABLE_ROW = np.dtype([
+    (name, {float: "f8", int: "i8", bool: "U6"}[kind])
+    for name, kind in RunRecord.__annotations__.items()
+])
 # One records row: floats at 17 significant digits (lossless), ints as
 # str, the flag as true/false. Lines end in CRLF, the csv module's
 # default, so records files stay byte-identical across versions.
@@ -262,6 +282,76 @@ def complete_lines(path) -> tuple[list[str], int]:
 def read_records(path) -> list[RunRecord]:
     with _utf8(path), open(path, encoding="utf-8", newline="") as f:
         return parse_records(f, path)
+
+
+@dataclass(frozen=True, eq=False)
+class RecordTable:
+    """Records as columns: one array per ``RunRecord`` field, row i of
+    every array from the i-th record.
+
+    Float fields are float64 and ``diverged`` is bool. An int field is
+    int64 when every value fits, else an object array of Python ints.
+    """
+
+    alpha: np.ndarray
+    sigma1: np.ndarray
+    d: np.ndarray
+    width: np.ndarray
+    n: np.ndarray
+    seed: np.ndarray
+    gap: np.ndarray
+    i_hat: np.ndarray
+    g_hat: np.ndarray
+    diverged: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.diverged)
+
+    @classmethod
+    def from_records(cls, records) -> "RecordTable":
+        """The table of any iterable of ``RunRecord``s."""
+        rows = list(records)
+        columns = list(zip(*rows)) if rows else [()] * len(RECORD_HEADER)
+        return cls(*map(_column, columns, RunRecord.__annotations__.values()))
+
+    def record(self, i: int) -> RunRecord:
+        """Row ``i`` as a ``RunRecord`` of Python scalars."""
+        return RunRecord(*(getattr(self, f).item(i) for f in RECORD_HEADER))
+
+
+def _column(values, kind) -> np.ndarray:
+    if kind is int:
+        try:
+            return np.array(values, dtype=np.int64)
+        except OverflowError:
+            return np.array(values, dtype=object)
+    return np.array(values, dtype=kind)
+
+
+def read_table(path) -> RecordTable:
+    """The records of ``path`` as a ``RecordTable``: the values and the
+    errors of ``read_records``, read by ``np.loadtxt`` where it can."""
+    try:
+        table = _load_table(path)
+    except (ValueError, Warning):  # a UnicodeDecodeError is a ValueError
+        table = None
+    return table if table is not None else RecordTable.from_records(read_records(path))
+
+
+def _load_table(path) -> RecordTable | None:
+    """The fast path of ``read_table``: None, or an exception, where it
+    cannot vouch for the row parser's reading."""
+    with open(path, encoding="utf-8", newline="") as f:
+        if f.readline().removesuffix("\n").removesuffix("\r") != ",".join(RECORD_HEADER):
+            return None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an empty body only warns
+            rows = np.loadtxt(f, dtype=_TABLE_ROW, delimiter=",", comments=None, ndmin=1)
+    flags = rows["diverged"]
+    diverged = flags == "true"
+    if not (diverged | (flags == "false")).all():
+        return None
+    return RecordTable(*(np.ascontiguousarray(rows[f]) for f in RECORD_HEADER[:-1]), diverged)
 
 
 def parse_records(lines, path) -> list[RunRecord]:

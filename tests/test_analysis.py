@@ -1,11 +1,17 @@
 import math
+import struct
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from levybound import (
+    AnalysisReport,
     BoundInputs,
     GroupScan,
+    RecordTable,
     RunRecord,
     RunTrace,
     TrainConfig,
@@ -16,8 +22,11 @@ from levybound import (
     estimate_radius,
     kendall_tau,
     pearson,
+    read_table,
     robust_gap,
+    write_records,
 )
+from levybound.analysis import GROUP_KEYS, _regime
 from levybound.errors import (
     AnalysisPreconditionError,
     DimensionMismatchError,
@@ -389,3 +398,219 @@ class TestBuildReport:
         assert report.radius_estimate is None
         assert report.radius_note == "scan axis is not isolated"
         assert report.regimes == (("", ""), ("", ""))
+
+
+# The row-by-row analysis the columnar one replaced, kept verbatim as its
+# oracle: the scan, the regression, and the report's isolation set.
+
+
+def reference_correlation_scan(records, group_key: str) -> list[GroupScan]:
+    if group_key not in GROUP_KEYS:
+        raise InvalidParameterError(f"group_key must be 'd' or 'sigma1', got {group_key!r}")
+    live = [r for r in records if not r.diverged]
+    if not live:
+        raise AnalysisPreconditionError("no non-diverged records")
+    groups: dict[float, list[RunRecord]] = {}
+    for r in live:
+        if math.isnan(r.gap):
+            raise AnalysisPreconditionError(
+                f"non-diverged record with NaN gap: alpha={r.alpha} seed={r.seed} "
+                f"{group_key}={getattr(r, group_key)}"
+            )
+        groups.setdefault(getattr(r, group_key), []).append(r)
+    scans = []
+    for g in sorted(groups):
+        by_alpha: dict[float, list[float]] = {}
+        by_seed: dict[int, list[tuple[float, float]]] = {}
+        for r in groups[g]:
+            by_alpha.setdefault(r.alpha, []).append(r.gap)
+            by_seed.setdefault(r.seed, []).append((r.alpha, r.gap))
+        alphas = sorted(by_alpha)
+        if len(alphas) < 2:
+            raise AnalysisPreconditionError(
+                f"group {group_key}={g} has fewer than 2 distinct alpha values"
+            )
+        taus = []
+        for seed in sorted(by_seed):
+            sub = by_seed[seed]
+            try:
+                taus.append(kendall_tau([a for a, _ in sub], [gp for _, gp in sub]))
+            except AnalysisPreconditionError:
+                continue  # fewer than 2 rows, or constant alphas or gaps, in this seed
+        alpha_gaps = tuple(
+            (a, float(np.mean(by_alpha[a])), float(np.std(by_alpha[a]))) for a in alphas
+        )
+        mean_gaps = [m for _, m, _ in alpha_gaps]
+        scans.append(
+            GroupScan(
+                group=float(g),
+                n_seeds=len(taus),
+                tau_seed_mean=float(np.mean(taus)) if taus else float("nan"),
+                tau_seed_std=float(np.std(taus)) if taus else float("nan"),
+                tau_mean_gap=kendall_tau(alphas, mean_gaps),
+                pearson_mean_gap=pearson(alphas, mean_gaps),
+                alpha_gaps=alpha_gaps,
+            )
+        )
+    return scans
+
+
+def reference_alpha_regression(records) -> tuple[float, float, float]:
+    gaps_by_d: dict[int, list[float]] = {}
+    for r in records:
+        if not r.diverged:
+            gaps_by_d.setdefault(r.d, []).append(r.gap)
+    dims = sorted(gaps_by_d)
+    if len(dims) < 2:
+        raise AnalysisPreconditionError("need at least 2 distinct d values")
+    mean_gaps = []
+    for d in dims:
+        g = float(np.mean(gaps_by_d[d]))
+        if not g > 0.0:
+            raise AnalysisPreconditionError(f"non-positive mean gap {g} at d={d}")
+        mean_gaps.append(g)
+    x = np.log(np.asarray(dims, dtype=float))
+    y = np.log(np.asarray(mean_gaps))
+    dx = x - x.mean()
+    denom = float(dx @ dx)
+    if denom == 0.0:
+        raise AnalysisPreconditionError("degenerate design: all d equal")
+    slope = float(dx @ (y - y.mean())) / denom
+    intercept = float(y.mean() - slope * x.mean())
+    return slope, intercept, 2.0 - 4.0 * slope
+
+
+def reference_build_report(records, group_key: str, radius: float = 1.0) -> AnalysisReport:
+    if not radius > 0.0:
+        raise InvalidParameterError(f"radius must be > 0, got {radius}")
+    scans = tuple(reference_correlation_scan(records, group_key))
+    # the scan axis is isolated when the other axis holds one value over the live rows
+    other = "sigma1" if group_key == "d" else "d"
+    fixed = {getattr(r, other) for r in records if not r.diverged}
+    regimes = [("", "")] * len(scans)
+    radius_estimate, radius_note = None, "scan axis is not isolated"
+    if len(fixed) == 1:
+        at = {other: fixed.pop()}
+        regimes = [_regime(radius, **{group_key: s.group}, **at) for s in scans]
+        try:
+            radius_estimate, radius_note = estimate_radius(scans, **at), None
+        except AnalysisPreconditionError as exc:
+            radius_note = str(exc)
+
+    r_hat = intercept = alpha_hat = None
+    regression_note = None
+    try:
+        r_hat, intercept, alpha_hat = reference_alpha_regression(records)
+    except AnalysisPreconditionError as exc:
+        regression_note = str(exc)
+
+    return AnalysisReport(
+        group_key=group_key,
+        groups=scans,
+        regimes=tuple(regimes),
+        r_hat=r_hat,
+        intercept=intercept,
+        alpha_hat=alpha_hat,
+        radius_estimate=radius_estimate,
+        regression_note=regression_note,
+        radius_note=radius_note,
+    )
+
+
+def exact(value):
+    """``value`` with every float replaced by its type and bits, so that
+    == compares bit for bit (NaN included) and -0.0 differs from 0.0."""
+    if isinstance(value, float):
+        return type(value), struct.pack("<d", value)
+    if isinstance(value, (tuple, list)):
+        return type(value), tuple(map(exact, value))
+    if isinstance(value, (GroupScan, AnalysisReport)):
+        return type(value), exact(tuple(vars(value).values()))
+    return type(value), value
+
+
+def outcome(fn, *args):
+    """``exact(fn(*args))``, or the type and text of the analysis error it raised."""
+    try:
+        return exact(fn(*args))
+    except AnalysisPreconditionError as exc:
+        return "error", str(exc)
+
+
+def assert_matches_reference(records):
+    """Every group key, on the list and on ``read_table`` of its file:
+    scan, report and regression bit for bit, or the same error."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "records.csv"
+        write_records(path, records)
+        inputs = {"list": records, "table": read_table(path)}
+    for name, given in inputs.items():
+        for key in GROUP_KEYS:
+            want = outcome(reference_correlation_scan, records, key)
+            assert outcome(correlation_scan, given, key) == want, (name, key)
+            want = outcome(reference_build_report, records, key)
+            assert outcome(build_report, given, key) == want, (name, key)
+        want = outcome(reference_alpha_regression, records)
+        assert outcome(alpha_regression, given) == want, name
+
+
+def test_columnar_analysis_matches_row_by_row_reference():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    big = 2**64 + 3  # outside int64, so its column is an object array
+    record = st.builds(
+        rec,
+        alpha=st.sampled_from([-0.0, 0.0, 1.6, 1.7, 1.8, 2.0]),
+        gap=st.one_of(st.sampled_from([-0.0, 0.0, 0.1, 0.25, 1.0]),
+                      st.floats(-1.0, 1.0, allow_nan=False)),
+        sigma1=st.sampled_from([-0.0, 0.0, 0.01, 0.3]),
+        d=st.sampled_from([10, 100, 1000, big]),
+        seed=st.sampled_from([0, 1, 2, 3, -(2**63) - 1, big]),
+        diverged=st.sampled_from([False, False, False, True]),
+    ).map(lambda r: r._replace(gap=math.nan) if r.diverged and r.seed == 0 else r)
+    # every case at once: ties in alpha and in gap, diverged rows, a repeated
+    # (seed, alpha), a seed with one live row, a seed with constant gaps,
+    # -0.0 and 0.0 in one sigma1 group and one alpha, d and seeds outside int64
+    every_case = [
+        rec(1.6, 0.1, sigma1=0.0, seed=0), rec(1.8, 0.3, sigma1=-0.0, seed=0),
+        rec(1.8, 0.3, sigma1=0.0, seed=0), rec(2.0, 0.1, sigma1=0.0, seed=1),
+        rec(1.6, 0.2, sigma1=-0.0, seed=1), rec(-0.0, 0.5, seed=2, d=big),
+        rec(0.0, 0.4, seed=2, d=big), rec(1.7, 0.4, seed=2, d=big),
+        rec(1.7, 0.25, seed=3), rec(1.9, 0.25, seed=3), rec(2.0, 0.25, seed=3),
+        rec(1.6, 0.6, seed=big), rec(1.9, math.nan, seed=1, diverged=True),
+        rec(1.6, 0.7, seed=-(2**63) - 1, d=big),
+    ]
+    # a d-scan isolated at sigma1 = -0.0, then 0.0, whose tau changes sign
+    signed_zero_radius = [
+        rec(1.6, 0.1, sigma1=-0.0, d=10), rec(2.0, 0.2, sigma1=0.0, d=10),
+        rec(1.6, 0.2, sigma1=0.0, d=100), rec(2.0, 0.1, sigma1=0.0, d=100),
+    ]
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.example(every_case)
+    @hypothesis.example(signed_zero_radius)
+    @hypothesis.given(st.lists(record, max_size=40))
+    def check(records):
+        assert_matches_reference(records)
+
+    check()
+
+
+def test_a_seed_too_large_for_the_pair_budget():
+    """One seed of 3000 rows next to small ones: the scan matches the
+    reference and its temporaries stay small (an all-pairs count of that
+    seed alone would hold 4.5 million pairs, over 100 MB)."""
+    rng = np.random.default_rng(11)
+    alphas = (1.6, 1.7, 1.8, 1.9, 2.0)
+    records = [rec(float(rng.choice(alphas)), float(rng.integers(0, 50)) / 8, seed=0)
+               for _ in range(3000)]
+    records += [rec(a, float(rng.random()), seed=s) for s in range(1, 40) for a in alphas]
+    assert_matches_reference(records)
+    table = RecordTable.from_records(records)
+    tracemalloc.start()
+    try:
+        correlation_scan(table, "d")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6

@@ -604,6 +604,21 @@ class TestAnalyzeCommand:
         code, _, err = run_cli(capsys, "analyze", "--records", str(records_csv))
         assert code == 3 and "NaN gap: alpha=1.7 seed=0 d=10" in err
 
+    @pytest.mark.parametrize("group_key", ["d", "sigma1"])
+    @pytest.mark.parametrize("field", ["alpha", "sigma1"])
+    def test_nan_alpha_or_sigma1_exits_3(self, capsys, tmp_path, group_key, field):
+        # two NaN rows, which read as distinct values, and a third live row after them
+        records_csv = tmp_path / "records.csv"
+        records = [RunRecord(a, 0.1, 10, 0, 50, 0, a, 1.0, 1.0, False) for a in (1.6, 1.8, 2.0)]
+        records[1:1] = [records[0]._replace(seed=s, **{field: math.nan}) for s in (4, 5)]
+        write_records(records_csv, records)
+        code, out, err = run_cli(capsys, "analyze", "--records", str(records_csv),
+                                 "--group-key", group_key)
+        named = "nan" if group_key == field else {"d": "10", "sigma1": "0.1"}[group_key]
+        assert (code, out) == (3, "")
+        assert err == (f"analysis error: non-diverged record with NaN {field}: "
+                       f"alpha={records[1].alpha} seed=4 {group_key}={named}\n")
+
 
 class TestRegressAlphaCommand:
     def test_recovers_exponent(self, capsys, tmp_path):

@@ -19,12 +19,15 @@ from levybound import (
     load_idx,
     parse_config,
     read_records,
+    read_table,
     run_training,
     subsample,
     write_records,
 )
+from levybound import data as data_module
 from levybound.data import (
     RECORD_HEADER,
+    RecordTable,
     append_records,
     write_idx_images,
     write_idx_labels,
@@ -427,6 +430,18 @@ def same_records(got, want) -> bool:
     )
 
 
+def table_rows(table) -> list:
+    """A ``RecordTable``'s rows as ``RunRecord``s, after checking its column types."""
+    for field, kind in RunRecord.__annotations__.items():
+        column = getattr(table, field)
+        assert column.shape == (len(table),)
+        if kind is int:
+            assert column.dtype in (np.int64, object)
+        else:
+            assert column.dtype == {float: np.float64, bool: np.bool_}[kind]
+    return [table.record(i) for i in range(len(table))]
+
+
 def test_records_roundtrip_matches_reference_reader():
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
@@ -448,43 +463,94 @@ def test_records_roundtrip_matches_reference_reader():
             got = read_records(path)
             assert same_records(got, written + appended)
             assert same_records(got, reference_read_records(path))
+            assert same_records(table_rows(read_table(path)), got)
 
     check()
 
 
 GOOD_ROW = "1.5,0.1,10,0,50,0,0.25,1.0,2.0,false"
+HEAD = ",".join(RECORD_HEADER) + "\n"
 
 
 @pytest.mark.parametrize(
-    "body",
+    "text",
     [
-        pytest.param(GOOD_ROW + "\n1.5,0.1,10,0,50,0,0.25,1.0,2.0\n", id="too-few-fields"),
-        pytest.param(GOOD_ROW + ",extra\n", id="too-many-fields"),
-        pytest.param("1.5,0.1,1.5,0,50,0,0.25,1.0,2.0,false\n", id="float-in-int-field"),
-        pytest.param(GOOD_ROW[: -len("false")] + "True\n", id="python-bool-literal"),
-        pytest.param("1.5,0.1,10,0,50,0,0.25,one,2.0,false\n", id="non-numeric-float"),
-        pytest.param(GOOD_ROW + "\n\n" + GOOD_ROW + "\n", id="blank-line-mid-file"),
-        pytest.param('"1.5",0.1,1_0,0,50,0,-0,inf,nan,true\n', id="quoted-underscore-specials"),
+        pytest.param(HEAD + GOOD_ROW + "\n1.5,0.1,10,0,50,0,0.25,1.0,2.0\n", id="too-few-fields"),
+        pytest.param(HEAD + GOOD_ROW + ",extra\n", id="too-many-fields"),
+        pytest.param(HEAD + "1.5,0.1,1.5,0,50,0,0.25,1.0,2.0,false\n", id="float-in-int-field"),
+        pytest.param(HEAD + GOOD_ROW[: -len("false")] + "True\n", id="python-bool-literal"),
+        pytest.param(HEAD + "1.5,0.1,10,0,50,0,0.25,one,2.0,false\n", id="non-numeric-float"),
+        pytest.param(HEAD + GOOD_ROW + "\n\n" + GOOD_ROW + "\n", id="blank-line-mid-file"),
+        pytest.param(HEAD + '"1.5",0.1,1_0,0,50,0,-0,inf,nan,true\n',
+                     id="quoted-underscore-specials"),
+        pytest.param(HEAD + GOOD_ROW + "\n#\n" + GOOD_ROW + "\n", id="comment-line"),
+        pytest.param(HEAD + GOOD_ROW + "\n \t\n" + GOOD_ROW + "\n", id="whitespace-line"),
+        pytest.param(HEAD + GOOD_ROW[: -len("false")] + "true \n", id="flag-trailing-space"),
+        pytest.param(HEAD + GOOD_ROW[: -len("false")] + " false\n", id="flag-leading-space"),
+        pytest.param(HEAD + GOOD_ROW.replace(",0,50,", ",0\r,50,") + "\n", id="bare-cr-in-line"),
+        pytest.param(HEAD + GOOD_ROW + "\r" + GOOD_ROW + "\r\n", id="bare-cr-between-rows"),
+        pytest.param("\ufeff" + HEAD + GOOD_ROW + "\n", id="bom-before-header"),
+        pytest.param(HEAD, id="header-only"),
+        pytest.param(HEAD + GOOD_ROW.replace(",10,", ",9223372036854775808,") + "\n",
+                     id="int-above-int64"),
+        pytest.param(HEAD + GOOD_ROW.replace(",0,50,", ",-9223372036854775809,50,") + "\n",
+                     id="int-below-int64"),
+        pytest.param(HEAD + "-nan,Infinity,10,0,50,0,-Infinity,+inf,-NaN,false\n",
+                     id="nan-infinity-spellings"),
+        pytest.param(HEAD + " 1.5 ,0.1,+10, 0,50\t,0,.25,1.,2e0,false\n",
+                     id="padded-and-signed-numbers"),
+        pytest.param(HEAD.replace("\n", "\r\n") + GOOD_ROW + "\r\n" + GOOD_ROW, id="crlf-torn"),
     ],
 )
-def test_malformed_records_match_reference_reader(tmp_path, body):
+def test_malformed_records_match_reference_reader(tmp_path, text):
+    """``read_records`` and ``read_table`` read what the reference reads,
+    and fail with its message where it fails."""
     path = tmp_path / "records.csv"
-    path.write_text(",".join(RECORD_HEADER) + "\n" + body)
+    path.write_bytes(text.encode())
     try:
         want = reference_read_records(path)
     except DataFormatError as exc:
-        with pytest.raises(DataFormatError) as got:
-            read_records(path)
-        assert str(got.value) == str(exc)
+        for read in (read_records, read_table):
+            with pytest.raises(DataFormatError) as got:
+                read(path)
+            assert str(got.value) == str(exc)
     else:
         assert same_records(read_records(path), want)
+        assert same_records(table_rows(read_table(path)), want)
+
+
+def test_written_records_take_the_fast_path(tmp_path, monkeypatch):
+    """A file ``write_records`` made is read without the row parser, so a
+    silent fallback cannot hide a lost speed-up."""
+    path = tmp_path / "records.csv"
+    records = TestRecordsCsv().random_records(50)
+    records += [RunRecord(math.nan, -0.0, -3, 0, 1, 2**63 - 1, math.inf, -math.inf, 0.0, True)]
+    write_records(path, records)
+
+    def refuse(path):
+        raise AssertionError("read_table fell back to read_records")
+
+    monkeypatch.setattr(data_module, "read_records", refuse)
+    assert same_records(table_rows(read_table(path)), records)
+
+
+def test_record_table_from_records():
+    records = TestRecordsCsv().random_records(5)
+    table = RecordTable.from_records(iter(records))
+    assert len(table) == 5 and same_records(table_rows(table), records)
+    assert table.seed.dtype == np.int64
+    wide = RecordTable.from_records([records[0]._replace(d=2**64 + 1), records[1]])
+    assert wide.d.dtype == object and wide.d.tolist() == [2**64 + 1, records[1].d]
+    assert wide.seed.dtype == np.int64
+    assert len(RecordTable.from_records([])) == 0
 
 
 def test_records_file_that_is_not_utf8(tmp_path):
     path = tmp_path / "records.csv"
     path.write_bytes(f"{','.join(RECORD_HEADER)}\r\n{GOOD_ROW}".encode() + b"\xff\r\n")
-    with pytest.raises(DataFormatError, match=f"{path}: not UTF-8 text"):
-        read_records(path)
+    for read in (read_records, read_table):
+        with pytest.raises(DataFormatError, match=f"{path}: not UTF-8 text"):
+            read(path)
 
 
 class TestParseConfig:

@@ -31,9 +31,7 @@ from .constants import (
     comparison_rate,
     discrete_prefactor,
     k_alpha_d,
-    k_bar,
     log_gamma,
-    noise_mixing_constant,
     p_alpha,
     phase_regime,
     sphere_area,
@@ -64,10 +62,8 @@ from .rng import RngStream, mix64
 from .sde import RunTrace, StepRecord, TrainConfig, em_step, run_training
 from .stable import (
     StableParams,
-    empirical_char_fn,
     sample_isotropic_stable,
     sample_skewed_stable,
-    sample_subordinator,
 )
 
 __all__ = [
@@ -96,19 +92,16 @@ __all__ = [
     "discrete_bound",
     "discrete_prefactor",
     "em_step",
-    "empirical_char_fn",
     "estimate_radius",
     "execute_grid",
     "generate_synthetic",
     "init_params",
     "integral_estimate",
     "k_alpha_d",
-    "k_bar",
     "kendall_tau",
     "load_idx",
     "log_gamma",
     "mix64",
-    "noise_mixing_constant",
     "p_alpha",
     "param_count",
     "parse_config",
@@ -120,7 +113,6 @@ __all__ = [
     "run_training",
     "sample_isotropic_stable",
     "sample_skewed_stable",
-    "sample_subordinator",
     "sphere_area",
     "stable_levy_constant",
     "subsample",

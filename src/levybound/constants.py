@@ -127,11 +127,6 @@ def k_alpha_d(alpha: float, d: int, radius: float) -> float:
     return math.exp(log_k_alpha_d(alpha, d, radius))
 
 
-def k_bar(alpha: float, d: int) -> float:
-    """R^(2-alpha) K(alpha, d), which is independent of R."""
-    return k_alpha_d(alpha, d, 1.0)
-
-
 def p_alpha(alpha: float) -> float:
     """Dimension-free prefactor P(alpha) on [1, 2]; P(2) is the analytic limit 1/2."""
     if not 1.0 <= alpha <= 2.0:
@@ -145,20 +140,6 @@ def p_alpha(alpha: float) -> float:
         - 0.5 * alpha * math.log(2.0)
     )
     return math.exp(log_p)
-
-
-def noise_mixing_constant(
-    sigma1: float, sigma2: float, alpha: float, d: int, radius: float
-) -> float:
-    """M(sigma1, sigma2, d, alpha) = 1 / (4 sigma2^2 + sigma1^alpha / K(alpha, d))."""
-    if sigma1 < 0.0 or sigma2 < 0.0:
-        raise InvalidParameterError("noise scales must be nonnegative")
-    if sigma1 == 0.0 and sigma2 == 0.0:
-        raise InvalidParameterError("at least one noise scale must be positive")
-    heavy = 0.0
-    if sigma1 > 0.0:
-        heavy = math.exp(alpha * math.log(sigma1) - log_k_alpha_d(alpha, d, radius))
-    return 1.0 / (4.0 * sigma2 * sigma2 + heavy)
 
 
 def discrete_prefactor(gamma: float, eta: float, alpha: float) -> float:

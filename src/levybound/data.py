@@ -201,22 +201,6 @@ def load_idx(
     return Dataset(features, pixels.labels, classes)
 
 
-def write_idx_images(path, images: np.ndarray) -> None:
-    """Serialize a (count, rows, cols) uint8 array as an IDX image file."""
-    images = np.asarray(images, dtype=np.uint8)
-    count, rows, cols = images.shape
-    with open(path, "wb") as f:
-        f.write(struct.pack(">iiii", IDX_IMAGES_MAGIC, count, rows, cols))
-        f.write(images.tobytes())
-
-
-def write_idx_labels(path, labels: np.ndarray) -> None:
-    labels = np.asarray(labels, dtype=np.uint8)
-    with open(path, "wb") as f:
-        f.write(struct.pack(">ii", IDX_LABELS_MAGIC, labels.size))
-        f.write(labels.tobytes())
-
-
 def subsample(data: Dataset, fraction: float, seed: int) -> Dataset:
     """Uniform without-replacement row subset of size round(fraction * n).
 

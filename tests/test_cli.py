@@ -35,10 +35,12 @@ from levybound import (
 )
 from levybound.cli import CONFIG_KEYS, main
 from levybound.constants import log_sphere_area, log_stable_levy_constant
-from levybound.data import parse_config, write_idx_images, write_idx_labels
+from levybound.data import parse_config
 from levybound.errors import InvalidParameterError
 from levybound.grid import evaluate_group, load_grid_datasets
 from levybound.models import ModelKernel
+
+from helpers import write_idx_images, write_idx_labels
 
 REFERENCE = Path(__file__).resolve().parent.parent / "reference"
 

@@ -9,9 +9,7 @@ from levybound import (
     comparison_rate,
     discrete_prefactor,
     k_alpha_d,
-    k_bar,
     log_gamma,
-    noise_mixing_constant,
     p_alpha,
     phase_regime,
     sphere_area,
@@ -107,7 +105,7 @@ class TestKAlphaD:
         alpha, d = 1.4, 50
         for radius in (0.5, 1.0, 3.0, 10.0):
             assert k_alpha_d(alpha, d, radius) * radius ** (2 - alpha) == pytest.approx(
-                k_bar(alpha, d), rel=1e-12
+                k_alpha_d(alpha, d, 1.0), rel=1e-12
             )
 
     def test_large_d_asymptote(self):
@@ -151,32 +149,6 @@ class TestPAlpha:
         for bad in (0.9, 2.1):
             with pytest.raises(InvalidParameterError):
                 p_alpha(bad)
-
-
-class TestNoiseMixing:
-    def test_pure_brownian(self):
-        assert noise_mixing_constant(0.0, 0.25, 1.5, 10, 1.0) == pytest.approx(
-            1.0 / (4 * 0.25**2), rel=1e-12
-        )
-
-    def test_pure_stable_matches_k(self):
-        alpha, d, radius, s1 = 1.5, 10, 1.0, 0.3
-        assert noise_mixing_constant(s1, 0.0, alpha, d, radius) == pytest.approx(
-            k_alpha_d(alpha, d, radius) / s1**alpha, rel=1e-10
-        )
-
-    def test_equal_contribution_condition(self):
-        alpha, d, radius, s1 = 1.7, 40, 2.0, 0.2
-        heavy = s1**alpha / k_alpha_d(alpha, d, radius)
-        s2 = math.sqrt(heavy / 4.0)
-        assert 4 * s2**2 == pytest.approx(heavy, rel=1e-10)
-        assert noise_mixing_constant(s1, s2, alpha, d, radius) == pytest.approx(
-            1.0 / (2 * heavy), rel=1e-10
-        )
-
-    def test_both_zero_is_error(self):
-        with pytest.raises(InvalidParameterError):
-            noise_mixing_constant(0.0, 0.0, 1.5, 10, 1.0)
 
 
 class TestDiscretePrefactor:
@@ -247,10 +219,6 @@ def test_mixing_and_prior_constants_against_scipy_gammaln():
             for radius in (1.0, 2.5):
                 k = math.exp(log_k(alpha, d, radius))
                 assert k_alpha_d(alpha, d, radius) == pytest.approx(k, rel=1e-9)
-                for s1, s2 in ((0.05, 0.0), (0.3, 0.1)):
-                    mixing = 1.0 / (4.0 * s2 * s2 + s1**alpha / k)
-                    got = noise_mixing_constant(s1, s2, alpha, d, radius)
-                    assert got == pytest.approx(mixing, rel=1e-9)
 
 
 class TestPhaseRegime:

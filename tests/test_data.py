@@ -25,14 +25,10 @@ from levybound import (
     write_records,
 )
 from levybound import data as data_module
-from levybound.data import (
-    RECORD_HEADER,
-    RecordTable,
-    append_records,
-    write_idx_images,
-    write_idx_labels,
-)
+from levybound.data import RECORD_HEADER, RecordTable, append_records
 from levybound.errors import DataFormatError, InvalidParameterError
+
+from helpers import write_idx_images, write_idx_labels
 
 REFERENCE_CFG = Path(__file__).resolve().parent.parent / "reference" / "phase_transition.cfg"
 

@@ -28,7 +28,7 @@ from levybound import (
     run_training,
 )
 from levybound.cli import _grid_spec
-from levybound.data import _ROW, parse_config, write_idx_images, write_idx_labels, write_records
+from levybound.data import _ROW, parse_config, write_records
 from levybound.errors import DataFormatError, InvalidParameterError
 from levybound.grid import (
     _model_for,
@@ -39,6 +39,8 @@ from levybound.grid import (
 )
 from levybound.models import ModelKernel
 from levybound.sde import run_group
+
+from helpers import write_idx_images, write_idx_labels
 
 
 def tiny_grid(out, alphas=(1.6, 2.0), sigma1s=(0.1,), widths=(0,), seeds=(0, 1, 2)):

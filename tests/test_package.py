@@ -1,0 +1,45 @@
+"""What the package is as a whole: light to import, and no public name
+that only the tests use."""
+
+import ast
+import subprocess
+import sys
+from pathlib import Path
+
+import levybound
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+
+def test_import_loads_no_test_or_thread_pool_modules():
+    # scipy and hypothesis are test-only; run_group imports its thread pool
+    # lazily so that loading the package does not pay for it
+    heavy = ("scipy", "hypothesis", "pytest", "concurrent.futures")
+    code = (f"import sys; sys.path.insert(0, {str(SRC)!r}); import levybound, levybound.cli; "
+            f"print(' '.join(m for m in {heavy!r} if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.split() == []
+
+
+def _referenced_names(paths):
+    """Every name, attribute and string constant in the ASTs of ``paths``."""
+    seen = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                seen.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                seen.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                seen.add(node.value)
+    return seen
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    # a name only the tests call belongs in the tests; __init__ re-exports
+    # every name, so it does not count as a use
+    paths = [p for p in (SRC / "levybound").glob("*.py") if p.name != "__init__.py"]
+    paths += [*(ROOT / "perfbench").glob("*.py"), *(ROOT / "benchmarks").glob("*.py")]
+    assert sorted(set(levybound.__all__) - _referenced_names(paths)) == []

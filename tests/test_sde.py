@@ -1,4 +1,4 @@
-
+import math
 import sys
 import threading
 import time
@@ -17,12 +17,14 @@ from levybound import (
     mix64,
     run_training,
     sample_isotropic_stable,
-    sample_subordinator,
     zero_one_error,
 )
 from levybound.errors import DimensionMismatchError, InvalidParameterError
 from levybound.models import ModelKernel
 from levybound.sde import EulerMaruyama, RunTrace, StepRecord, run_group
+from levybound.stable import StableNoise, cms_uniforms
+
+from helpers import empirical_char_fn
 
 
 def blob_data(seed=0, n=120, dim=6, classes=2, sep=2.0):
@@ -360,7 +362,7 @@ def test_subordinator_draws_match_frozen_scalar_cms():
     for seed in range(10_000):
         new, old = RngStream(seed), RngStream(seed)
         for alpha in alphas:
-            a = sample_subordinator(alpha, new)
+            a = StableNoise(alpha).mix(*cms_uniforms(new))
             assert type(a) is float
             mismatches += a != _frozen_subordinator(alpha, old)
     assert mismatches == 0
@@ -395,6 +397,74 @@ def test_euler_maruyama_matches_plain_numpy(alpha, noisy):
         s = b = None
     got = EulerMaruyama(cfg, p.size)(p, g, s, b, np.empty(p.size))
     assert got.tobytes() == want.tobytes()
+
+
+# --- Exact-law oracle: with a zero gradient and eta > 0 the update is the
+# Euler-Maruyama chain of the Levy-driven Ornstein-Uhlenbeck process
+# dX = -eta X dt + sigma1 dL + sqrt(2) sigma2 dB, whose law after k steps is
+# known in closed form. The chain's characteristic function is
+#   exp(i xi . x0 c^k - s^alpha |xi|^alpha - v |xi|^2 / 2),  c = 1 - eta gamma,
+# with s^alpha = gamma sigma1^alpha sum_{j<k} c^(alpha j) from the stable
+# draws and v = 2 gamma sigma2^2 sum_{j<k} c^(2j) from the Brownian ones.
+
+EXACT_LAW_CHAINS = 20_000
+# cos and sin of a law's phase have a standard deviation of at most
+# sqrt(0.5), so the empirical characteristic function's parts are off by
+# at most sqrt(0.5 / chains) per sd; the oracle allows 5 of those
+EXACT_LAW_TOL = 5.0 * math.sqrt(0.5 / EXACT_LAW_CHAINS)
+
+
+def _exact_law_misfit(x, x0, c, steps, alpha, stable_power, variance):
+    """Largest gap between the empirical characteristic function of the
+    chains ``x`` and the exact law with s^alpha = ``stable_power``, over a
+    few frequencies and both parts."""
+    mean = x0 * c**steps
+    worst = 0.0
+    for xi in (np.array([0.8, 0.0, 0.0]), np.array([0.0, 1.5, -0.5]),
+               np.array([1.0, -1.2, 0.6])):
+        r = np.linalg.norm(xi)
+        modulus = math.exp(-stable_power * r**alpha - 0.5 * variance * r**2)
+        cos_part, sin_part = empirical_char_fn(x, xi)
+        worst = max(worst, abs(cos_part - modulus * math.cos(xi @ mean)),
+                    abs(sin_part - modulus * math.sin(xi @ mean)))
+    return worst
+
+
+@pytest.mark.parametrize("sigma2", [0.0, 0.3])
+def test_zero_gradient_chain_matches_exact_levy_ou_law(sigma2):
+    gamma, eta, sigma1, steps = 0.01, 1.0, 0.7, 200
+    x0 = np.array([1.0, -0.5, 0.25])
+    alphas = (1.3, 1.6, 1.9, 2.0)
+    chains, c = EXACT_LAW_CHAINS, 1.0 - eta * gamma
+    # the chains side by side in one flat vector: the update is coordinate-wise
+    d = chains * x0.size
+    updates = [EulerMaruyama(TrainConfig(gamma=gamma, eta=eta, alpha=alpha, sigma1=sigma1,
+                                         sigma2=sigma2, steps=steps), d) for alpha in alphas]
+    noises = [StableNoise(alpha) for alpha in alphas]
+    xs = [np.tile(x0, chains) for _ in alphas]
+    zero, spare = np.zeros(d), np.empty(d)
+    rng = RngStream(61)
+    for _ in range(steps):
+        # the noise as run_group composes it: the uniforms and G once for
+        # every alpha, then each alpha's scale sqrt(A)
+        u, w = cms_uniforms(rng, chains)
+        gaussian = rng.gen.standard_normal((chains, x0.size))
+        brownian = rng.gen.standard_normal(d) if sigma2 > 0.0 else None
+        for i, (update, noise) in enumerate(zip(updates, noises)):
+            stable = (np.reshape(noise.scale(u, w), (-1, 1)) * gaussian).reshape(-1)
+            xs[i], spare = update(xs[i], zero, stable, brownian, spare), xs[i]
+
+    variance = 2.0 * gamma * sigma2**2 * sum(c ** (2 * j) for j in range(steps))
+    for alpha, x in zip(alphas, xs):
+        x = x.reshape(chains, x0.size)
+        decay_sum = sum(c ** (alpha * j) for j in range(steps))
+        power = gamma * sigma1**alpha * decay_sum
+        assert _exact_law_misfit(x, x0, c, steps, alpha, power, variance) < EXACT_LAW_TOL
+        if alpha < 2.0:
+            # the same statistic rejects a stable term scaled by sqrt(gamma),
+            # not gamma^(1/alpha)
+            wrong = gamma ** (alpha / 2.0) * sigma1**alpha * decay_sum
+            assert _exact_law_misfit(x, x0, c, steps, alpha, wrong, variance) > EXACT_LAW_TOL
 
 
 # --- The group runner: alphas of one stream trained in lockstep, each

@@ -3,14 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from levybound import (
-    RngStream,
-    StableParams,
-    empirical_char_fn,
-    sample_isotropic_stable,
-    sample_skewed_stable,
-    sample_subordinator,
-)
+from levybound import RngStream, StableParams, sample_isotropic_stable, sample_skewed_stable
 from levybound.errors import DimensionMismatchError, InvalidParameterError
 from levybound.stable import (
     StableNoise,
@@ -18,6 +11,8 @@ from levybound.stable import (
     cms_uniforms,
     subordinator_scale,
 )
+
+from helpers import empirical_char_fn
 
 # Monte-Carlo tolerance: 5 / sqrt(N) on both ECF parts.
 N_MC = 200_000
@@ -54,14 +49,8 @@ def test_invalid_stable_params(alpha, beta, scale):
 @pytest.mark.parametrize("alpha", [1.1, 1.2, 1.5, 1.8, 1.9])
 def test_subordinator_positivity(alpha):
     rng = RngStream(3, int(alpha * 10))
-    draws = sample_subordinator(alpha, rng, size=100_000)
+    draws = StableNoise(alpha).mix(*cms_uniforms(rng, 100_000))
     assert (draws > 0.0).all()
-
-
-@pytest.mark.parametrize("alpha", [1.0, 2.0, 0.5, 2.2])
-def test_subordinator_domain(alpha):
-    with pytest.raises(InvalidParameterError):
-        sample_subordinator(alpha, RngStream(0))
 
 
 def test_isotropic_domain():
@@ -173,11 +162,9 @@ def test_scalar_draws_are_floats():
 def test_scalar_subordinator_matches_scipy_levy_stable(alpha):
     # independent oracle: scipy's S1 stable law S(alpha/2, 1, scale, 0)
     stats = pytest.importorskip("scipy.stats")
-    from levybound.stable import subordinator_scale
-
     assert stats.levy_stable.parameterization == "S1"
-    rng = RngStream(11, 3)
-    draws = np.array([sample_subordinator(alpha, rng) for _ in range(2000)])
+    rng, noise = RngStream(11, 3), StableNoise(alpha)
+    draws = np.array([noise.mix(*cms_uniforms(rng)) for _ in range(2000)])
     scale = subordinator_scale(alpha)
     assert stats.kstest(draws, stats.levy_stable(alpha / 2, 1.0, scale=scale).cdf).pvalue > 0.01
     # the same test rejects a law 20% wider
@@ -272,7 +259,7 @@ def test_batched_draws_match_frozen_batched_draws(alpha, dim):
             draws = sample_isotropic_stable(alpha, dim, new, size=4)
             assert draws.tobytes() == _frozen_batched_draws(alpha, dim, old, 4).tobytes()
             if alpha < 2.0:
-                a = sample_subordinator(alpha, new, size=4)
+                a = StableNoise(alpha).mix(*cms_uniforms(new, 4))
                 assert a.tobytes() == _frozen_subordinator_law(alpha).transform(
                     old.unit_open(4), -np.log(old.unit_open(4))).tobytes()
         assert new.gen.random() == old.gen.random()

@@ -51,6 +51,13 @@ repeats of a batch of calls, reported per call as min / median / quartiles
   then ``build_report`` (group key d) and ``alpha_regression`` on the
   table ``read_table`` returns, as ``analyze`` and ``regress-alpha`` run
   them.
+- ``analysis.taus.small``: the Kendall tau engine ``analysis._block_taus``
+  as a group-key-d scan of that table calls it: once on every (d, seed)
+  block of alphas and gaps (at most 20 rows each), once on every d
+  group's (alpha, mean gap) rows.
+- ``analysis.taus.big``: ``_block_taus`` on BIG_BLOCKS blocks of
+  BIG_BLOCK_ROWS rows (alphas from 10 values, gaps from 50), blocks over
+  the 256 rows up to which a block's pairs are counted all at once.
 
 BLAS is pinned to one thread (the script re-executes itself with the
 variables set); glibc's malloc is left at its defaults, as a user's
@@ -88,7 +95,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 import levybound as lb  # noqa: E402
-from levybound import models, sde, stable  # noqa: E402
+from levybound import analysis, models, sde, stable  # noqa: E402
 from levybound.cli import _grid_spec  # noqa: E402
 from levybound.data import parse_config  # noqa: E402
 from levybound.grid import (  # noqa: E402
@@ -103,6 +110,8 @@ MNIST_GROUP_REPEATS = 10
 GENERATE_REPEATS = 15
 ALPHA = 1.6
 RECORD_ROWS = 10_000
+BIG_BLOCKS = 100
+BIG_BLOCK_ROWS = 300
 
 
 def blas_threads():
@@ -307,6 +316,32 @@ def records_layers(path):
     ]
 
 
+def tau_layers(table):
+    """(name, callable, calls per repeat) for the Kendall tau engine."""
+    live = ~table.diverged
+    d, alpha, gap, seed = (getattr(table, f)[live] for f in ("d", "alpha", "gap", "seed"))
+    by_seed = np.lexsort((seed, d))
+    seed_bounds = analysis._run_bounds(d[by_seed], seed[by_seed])
+    by_alpha = np.lexsort((alpha, d))
+    alpha_bounds = analysis._run_bounds(d[by_alpha], alpha[by_alpha])
+    group_runs = np.searchsorted(alpha_bounds, analysis._run_bounds(d[by_alpha]))
+    run_alphas = alpha[by_alpha][alpha_bounds[:-1]]
+    means = np.array([np.mean(s) for s in np.split(gap[by_alpha], alpha_bounds[1:-1])])
+
+    def small():
+        analysis._block_taus(alpha[by_seed], gap[by_seed], seed_bounds)
+        analysis._block_taus(run_alphas, means, group_runs)
+
+    rng = np.random.default_rng(1)
+    rows = BIG_BLOCKS * BIG_BLOCK_ROWS
+    x, y = rng.integers(0, 10, rows) / 10.0, rng.integers(0, 50, rows) / 8.0
+    bounds = np.arange(0, rows + 1, BIG_BLOCK_ROWS)
+    return [
+        ("analysis.taus.small", small, 20),
+        ("analysis.taus.big", lambda: analysis._block_taus(x, y, bounds), 1),
+    ]
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="JSON file to write")
@@ -345,13 +380,15 @@ def main():
             layers[key] = time_group(group, repeats)
         print(f"{key}: median {layers[key]['median']:.3f} s", flush=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for key, fn, number in records_layers(Path(tmp) / "records.csv"):
+        path = Path(tmp) / "records.csv"
+        for key, fn, number in records_layers(path) + tau_layers(lb.read_table(path)):
             layers[key] = time_calls(fn, number)
             print(f"{key}: median {layers[key]['median']:.0f} us", flush=True)
 
     result = {"profile": {"config": "reference/phase_transition.cfg", "alpha": ALPHA,
                           "sigma1": grid.sigma1s[0], "width": grid.widths[0], "seed": 0,
-                          "d": params.size, "n": train.n, "record_rows": RECORD_ROWS},
+                          "d": params.size, "n": train.n, "record_rows": RECORD_ROWS,
+                          "big_blocks": BIG_BLOCKS, "big_block_rows": BIG_BLOCK_ROWS},
               "environment": environment(), "layers": layers}
     Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
     return 0

@@ -15,13 +15,13 @@ entry. Groups come from stable sorts, so each (group, alpha) is one
 contiguous slice of gaps in record order: its mean and std are
 ``np.mean`` and ``np.std`` of that slice, the same pairwise sums as over
 a list of those gaps. A group or an alpha takes the value of its first
-row in record order, which tells -0.0 from 0.0. Each seed's tau is
-formed from the integers ``kendall_tau`` forms, counted from pair signs
-for all seeds of one size at once, so it has the same bits.
+row in record order, which tells -0.0 from 0.0. Every Kendall tau,
+``kendall_tau``'s included, comes from one engine, ``_block_taus``, which
+counts the signs of every pair: a scan makes one call for all its
+per-seed taus and one for all its groups' mean-gap taus.
 """
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,42 +92,16 @@ def robust_gap(trace: RunTrace, window: int = 2000, trim: float = 0.15) -> float
     return math.fsum(kept) / len(kept)
 
 
-def _tie_pairs(values: list) -> int:
-    """Pairs of equal values in a sorted list: c(c-1)/2 summed over runs."""
-    pairs = run = 0
-    for i in range(1, len(values)):
-        if values[i] == values[i - 1]:
-            run += 1
-            pairs += run
-        else:
-            run = 0
-    return pairs
-
-
-def _count_inversions(a: list[float]) -> int:
-    """Number of strictly decreasing pairs; sorts ``a`` in place.
-
-    Binary insertion: each value's inversions are the larger values already
-    placed. The list insert's memmove makes it O(n^2), but in Python it
-    beats a merge sort's per-element loop at the lengths ``correlation_scan``
-    passes (a group's distinct alphas, tens of pairs, or a seed of more
-    than 256 rows in one group, which is rare). Counted on random values on a Xeon core, against
-    a merge sort with insertion below 256: 0.11 against 0.15 ms at 300
-    pairs and 2.5 against 3.7 ms at 3000, but 104 against 48 ms at 30000
-    and 1.4 against 0.18 s at 100000.
-    """
-    done: list[float] = []
-    inv = 0
-    for v in a:
-        k = bisect_right(done, v)
-        inv += len(done) - k
-        done.insert(k, v)
-    a[:] = done
-    return inv
-
-
 def kendall_tau(xs, ys) -> float:
-    """Tie-adjusted Kendall tau-b via inversion counting."""
+    """Tie-adjusted Kendall tau-b, counted from the signs of every pair
+    (``_block_taus`` on one block).
+
+    The count is quadratic in the length: up to 256 pairs it is one
+    broadcast, and a longer input is counted in bands of rows. At 300,
+    1000 and 3000 pairs of few distinct values it took 0.39, 3.7 and 12 ms
+    (min of 15 calls on one Xeon core); no scan of a sweep's records has
+    seeds or groups that long.
+    """
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
@@ -137,19 +111,10 @@ def kendall_tau(xs, ys) -> float:
         raise AnalysisPreconditionError("need at least 2 pairs")
     if np.isnan(x).any() or np.isnan(y).any():
         raise AnalysisPreconditionError("tau undefined: NaN input")
-
-    order = np.lexsort((y, x))
-    xs_ = x[order].tolist()
-    ys_ = y[order].tolist()
-    n0 = n * (n - 1) // 2
-    n1 = _tie_pairs(xs_)
-    joint = _tie_pairs(list(zip(xs_, ys_)))
-    swaps = _count_inversions(ys_)  # sorts ys_ in place
-    n2 = _tie_pairs(ys_)
-    if n1 == n0 or n2 == n0:
+    tau = float(_block_taus(x, y, np.array([0, n]))[0])
+    if math.isnan(tau):
         raise AnalysisPreconditionError("tau undefined: a variable is constant")
-    concordant_minus_discordant = n0 - n1 - n2 + joint - 2 * swaps
-    return concordant_minus_discordant / math.sqrt((n0 - n1) * (n0 - n2))
+    return tau
 
 
 def pearson(xs, ys) -> float:
@@ -173,14 +138,6 @@ def _as_table(records) -> RecordTable:
     return records if isinstance(records, RecordTable) else RecordTable.from_records(records)
 
 
-def _sorted_by(*keys) -> np.ndarray:
-    """Row order by the first key, ties by the next, ..., then record order."""
-    order = np.arange(len(keys[0]))
-    for key in reversed(keys):
-        order = order[np.argsort(key[order], kind="stable")]
-    return order
-
-
 def _run_bounds(*columns) -> np.ndarray:
     """Where each run of equal rows of sorted ``columns`` starts, then their length."""
     n = len(columns[0])
@@ -195,46 +152,55 @@ def _signs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a > b).view(np.int8) - (a < b).view(np.int8)
 
 
-# Pairs the per-seed taus of one chunk of seeds hold at once, about 60
-# bytes of temporaries each; a seed with more pairs goes through kendall_tau.
+def _pair_counts(sx: np.ndarray, sy: np.ndarray, axis):
+    """Pairs untied in x, pairs untied in y, and concordant minus
+    discordant pairs, from the pairs' signs in x and in y."""
+    return np.count_nonzero(sx, axis), np.count_nonzero(sy, axis), (sx * sy).sum(axis)
+
+
+# Pairs counted at once, about 60 bytes of temporaries each.
 _PAIR_BUDGET = 1 << 15
 
 
 def _block_taus(x: np.ndarray, y: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """Kendall tau of (x, y) over each block ``bounds[b]:bounds[b + 1]``;
-    NaN where tau is undefined (one row, or x or y constant).
+    """Kendall tau-b of (x, y) over each block ``bounds[b]:bounds[b + 1]``;
+    NaN where tau is undefined (one row, or x or y constant). NaN values
+    count as ties, so callers reject them first.
 
-    Each tau is formed from the integers ``kendall_tau`` forms, so it has
-    the same bits: the pair count n0, the x and the y tie pairs, and
-    concordant minus discordant, here counted from the signs of every
-    pair. Blocks of one size share their pair indices and are counted
-    together, at most _PAIR_BUDGET pairs at a time.
+    Each tau is (concordant - discordant) / sqrt((n0 - x ties) * (n0 - y
+    ties)), all integers counted from the signs of every pair and the
+    product rounded once to a float, so equal counts give equal bits.
+    Blocks of one size of at most _PAIR_BUDGET pairs share their pair
+    indices and are counted together, at most _PAIR_BUDGET pairs at a
+    time; a larger block (over 256 rows) is counted in bands of rows
+    against all its rows, each pair in both orders, at most _PAIR_BUDGET
+    ordered pairs a band (one row if the block is larger still).
     """
     starts, sizes = bounds[:-1], np.diff(bounds)
-    taus = np.full(sizes.size, np.nan)
+    x_free, y_free, cmd = np.zeros((3, sizes.size), dtype=np.int64)
     for m in np.unique(sizes[sizes > 1]).tolist():
         blocks = np.flatnonzero(sizes == m)
         n0 = m * (m - 1) // 2
-        if n0 > _PAIR_BUDGET:
-            for b in blocks.tolist():
-                rows = slice(starts[b], starts[b] + m)
-                try:
-                    taus[b] = kendall_tau(x[rows], y[rows])
-                except AnalysisPreconditionError:
-                    pass
+        if n0 <= _PAIR_BUDGET:
+            first, second = np.triu_indices(m, 1)
+            per_chunk = _PAIR_BUDGET // n0
+            for lo in range(0, blocks.size, per_chunk):
+                chunk = blocks[lo:lo + per_chunk]
+                i, j = starts[chunk, None] + first, starts[chunk, None] + second
+                x_free[chunk], y_free[chunk], cmd[chunk] = _pair_counts(
+                    _signs(x[i], x[j]), _signs(y[i], y[j]), 1)
             continue
-        first, second = np.triu_indices(m, 1)
-        per_chunk = _PAIR_BUDGET // n0
-        for lo in range(0, blocks.size, per_chunk):
-            chunk = blocks[lo:lo + per_chunk]
-            i, j = starts[chunk, None] + first, starts[chunk, None] + second
-            sx, sy = _signs(x[i], x[j]), _signs(y[i], y[j])
-            x_free = np.count_nonzero(sx, axis=1)  # n0 - x tie pairs
-            y_free = np.count_nonzero(sy, axis=1)
-            ok = (x_free > 0) & (y_free > 0)
-            concordant_minus_discordant = (sx * sy).sum(axis=1)
-            taus[chunk[ok]] = concordant_minus_discordant[ok] / np.sqrt(
-                (x_free[ok] * y_free[ok]).astype(float))
+        band = max(1, _PAIR_BUDGET // m)
+        for b in blocks.tolist():
+            xb, yb = x[starts[b]:starts[b] + m], y[starts[b]:starts[b] + m]
+            counts = np.zeros(3, dtype=np.int64)
+            for lo in range(0, m, band):
+                counts += _pair_counts(_signs(xb[lo:lo + band, None], xb),
+                                       _signs(yb[lo:lo + band, None], yb), None)
+            x_free[b], y_free[b], cmd[b] = counts // 2
+    taus = np.full(sizes.size, np.nan)
+    ok = (x_free > 0) & (y_free > 0)
+    taus[ok] = cmd[ok] / np.sqrt(x_free[ok].astype(float) * y_free[ok])
     return taus
 
 
@@ -263,44 +229,45 @@ def correlation_scan(records, group_key: str) -> list[GroupScan]:
         )
     key, alpha, gap, seed = (getattr(table, f)[live] for f in (group_key, "alpha", "gap", "seed"))
 
-    by_seed = _sorted_by(key, seed)
+    by_seed = np.lexsort((seed, key))
     seed_bounds = _run_bounds(key[by_seed], seed[by_seed])
     taus = _block_taus(alpha[by_seed], gap[by_seed], seed_bounds)
     seed_runs = np.searchsorted(seed_bounds, _run_bounds(key[by_seed]))
 
-    by_alpha = _sorted_by(key, alpha)
+    by_alpha = np.lexsort((alpha, key))
     alpha_bounds = _run_bounds(key[by_alpha], alpha[by_alpha])
     group_bounds = _run_bounds(key[by_alpha])
     alpha_runs = np.searchsorted(alpha_bounds, group_bounds)
-    gap = gap[by_alpha]
-    run_alphas = alpha[by_alpha][alpha_bounds[:-1]].tolist()
+    run_alphas = alpha[by_alpha][alpha_bounds[:-1]]
+    slices = np.split(gap[by_alpha], alpha_bounds[1:-1])
+    means = np.array([np.mean(s) for s in slices])
+    stds = [float(np.std(s)) for s in slices]
+    mean_gap_taus = _block_taus(run_alphas, means, alpha_runs)
     # a group, like an alpha, takes the value of its first row in record order
     groups = key[np.minimum.reduceat(by_alpha, group_bounds[:-1])].tolist()
 
     scans = []
     for k, g in enumerate(groups):
-        runs = range(alpha_runs[k], alpha_runs[k + 1])
-        if len(runs) < 2:
+        lo, hi = alpha_runs[k], alpha_runs[k + 1]
+        if hi - lo < 2:
             raise AnalysisPreconditionError(
                 f"group {group_key}={g} has fewer than 2 distinct alpha values"
             )
         seed_taus = taus[seed_runs[k]:seed_runs[k + 1]]
         seed_taus = seed_taus[~np.isnan(seed_taus)]
-        slices = [gap[alpha_bounds[r]:alpha_bounds[r + 1]] for r in runs]
-        alpha_gaps = tuple(
-            (run_alphas[r], float(np.mean(s)), float(np.std(s))) for r, s in zip(runs, slices)
-        )
-        alphas = [a for a, _, _ in alpha_gaps]
-        mean_gaps = [m for _, m, _ in alpha_gaps]
+        alphas, mean_gaps = run_alphas[lo:hi].tolist(), means[lo:hi].tolist()
+        tau_mean_gap = float(mean_gap_taus[k])
+        if math.isnan(tau_mean_gap) or np.isnan(means[lo:hi]).any():
+            kendall_tau(alphas, mean_gaps)  # raises why tau is undefined
         scans.append(
             GroupScan(
                 group=float(g),
                 n_seeds=seed_taus.size,
                 tau_seed_mean=float(np.mean(seed_taus)) if seed_taus.size else float("nan"),
                 tau_seed_std=float(np.std(seed_taus)) if seed_taus.size else float("nan"),
-                tau_mean_gap=kendall_tau(alphas, mean_gaps),
+                tau_mean_gap=tau_mean_gap,
                 pearson_mean_gap=pearson(alphas, mean_gaps),
-                alpha_gaps=alpha_gaps,
+                alpha_gaps=tuple(zip(alphas, mean_gaps, stds[lo:hi])),
             )
         )
     return scans

@@ -26,7 +26,7 @@ from levybound import (
     robust_gap,
     write_records,
 )
-from levybound.analysis import GROUP_KEYS, _regime
+from levybound.analysis import GROUP_KEYS, _block_taus, _regime
 from levybound.errors import (
     AnalysisPreconditionError,
     DimensionMismatchError,
@@ -400,8 +400,18 @@ class TestBuildReport:
         assert report.regimes == (("", ""), ("", ""))
 
 
-# The row-by-row analysis the columnar one replaced, kept verbatim as its
-# oracle: the scan, the regression, and the report's isolation set.
+# The row-by-row analysis the columnar one replaced, kept as its oracle:
+# the scan, the regression, and the report's isolation set. Its taus come
+# from the brute-force count, not from kendall_tau.
+
+
+def reference_tau(xs, ys):
+    """``kendall_brute_force``, with ``kendall_tau``'s errors where tau is undefined."""
+    if any(map(math.isnan, [*xs, *ys])):
+        raise AnalysisPreconditionError("tau undefined: NaN input")
+    if len(set(xs)) < 2 or len(set(ys)) < 2:
+        raise AnalysisPreconditionError("tau undefined: a variable is constant")
+    return kendall_brute_force(xs, ys)
 
 
 def reference_correlation_scan(records, group_key: str) -> list[GroupScan]:
@@ -434,7 +444,7 @@ def reference_correlation_scan(records, group_key: str) -> list[GroupScan]:
         for seed in sorted(by_seed):
             sub = by_seed[seed]
             try:
-                taus.append(kendall_tau([a for a, _ in sub], [gp for _, gp in sub]))
+                taus.append(reference_tau([a for a, _ in sub], [gp for _, gp in sub]))
             except AnalysisPreconditionError:
                 continue  # fewer than 2 rows, or constant alphas or gaps, in this seed
         alpha_gaps = tuple(
@@ -447,7 +457,7 @@ def reference_correlation_scan(records, group_key: str) -> list[GroupScan]:
                 n_seeds=len(taus),
                 tau_seed_mean=float(np.mean(taus)) if taus else float("nan"),
                 tau_seed_std=float(np.std(taus)) if taus else float("nan"),
-                tau_mean_gap=kendall_tau(alphas, mean_gaps),
+                tau_mean_gap=reference_tau(alphas, mean_gaps),
                 pearson_mean_gap=pearson(alphas, mean_gaps),
                 alpha_gaps=alpha_gaps,
             )
@@ -544,16 +554,18 @@ def assert_matches_reference(records):
         path = Path(tmp) / "records.csv"
         write_records(path, records)
         inputs = {"list": records, "table": read_table(path)}
+    want = {key: (outcome(reference_correlation_scan, records, key),
+                  outcome(reference_build_report, records, key)) for key in GROUP_KEYS}
+    want_regression = outcome(reference_alpha_regression, records)
     for name, given in inputs.items():
         for key in GROUP_KEYS:
-            want = outcome(reference_correlation_scan, records, key)
-            assert outcome(correlation_scan, given, key) == want, (name, key)
-            want = outcome(reference_build_report, records, key)
-            assert outcome(build_report, given, key) == want, (name, key)
-        want = outcome(reference_alpha_regression, records)
-        assert outcome(alpha_regression, given) == want, name
+            assert outcome(correlation_scan, given, key) == want[key][0], (name, key)
+            assert outcome(build_report, given, key) == want[key][1], (name, key)
+        assert outcome(alpha_regression, given) == want_regression, name
 
 
+# inf - inf in a mean or a std is NaN, with numpy's warning
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_columnar_analysis_matches_row_by_row_reference():
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
@@ -561,7 +573,7 @@ def test_columnar_analysis_matches_row_by_row_reference():
     record = st.builds(
         rec,
         alpha=st.sampled_from([-0.0, 0.0, 1.6, 1.7, 1.8, 2.0]),
-        gap=st.one_of(st.sampled_from([-0.0, 0.0, 0.1, 0.25, 1.0]),
+        gap=st.one_of(st.sampled_from([-0.0, 0.0, 0.1, 0.25, 1.0, math.inf, -math.inf]),
                       st.floats(-1.0, 1.0, allow_nan=False)),
         sigma1=st.sampled_from([-0.0, 0.0, 0.01, 0.3]),
         d=st.sampled_from([10, 100, 1000, big]),
@@ -586,8 +598,16 @@ def test_columnar_analysis_matches_row_by_row_reference():
         rec(1.6, 0.2, sigma1=0.0, d=100), rec(2.0, 0.1, sigma1=0.0, d=100),
     ]
 
+    # in the second d group, +inf and -inf gaps at one alpha: a NaN mean
+    # gap next to two that tell a tau apart
+    nan_mean_gap = [
+        rec(1.6, 0.1, d=10), rec(2.0, 0.2, d=10), rec(1.6, math.inf, d=100, seed=0),
+        rec(1.6, -math.inf, d=100, seed=1), rec(1.8, 0.1, d=100), rec(2.0, 0.2, d=100),
+    ]
+
     @hypothesis.settings(max_examples=300, deadline=None)
     @hypothesis.example(every_case)
+    @hypothesis.example(nan_mean_gap)
     @hypothesis.example(signed_zero_radius)
     @hypothesis.given(st.lists(record, max_size=40))
     def check(records):
@@ -614,3 +634,36 @@ def test_a_seed_too_large_for_the_pair_budget():
     finally:
         tracemalloc.stop()
     assert peak < 8e6
+
+
+def test_block_taus_match_brute_force_across_the_band_edge():
+    """Blocks of 250-262 rows, on both sides of the 256-row edge where
+    ``_block_taus`` turns from shared pair indices to row bands, drawn
+    from a few values so that ties, -0.0 against 0.0, +-inf and constant
+    blocks are common: bit for bit the brute-force count, NaN where x or
+    y is constant."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    values = [-math.inf, -1.5, -0.0, 0.0, 0.25, 1.0, 3.0, math.inf]
+    pool = st.lists(st.sampled_from(values), min_size=1, max_size=5,
+                    unique_by=lambda v: struct.pack("<d", v))
+    block = st.tuples(st.integers(250, 262), pool, pool, st.integers(0, 2**32 - 1))
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.example([(256, [0.0, 1.0], [-0.0, 0.0], 0), (257, [0.0, 1.0], [1.0, 2.0], 1)])
+    @hypothesis.given(st.lists(block, min_size=1, max_size=3))
+    def check(blocks):
+        xs, ys = [], []
+        for n, x_pool, y_pool, seed in blocks:
+            rng = np.random.default_rng(seed)
+            xs.append(rng.choice(np.array(x_pool), n))
+            ys.append(rng.choice(np.array(y_pool), n))
+        bounds = np.cumsum([0] + [x.size for x in xs])
+        got = _block_taus(np.concatenate(xs), np.concatenate(ys), bounds)
+        for tau, x, y in zip(got.tolist(), xs, ys):
+            x, y = x.tolist(), y.tolist()
+            want = (kendall_brute_force(x, y) if len(set(x)) > 1 and len(set(y)) > 1
+                    else math.nan)
+            assert exact(tau) == exact(want)
+
+    check()

@@ -430,12 +430,10 @@ def _exact_law_misfit(x, x0, c, steps, alpha, stable_power, variance):
     return worst
 
 
-@pytest.mark.parametrize("sigma2", [0.0, 0.3])
-def test_zero_gradient_chain_matches_exact_levy_ou_law(sigma2):
-    gamma, eta, sigma1, steps = 0.01, 1.0, 0.7, 200
-    x0 = np.array([1.0, -0.5, 0.25])
-    alphas = (1.3, 1.6, 1.9, 2.0)
-    chains, c = EXACT_LAW_CHAINS, 1.0 - eta * gamma
+def _zero_gradient_chains(gamma, eta, sigma1, sigma2, steps, alphas, x0, seed):
+    """EXACT_LAW_CHAINS copies of the update from ``x0`` with a zero
+    gradient, ``steps`` steps per alpha; one (chains, dim) array per alpha."""
+    chains = EXACT_LAW_CHAINS
     # the chains side by side in one flat vector: the update is coordinate-wise
     d = chains * x0.size
     updates = [EulerMaruyama(TrainConfig(gamma=gamma, eta=eta, alpha=alpha, sigma1=sigma1,
@@ -443,7 +441,7 @@ def test_zero_gradient_chain_matches_exact_levy_ou_law(sigma2):
     noises = [StableNoise(alpha) for alpha in alphas]
     xs = [np.tile(x0, chains) for _ in alphas]
     zero, spare = np.zeros(d), np.empty(d)
-    rng = RngStream(61)
+    rng = RngStream(seed)
     for _ in range(steps):
         # the noise as run_group composes it: the uniforms and G once for
         # every alpha, then each alpha's scale sqrt(A)
@@ -453,10 +451,18 @@ def test_zero_gradient_chain_matches_exact_levy_ou_law(sigma2):
         for i, (update, noise) in enumerate(zip(updates, noises)):
             stable = (np.reshape(noise.scale(u, w), (-1, 1)) * gaussian).reshape(-1)
             xs[i], spare = update(xs[i], zero, stable, brownian, spare), xs[i]
+    return [x.reshape(chains, x0.size) for x in xs]
 
+
+@pytest.mark.parametrize("sigma2", [0.0, 0.3])
+def test_zero_gradient_chain_matches_exact_levy_ou_law(sigma2):
+    gamma, eta, sigma1, steps = 0.01, 1.0, 0.7, 200
+    x0 = np.array([1.0, -0.5, 0.25])
+    alphas = (1.3, 1.6, 1.9, 2.0)
+    c = 1.0 - eta * gamma
+    xs = _zero_gradient_chains(gamma, eta, sigma1, sigma2, steps, alphas, x0, 61)
     variance = 2.0 * gamma * sigma2**2 * sum(c ** (2 * j) for j in range(steps))
     for alpha, x in zip(alphas, xs):
-        x = x.reshape(chains, x0.size)
         decay_sum = sum(c ** (alpha * j) for j in range(steps))
         power = gamma * sigma1**alpha * decay_sum
         assert _exact_law_misfit(x, x0, c, steps, alpha, power, variance) < EXACT_LAW_TOL
@@ -465,6 +471,36 @@ def test_zero_gradient_chain_matches_exact_levy_ou_law(sigma2):
             # not gamma^(1/alpha)
             wrong = gamma ** (alpha / 2.0) * sigma1**alpha * decay_sum
             assert _exact_law_misfit(x, x0, c, steps, alpha, wrong, variance) > EXACT_LAW_TOL
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("eta_gamma", [0.9, 0.01])
+def test_zero_gradient_chain_settles_at_its_stationary_law(eta_gamma):
+    """Run the chain until (1 - eta gamma)^k < 1e-6, so it has forgotten
+    x0, then compare it with two stationary laws: the chain's own,
+    scale^alpha = gamma sigma1^alpha / (1 - (1 - eta gamma)^alpha), and the
+    continuous-time process's, scale = sigma1 (alpha eta)^(-1/alpha). They
+    differ by the chain's O(eta gamma) bias. Exact misfit of the
+    continuous law over these alphas and frequencies:
+    - eta gamma = 0.01 (1375 steps, the slow case): 0.0006-0.0017, far
+      inside the tolerance, so the statistic accepts it;
+    - eta gamma = 0.9 (6 steps): 0.077-0.216, over three tolerances, so
+      the statistic must read at least twice the tolerance.
+    """
+    eta, sigma1 = 1.0, 0.7
+    gamma, c = eta_gamma / eta, 1.0 - eta_gamma
+    steps = math.ceil(math.log(1e-6) / math.log(c))
+    alphas = (1.3, 1.6, 1.9, 2.0)
+    x0, mean = np.array([1.0, -0.5, 0.25]), np.zeros(3)
+    xs = _zero_gradient_chains(gamma, eta, sigma1, 0.0, steps, alphas, x0, 62)
+    for alpha, x in zip(alphas, xs):
+        stationary = gamma * sigma1**alpha / (1.0 - c**alpha)
+        assert _exact_law_misfit(x, mean, c, steps, alpha, stationary, 0.0) < EXACT_LAW_TOL
+        continuous = _exact_law_misfit(x, mean, c, steps, alpha, sigma1**alpha / (alpha * eta), 0.0)
+        if eta_gamma == 0.01:
+            assert continuous < EXACT_LAW_TOL
+        else:
+            assert continuous >= 2.0 * EXACT_LAW_TOL
 
 
 # --- The group runner: alphas of one stream trained in lockstep, each

@@ -9,9 +9,9 @@ index; the tail-index regression inverts the d^(1/2 - alpha/4) scaling
 of the bound; the radius estimate reads off where the correlation
 changes sign.
 
-The scan, the regression and the report work on the columns of a
-``RecordTable``; an iterable of ``RunRecord``s is converted once on
-entry. Groups come from stable sorts, so each (group, alpha) is one
+The scan, the regression and the report take a ``RecordTable`` and
+read only the rows ``_live_rows`` picks; a table it refuses exits 3 in
+the CLI. Groups come from stable sorts, so each (group, alpha) is one
 contiguous slice of gaps in record order: its mean and std are
 ``np.mean`` and ``np.std`` of that slice, the same pairwise sums as over
 a list of those gaps. A group or an alpha takes the value of its first
@@ -134,8 +134,25 @@ def pearson(xs, ys) -> float:
     return float(dx @ dy) / math.sqrt(sx * sy)
 
 
-def _as_table(records) -> RecordTable:
-    return records if isinstance(records, RecordTable) else RecordTable.from_records(records)
+def _live_rows(table: RecordTable, key: str) -> np.ndarray:
+    """The indices of the non-diverged rows. Refuses a table with none, and
+    the first whose gap, alpha or sigma1 is not finite or whose d is below
+    1, naming it by alpha, seed and ``key``."""
+    live = np.flatnonzero(~table.diverged)
+    if not live.size:
+        raise AnalysisPreconditionError("no non-diverged records")
+    fine = table.diverged | (np.isfinite(table.gap) & np.isfinite(table.alpha)
+                             & np.isfinite(table.sigma1) & (table.d >= 1))
+    if not fine.all():
+        i = fine.argmin()
+        values = {f: getattr(table, f).item(i) for f in ("gap", "alpha", "sigma1")}
+        what = next((f"{'NaN' if math.isnan(v) else v} {f}"
+                     for f, v in values.items() if not math.isfinite(v)), "d < 1")
+        raise AnalysisPreconditionError(
+            f"non-diverged record with {what}: alpha={table.alpha.item(i)} "
+            f"seed={table.seed.item(i)} {key}={getattr(table, key).item(i)}"
+        )
+    return live
 
 
 def _run_bounds(*columns) -> np.ndarray:
@@ -204,29 +221,16 @@ def _block_taus(x: np.ndarray, y: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return taus
 
 
-def correlation_scan(records, group_key: str) -> list[GroupScan]:
-    """Per-group correlation between alpha and the gap.
+def correlation_scan(table: RecordTable, group_key: str) -> list[GroupScan]:
+    """Per-group correlation between alpha and the gap over the live rows.
 
     Two variants per group: the per-seed tau (mean and std across seeds;
     seeds whose gaps are degenerate for tau are skipped) and the tau on
-    seed-averaged gaps. Diverged records never enter; a non-diverged
-    record with a NaN gap, alpha or sigma1 is an error. ``records`` is a
-    ``RecordTable`` or an iterable of ``RunRecord``s.
+    seed-averaged gaps.
     """
     if group_key not in GROUP_KEYS:
         raise InvalidParameterError(f"group_key must be 'd' or 'sigma1', got {group_key!r}")
-    table = _as_table(records)
-    live = np.flatnonzero(~table.diverged)
-    if not live.size:
-        raise AnalysisPreconditionError("no non-diverged records")
-    bad = np.isnan(table.gap[live]) | np.isnan(table.alpha[live]) | np.isnan(table.sigma1[live])
-    if bad.any():
-        r = table.record(live[bad.argmax()])
-        field = next(f for f in ("gap", "alpha", "sigma1") if math.isnan(getattr(r, f)))
-        raise AnalysisPreconditionError(
-            f"non-diverged record with NaN {field}: alpha={r.alpha} seed={r.seed} "
-            f"{group_key}={getattr(r, group_key)}"
-        )
+    live = _live_rows(table, group_key)
     key, alpha, gap, seed = (getattr(table, f)[live] for f in (group_key, "alpha", "gap", "seed"))
 
     by_seed = np.lexsort((seed, key))
@@ -273,14 +277,13 @@ def correlation_scan(records, group_key: str) -> list[GroupScan]:
     return scans
 
 
-def alpha_regression(records) -> tuple[float, float, float]:
-    """OLS of log(seed-averaged gap) on log(d); returns (r_hat, intercept, alpha_hat).
+def alpha_regression(table: RecordTable) -> tuple[float, float, float]:
+    """OLS of log(seed-averaged gap) on log(d) over the live rows;
+    returns (r_hat, intercept, alpha_hat).
 
     alpha_hat = 2 - 4 r_hat inverts the d^(1/2 - alpha/4) scaling.
-    ``records`` is a ``RecordTable`` or an iterable of ``RunRecord``s.
     """
-    table = _as_table(records)
-    live = ~table.diverged
+    live = _live_rows(table, "d")
     d, gap = table.d[live], table.gap[live]
     order = np.argsort(d, kind="stable")
     d, gap = d[order], gap[order]
@@ -343,9 +346,8 @@ def _regime(radius: float, sigma1: float, d) -> tuple[str, str]:
         return ("", "")
 
 
-def build_report(records, group_key: str, radius: float = 1.0) -> AnalysisReport:
-    """Assemble the full analysis report for a ``RecordTable`` or an
-    iterable of ``RunRecord``s.
+def build_report(table: RecordTable, group_key: str, radius: float = 1.0) -> AnalysisReport:
+    """Assemble the full analysis report over the live rows.
 
     Regime labels need the scan axis isolated (one sigma1 for a d-scan,
     one d for a sigma1-scan) and a positive noise scale; the regression
@@ -354,12 +356,11 @@ def build_report(records, group_key: str, radius: float = 1.0) -> AnalysisReport
     """
     if not radius > 0.0:
         raise InvalidParameterError(f"radius must be > 0, got {radius}")
-    table = _as_table(records)
     scans = tuple(correlation_scan(table, group_key))
     # the scan axis is isolated when the other axis holds one value over the
     # live rows; that value is its first live row's
     other = "sigma1" if group_key == "d" else "d"
-    fixed = getattr(table, other)[~table.diverged]
+    fixed = getattr(table, other)[_live_rows(table, group_key)]
     regimes = [("", "")] * len(scans)
     radius_estimate, radius_note = None, "scan axis is not isolated"
     if (fixed == fixed[0]).all():

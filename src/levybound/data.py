@@ -298,10 +298,6 @@ class RecordTable:
         columns = list(zip(*rows)) if rows else [()] * len(RECORD_HEADER)
         return cls(*map(_column, columns, RunRecord.__annotations__.values()))
 
-    def record(self, i: int) -> RunRecord:
-        """Row ``i`` as a ``RunRecord`` of Python scalars."""
-        return RunRecord(*(getattr(self, f).item(i) for f in RECORD_HEADER))
-
 
 def _column(values, kind) -> np.ndarray:
     if kind is int:

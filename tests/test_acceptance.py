@@ -21,6 +21,7 @@ from levybound import (
     ModelSpec,
     RngStream,
     TrainConfig,
+    RecordTable,
     RunRecord,
     alpha_regression,
     bound_estimate,
@@ -187,10 +188,10 @@ def test_09_discrete_prefactor_asymptote():
 def test_10_tail_index_regression_exact():
     with criterion(10, "alpha_hat = alpha on noiseless power-law gaps", 1.0):
         for alpha in (1.2, 1.6, 1.9):
-            records = [
+            records = RecordTable.from_records(
                 RunRecord(alpha, 0.01, d, 0, 500, 0, d ** (0.5 - alpha / 4), 1.0, 1.0, False)
                 for d in (100, 1000, 10000)
-            ]
+            )
             _, _, alpha_hat = alpha_regression(records)
             assert alpha_hat == pytest.approx(alpha, abs=1e-10)
 

@@ -11,6 +11,7 @@ from levybound import (
     GridSpec,
     IdxSource,
     ModelSpec,
+    RecordTable,
     RngStream,
     RunRecord,
     StableParams,
@@ -649,6 +650,52 @@ class TestRegressAlphaCommand:
         code, _, _ = run_cli(capsys, "regress-alpha", "--records", str(records_csv))
         assert code == 3
 
+    def test_no_live_row_exits_3(self, capsys, tmp_path):
+        records_csv = tmp_path / "records.csv"
+        write_records(records_csv, [RunRecord(1.6, 0.01, d, 0, 500, 0, math.nan, math.nan,
+                                              math.nan, True) for d in (100, 200)])
+        code, out, err = run_cli(capsys, "regress-alpha", "--records", str(records_csv))
+        assert (code, out, err) == (3, "", "analysis error: no non-diverged records\n")
+
+
+def scan_rows(*cells):
+    """A diverged row with d = 0, which the analysis skips, then one live
+    row at sigma1 0.01 and seed 0 for each (alpha, d, gap)."""
+    skipped = RunRecord(1.7, 0.01, 0, 0, 500, 1, math.nan, math.nan, math.nan, True)
+    return [skipped] + [RunRecord(a, 0.01, d, 0, 500, 0, gap, 1.0, 1.0, False)
+                        for a, d, gap in cells]
+
+
+RISING = [(1.6, 100, 0.1), (1.8, 100, 0.2), (2.0, 100, 0.3)]
+# Records files that break the live-row rule, each with the row and the
+# flaw the analysis names. The d = -300 group's tau is opposite to the
+# d = 100 group's, so a d-scan would locate a crossing at a negative d.
+LIVE_RULE_PROBES = {
+    "inf-gap": (RISING + [(1.6, 1000, 0.1), (1.8, 1000, math.inf), (2.0, 1000, 0.3)],
+                "inf gap: alpha=1.8 seed=0 d=1000"),
+    "inf-alpha": (RISING + [(math.inf, 1000, 0.2), (1.6, 1000, 0.1)],
+                  "inf alpha: alpha=inf seed=0 d=1000"),
+    "nan-gap": ([(1.6, 100, math.nan)] + RISING[1:] + [(1.6, 1000, 0.1), (2.0, 1000, 0.2)],
+                "NaN gap: alpha=1.6 seed=0 d=100"),
+    "d-zero": ([(1.6, 0, 0.1), (2.0, 0, 0.2)] + RISING, "d < 1: alpha=1.6 seed=0 d=0"),
+    "d-negative": ([(1.6, -300, 0.3), (1.8, -300, 0.2), (2.0, -300, 0.1)] + RISING,
+                   "d < 1: alpha=1.6 seed=0 d=-300"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["analyze", "regress-alpha"])
+@pytest.mark.parametrize("probe", LIVE_RULE_PROBES)
+def test_both_analysis_commands_refuse_a_row_that_breaks_the_live_row_rule(
+        capsys, tmp_path, probe, command):
+    cells, named = LIVE_RULE_PROBES[probe]
+    records_csv = tmp_path / "records.csv"
+    write_records(records_csv, scan_rows(*cells))
+    code, out, err = run_cli(capsys, command, "--records", str(records_csv))
+    assert (code, out) == (3, "")
+    assert err == f"analysis error: non-diverged record with {named}\n"
+    assert "Traceback" not in err
+
 
 def test_unknown_command_exits_1(capsys):
     code, _, _ = run_cli(capsys, "frobnicate")
@@ -792,7 +839,7 @@ class TestTablesMatchLibrary:
         code, out, _ = run_cli(capsys, "regress-alpha", "--records", str(records_csv))
         assert code == 0
         assert out == "r_hat,intercept,alpha_hat\n" + ",".join(
-            map(_f, alpha_regression(records))) + "\n"
+            map(_f, alpha_regression(RecordTable.from_records(records)))) + "\n"
 
 
 class TestDivergedRows:

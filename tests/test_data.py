@@ -435,7 +435,7 @@ def table_rows(table) -> list:
             assert column.dtype in (np.int64, object)
         else:
             assert column.dtype == {float: np.float64, bool: np.bool_}[kind]
-    return [table.record(i) for i in range(len(table))]
+    return list(map(RunRecord, *(getattr(table, f).tolist() for f in RECORD_HEADER)))
 
 
 def test_records_roundtrip_matches_reference_reader():

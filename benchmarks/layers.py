@@ -14,7 +14,7 @@ repeats of a batch of calls, reported per call as min / median / quartiles
   gradient, the stable term (the subordinator's uniforms and G, drawn
   once per group, then the alpha's scale sqrt(A) and its multiply into
   the group's draw buffer), one EM update, and what an eval step adds:
-  one ``ModelKernel.error_rates`` call each on the train and test sets.
+  one ``models.error_rates`` call each on the train and test sets.
 - ``data.generate_synthetic``: building the data set of the MNIST-shaped
   profile of ``perfbench``'s ``mnist-linear-minibatch`` workload
   (``SyntheticSpec(313, 784, 10, 3.0, 1.0, seed=0)``: 2504 train rows of
@@ -25,8 +25,8 @@ repeats of a batch of calls, reported per call as min / median / quartiles
 - ``eval.group_mnist``: one eval step of a 10-alpha group of that
   MNIST-shaped profile (linear softmax, 784 -> 10, d = 7840, batch 64,
   sigma2 = 0.01, evals every 10 steps, window 150, 200 steps), train and
-  test sets together: one ``ModelKernel.error_rates`` call per data set,
-  as ``run_group`` makes it.
+  test sets together: one ``models.error_rates`` call per data set on
+  the (10, d) parameter array, as ``run_group`` makes it.
 - ``group.ref`` and ``group.mnist``: one (sigma1, width, seed) group of
   the 10 reference alphas through ``execute_grid`` on a fresh records
   file, data set-up included: the reference profile's first sigma1 at
@@ -179,13 +179,13 @@ def step_layers(spec, train, test, cfg, params):
     rows = np.arange(train.n)
     kernel = models.ModelKernel(spec, train.n)
     x, label_index = train.features[rows], kernel.row_starts + train.labels[rows]
-    eval_sets = [(models.ModelKernel(spec, data.n), data) for data in (train, test)]
 
     def gradient():
         return kernel.gradient(params, x, label_index)
 
     def errors():
-        return [k.error_rates((params,), data.features, data.labels) for k, data in eval_sets]
+        return [models.error_rates(spec, params[None], data.features, data.labels)
+                for data in (train, test)]
 
     noise, gaussian, buffer = stable.StableNoise(cfg.alpha), np.empty(d), np.empty(d)
 
@@ -220,12 +220,11 @@ def group_eval_step(grid):
     train, test = load_grid_datasets(grid)
     spec = _model_for(grid.widths[0], train)
     rng = lb.RngStream(0, 3)
-    ps = [lb.init_params(spec, grid.init_scale, rng) for _ in grid.alphas]
-    sets = [(models.ModelKernel(spec, data.n), data) for data in (train, test)]
+    ps = np.array([lb.init_params(spec, grid.init_scale, rng) for _ in grid.alphas])
 
     def step():
-        for kernel, data in sets:
-            kernel.error_rates(ps, data.features, data.labels)
+        for data in (train, test):
+            models.error_rates(spec, ps, data.features, data.labels)
     return step
 
 

@@ -4,6 +4,11 @@ Two kinds: a linear softmax predictor (two widths) and fully-connected
 ReLU networks (three or more widths). Parameters live in one flat
 float64 vector, laid out layer-major and row-major within each weight
 matrix, so the optimizer can treat the model as a point in R^d.
+
+Two unchecked kernels serve the training loop: ``ModelKernel``, the loss
+gradient over arrays it allocates once, and ``error_rates``, the 0-1
+errors of many parameter vectors in one pass, which allocates per call
+and keeps nothing. The public functions validate and then call them.
 """
 
 from dataclasses import dataclass
@@ -83,7 +88,11 @@ def init_params(spec: ModelSpec, scale: float, rng: RngStream) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def _check_params(spec: ModelSpec, params: np.ndarray) -> None:
+def _check_inputs(spec: ModelSpec, params: np.ndarray, data: Dataset) -> None:
+    if not np.isfinite(params).all():
+        raise InvalidParameterError("non-finite parameters")
+    if data.input_dim != spec.input_dim or data.num_classes != spec.num_classes:
+        raise DimensionMismatchError("dataset shape does not match model spec")
     if params.shape != (param_count(spec),):
         raise DimensionMismatchError(
             f"params has shape {params.shape}, spec needs ({param_count(spec)},)"
@@ -106,84 +115,64 @@ def _row_reduce(ufunc, a: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def error_rates(spec: ModelSpec, params: np.ndarray, x: np.ndarray,
+                labels: np.ndarray) -> list[float]:
+    """Fraction of rows whose argmax logit (lowest index on ties) is not
+    the label, for each row of the (runs, d) array ``params``, in one pass
+    over ``x``. Does no validation and keeps nothing between calls.
+
+    The first-layer weight matrices are copied side by side into one
+    (fan-in, runs * fan-out) matrix, so one matmul reads the rows of
+    ``x``; each later layer is one batched matmul over the runs' column
+    blocks, and one argmax covers every run.
+
+    Each run's block of the first product is ``x @ w1`` of that run
+    alone up to the GEMM kernel BLAS picks for the wider product; the
+    later layers are the one-run products. On OpenBLAS 0.3.31 the
+    blocks are bit-identical to the one-run products at 2504x784x10,
+    626x784x10, 500x25x32 and 126x25x32, but small products (for
+    example 60x784x10 or 64x25x10) can differ in the last bits. So
+    what holds is that each run's error rate is the one a call with
+    that vector alone gives it unless two of a row's logits lie within
+    rounding of each other (60x784x10: 0 of 120,000 rows changed their
+    argmax); the logits themselves may differ.
+    """
+    params = np.ascontiguousarray(params, dtype=np.float64)
+    runs, rows = params.shape[0], x.shape[0]
+    fan_in, fan_out = spec.widths[:2]
+    lo = fan_in * fan_out
+    first = params[:, :lo].reshape(runs, fan_in, fan_out)
+    stacked = first.transpose(1, 0, 2).reshape(fan_in, runs * fan_out)
+    z = (x @ stacked).reshape(rows, runs, fan_out).transpose(1, 0, 2)  # (run, row, unit)
+    for a, b in zip(spec.widths[1:-1], spec.widths[2:]):
+        z = np.maximum(z, 0.0, out=z) @ params[:, lo:lo + a * b].reshape(runs, a, b)
+        lo += a * b
+    if z.flags.c_contiguous:
+        wrong = np.argmax(z, axis=2) != labels
+    else:  # a linear model's logits: argmax would first copy this view whole
+        wrong = (np.argmax(z.transpose(1, 0, 2), axis=2) != labels[:, None]).T
+    return (wrong.sum(axis=1) / rows).tolist()
+
+
 class ModelKernel:
-    """Forward pass, 0-1 errors and loss gradient of one model over a fixed
-    row count, with the layer layout set up once and each job's arrays
-    sized on that job's first call.
+    """Forward pass and loss gradient of one model over a fixed row count,
+    with the layer layout and every array set up once.
 
     Calls do no validation and overwrite the previous call's results: the
-    returned gradient is the kernel's own buffer. The public functions
-    below validate their inputs and then call a fresh kernel; the training
-    loop keeps one for the gradient and one each for the train and test
-    sets it evaluates. ``error_rates`` is the one eval entry point: it
-    evaluates all the runs of a group in one pass over the rows, and the
-    gradient computes no 0-1 error. A kernel that only evaluates never
-    allocates the gradient's arrays.
+    returned gradient is the kernel's own buffer. ``surrogate_loss_and_grad``
+    validates its inputs and then calls a fresh kernel; the training loop
+    keeps one for all the runs of a group. The gradient computes no 0-1
+    error: ``error_rates`` is the one eval path.
     """
 
     def __init__(self, spec: ModelSpec, rows: int):
         shapes = list(zip(spec.widths[:-1], spec.widths[1:]))
         ends = list(accumulate(a * b for a, b in shapes))
         self.slices = [(lo, hi, shape) for lo, hi, shape in zip([0] + ends, ends, shapes)]
-        self.widths = spec.widths
+        hidden, classes = spec.widths[1:-1], spec.num_classes
         self.rows = rows
-        self.row_starts = np.arange(rows) * spec.num_classes  # flat index of each row's class 0
-        self.grad = None  # the gradient's buffers are sized on its first call
-        self.stack_count = 0  # error_rates' buffers are sized on first use
-
-    def _size_stack(self, count: int) -> None:
-        """``error_rates``' buffers for ``count`` parameter vectors."""
-        (fan_in, fan_out), rows = self.slices[0][2], self.rows
-        self.stack_count = count
-        self.flat = np.empty((count, self.slices[-1][1]))
-        mats = [self.flat[:, lo:hi].reshape(count, *shape) for lo, hi, shape in self.slices]
-        self.stacked = np.empty((fan_in, count * fan_out))
-        # (fan-in, run, unit) views: the stacked matrix, and the first layers to copy into it
-        self.stack_copy = (self.stacked.reshape(fan_in, count, fan_out), mats[0].transpose(1, 0, 2))
-        self.wide = np.empty((rows, count * fan_out))
-        self.wide_runs = self.wide.reshape(rows, count, fan_out).transpose(1, 0, 2)
-        self.stack_layers = [(w, np.empty((count, rows, w.shape[2]))) for w in mats[1:]]
-        self.stack_preds = np.empty((count, rows), dtype=np.intp)
-        self.stack_wrong = np.empty((count, rows), dtype=bool)
-
-    def error_rates(self, params_list, x: np.ndarray, labels: np.ndarray) -> list[float]:
-        """Fraction of rows whose argmax logit (lowest index on ties) is not
-        the label, for each parameter vector, in one pass over ``x``.
-
-        The first-layer weight matrices are copied side by side into one
-        (fan-in, count * fan-out) matrix, so one matmul reads the rows of
-        ``x``; each later layer is one batched matmul over the runs'
-        column blocks, and one argmax covers every run. The buffers are
-        kept and only reallocated when the number of parameter vectors
-        changes.
-
-        Each run's block of the first product is ``x @ w1`` of that run
-        alone up to the GEMM kernel BLAS picks for the wider product; the
-        later layers are the one-run products. On OpenBLAS 0.3.31 the
-        blocks are bit-identical to the one-run products at 2504x784x10,
-        626x784x10, 500x25x32 and 126x25x32, but small products (for
-        example 60x784x10 or 64x25x10) can differ in the last bits. So
-        what holds is that each run's error rate is the one a call with
-        that vector alone gives it unless two of a row's logits lie within
-        rounding of each other (60x784x10: 0 of 120,000 rows changed their
-        argmax); the logits themselves may differ.
-        """
-        if len(params_list) != self.stack_count:
-            self._size_stack(len(params_list))
-        self.flat[...] = params_list
-        np.copyto(*self.stack_copy)
-        np.matmul(x, self.stacked, out=self.wide)
-        z = self.wide_runs  # (run, row, unit) view of the product
-        for w, out in self.stack_layers:
-            z = np.matmul(np.maximum(z, 0.0, out=z), w, out=out)
-        np.argmax(z, axis=2, out=self.stack_preds)
-        wrong = np.not_equal(self.stack_preds, labels, out=self.stack_wrong)
-        return (wrong.sum(axis=1) / self.rows).tolist()
-
-    def _size_gradient(self) -> None:
-        """The flat gradient, its per-layer views and ``gradient``'s per-row arrays."""
-        rows, hidden, classes = self.rows, self.widths[1:-1], self.widths[-1]
-        self.grad = np.empty(self.slices[-1][1])
+        self.row_starts = np.arange(rows) * classes  # flat index of each row's class 0
+        self.grad = np.empty(ends[-1])
         self.grads = [self.grad[lo:hi].reshape(shape) for lo, hi, shape in self.slices]
         self.hidden = [np.empty((rows, w)) for w in hidden]
         self.active = [np.empty((rows, w), dtype=bool) for w in hidden]
@@ -201,8 +190,6 @@ class ModelKernel:
         ``label_index`` is ``row_starts + y``, the flat index of each row's
         label in the logits.
         """
-        if self.grad is None:
-            self._size_gradient()
         mats = [params[lo:hi].reshape(shape) for lo, hi, shape in self.slices]
         a = x  # the forward pass keeps each layer's activations in ``hidden``
         for w, h in zip(mats, self.hidden):
@@ -249,11 +236,7 @@ def surrogate_loss_and_grad(
         raise InvalidParameterError("indices must be nonempty")
     if idx.min() < 0 or idx.max() >= data.n:
         raise IndexError(f"batch index out of range [0, {data.n})")
-    if not np.isfinite(params).all():
-        raise InvalidParameterError("non-finite parameters")
-    if data.input_dim != spec.input_dim or data.num_classes != spec.num_classes:
-        raise DimensionMismatchError("dataset shape does not match model spec")
-    _check_params(spec, params)
+    _check_inputs(spec, params, data)
 
     kernel = ModelKernel(spec, idx.size)
     label_index = kernel.row_starts + data.labels[idx]
@@ -263,6 +246,7 @@ def surrogate_loss_and_grad(
 
 
 def zero_one_error(spec: ModelSpec, params: np.ndarray, data: Dataset) -> float:
-    """Fraction of misclassified rows; argmax ties go to the lowest class index."""
-    _check_params(spec, params)
-    return ModelKernel(spec, data.n).error_rates((params,), data.features, data.labels)[0]
+    """Fraction of misclassified rows; argmax ties go to the lowest class index.
+    Refuses the inputs ``surrogate_loss_and_grad`` refuses."""
+    _check_inputs(spec, params, data)
+    return error_rates(spec, params[None], data.features, data.labels)[0]

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidParameterError
-from .models import Dataset, ModelKernel, ModelSpec, init_params, param_count
+from .models import Dataset, ModelKernel, ModelSpec, error_rates, init_params, param_count
 from .rng import RngStream, check_seed, mix64
 from .stable import StableNoise, cms_uniforms
 
@@ -176,18 +176,12 @@ class _Run:
                         self.params, self.diverged)
 
 
-def _error_rates(eval_sets, params) -> list[list[float]]:
-    """The train and test errors of each row of ``params``: the helper's job."""
-    return [kernel.error_rates(params, data.features, data.labels)
-            for kernel, data in eval_sets]
-
-
 def _record(pending) -> None:
     """Append the errors of the eval step ``pending`` (if any) to its runs,
     once the helper has them; the helper's exception is raised here."""
     if pending is not None:
-        k, runs, errors = pending
-        for run, train_err, test_err in zip(runs, *errors.result()):
+        k, runs, (train_errors, test_errors) = pending
+        for run, train_err, test_err in zip(runs, train_errors.result(), test_errors.result()):
             run.evals.append((k, train_err, test_err))
 
 
@@ -210,22 +204,22 @@ def run_group(
     stable draw is computed per alpha. Step k is evaluated when k >
     ``after`` and k is a multiple of ``eval_interval`` or the last step:
     the live runs get their train and test errors from one
-    ``ModelKernel.error_rates`` call per data set, in either batch mode,
-    on the parameters the step's gradient will use. Every live run then
-    takes its gradient, update and divergence check in turn; a run that
+    ``error_rates`` call per data set, in either batch mode, on the
+    parameters the step's gradient will use. Every live run then takes
+    its gradient, update and divergence check in turn; a run that
     diverges stops while the others go on. Each run keeps its own
-    parameters, update and measurements; the model kernels and draw
-    buffers are the group's, and the two eval kernels hold no gradient
-    arrays.
+    parameters, update and measurements; the gradient kernel and draw
+    buffers are the group's, and the evals keep nothing between steps.
 
     The evals run on one helper thread while the loop goes on with the
     step's gradients and updates (numpy's matmul and argmax release the
     GIL, so a second core does the eval, on the same data set). Before any
     update, the calling thread copies the live runs' parameters into one
-    snapshot and notes which runs they are; it collects the previous
-    eval step's errors before it hands over the next, so each run's
-    ``evals`` stay in step order, and collects the last before it
-    returns, also when every run has diverged. An eval's exception is
+    snapshot, which both of the step's evals read, and notes which runs
+    they are; it collects the previous eval step's errors before it hands
+    over the next, so each run's ``evals`` stay in step order, and
+    collects the last before it returns, also when every run has
+    diverged. An eval's exception is
     raised here. No thread outlives the call, on any path out: a process
     forked with a live thread (``grid``'s split forks between groups) can
     deadlock on the locks that thread held.
@@ -254,14 +248,13 @@ def run_group(
     n = train.n
     full_batch = cfg.batch_size is None
     model = ModelKernel(spec, n if full_batch else cfg.batch_size)
-    eval_sets = [(ModelKernel(spec, data.n), data) for data in (train, test)]
     gaussian, stable = (np.empty(d), np.empty(d)) if cfg.sigma1 > 0.0 else (None, None)
     brownian = np.empty(d) if cfg.sigma2 > 0.0 else None
     if full_batch:
         x = np.ascontiguousarray(train.features)
         label_index = model.row_starts + train.labels
     live = runs
-    pending = None  # the eval step on the helper: (step, its runs, their errors to come)
+    pending = None  # the eval step on the helper: (step, its runs, train and test errors to come)
 
     with ThreadPoolExecutor(max_workers=1) as helper:
         for k in range(1, cfg.steps + 1):
@@ -279,7 +272,8 @@ def run_group(
                 _record(pending)
                 # a copy: the next step's update writes into these arrays
                 snapshot = np.array([run.params for run in live])
-                pending = (k, live, helper.submit(_error_rates, eval_sets, snapshot))
+                pending = (k, live, [helper.submit(error_rates, spec, snapshot, data.features,
+                                                   data.labels) for data in (train, test)])
 
             for run in live:
                 grad = model.gradient(run.params, x, label_index)
@@ -318,12 +312,12 @@ def run_training(
     or a norm above 1e12 stops the run early with the diverged flag set;
     that is a recorded outcome, not an error.
 
-    This is ``run_group`` with the one alpha ``cfg.alpha``. The kernels
-    and draw buffers are set up once, before the loop or on their first
-    call. Parameters that reach a step passed the previous step's
-    divergence check, so the loop skips the validation the public
-    gradient, sampler and update functions do. Both errors come from
-    ``ModelKernel.error_rates``, the one eval path of every run.
+    This is ``run_group`` with the one alpha ``cfg.alpha``. The gradient
+    kernel and draw buffers are set up once, before the loop. Parameters
+    that reach a step passed the previous step's divergence check, so the
+    loop skips the validation the public gradient, sampler, update and
+    eval functions do. Both errors come from ``models.error_rates``, the
+    one eval path of every run.
     """
     (trace,) = run_group(spec, train, test, cfg, (cfg.alpha,), init_scale, rng)
     return trace

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import levybound.sde as sde_mod
 from levybound import (
     BoundInputs,
     GridSpec,
@@ -424,7 +425,7 @@ def test_evaluate_cell_evaluates_only_in_window_eval_steps(monkeypatch, batch_si
     grid = _reducer_grid(batch_size=batch_size, steps=steps, window=window)
     train, test = load_grid_datasets(grid)
     step, evals, in_gradient, step_of = [0], [], threading.local(), {}
-    real_gradient, real_error_rates = ModelKernel.gradient, ModelKernel.error_rates
+    real_gradient, real_error_rates = ModelKernel.gradient, sde_mod.error_rates
 
     def gradient(self, params, x, label_index):
         step[0] += 1
@@ -435,13 +436,13 @@ def test_evaluate_cell_evaluates_only_in_window_eval_steps(monkeypatch, batch_si
         finally:
             in_gradient.on = False
 
-    def error_rates(self, params_list, x, labels):
-        assert len(params_list) == 1 and not getattr(in_gradient, "on", False)
-        evals.append((params_list[0].tobytes(), "train" if x is train.features else "test"))
-        return real_error_rates(self, params_list, x, labels)
+    def error_rates(spec, params, x, labels):
+        assert len(params) == 1 and not getattr(in_gradient, "on", False)
+        evals.append((params[0].tobytes(), "train" if x is train.features else "test"))
+        return real_error_rates(spec, params, x, labels)
 
     monkeypatch.setattr(ModelKernel, "gradient", gradient)
-    monkeypatch.setattr(ModelKernel, "error_rates", error_rates)
+    monkeypatch.setattr(sde_mod, "error_rates", error_rates)
     evaluate_group(grid, train, test, (1.7,), 0.1, 0, 3)
     in_window = [k for k in range(1, steps + 1)
                  if k > steps - window and (k % 5 == 0 or k == steps)]
@@ -497,7 +498,7 @@ def test_group_evaluates_each_data_set_once_per_eval_step(monkeypatch, batch_siz
     grid = _reducer_grid(width=width, batch_size=batch_size, steps=steps)
     train, test = load_grid_datasets(grid)
     gradients, calls, in_gradient, step_of = [0], [], threading.local(), {}
-    real_gradient, real_error_rates = ModelKernel.gradient, ModelKernel.error_rates
+    real_gradient, real_error_rates = ModelKernel.gradient, sde_mod.error_rates
     _pin_cores(monkeypatch, 1)  # the calls are counted in this process
 
     def gradient(self, params, x, label_index):
@@ -509,14 +510,14 @@ def test_group_evaluates_each_data_set_once_per_eval_step(monkeypatch, batch_siz
         finally:
             in_gradient.on = False
 
-    def error_rates(self, params_list, x, labels):
+    def error_rates(spec, params, x, labels):
         assert not getattr(in_gradient, "on", False)
         data = "train" if x is train.features else "test"
-        calls.append(([params.tobytes() for params in params_list], data))
-        return real_error_rates(self, params_list, x, labels)
+        calls.append(([run_params.tobytes() for run_params in params], data))
+        return real_error_rates(spec, params, x, labels)
 
     monkeypatch.setattr(ModelKernel, "gradient", gradient)
-    monkeypatch.setattr(ModelKernel, "error_rates", error_rates)
+    monkeypatch.setattr(sde_mod, "error_rates", error_rates)
     rows = evaluate_group(grid, train, test, GROUP_ALPHAS[:group_size], 0.1, width, 3)
     assert not any(record.diverged for record in rows)
     assert gradients[0] == steps * group_size

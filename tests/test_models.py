@@ -16,7 +16,7 @@ from levybound import (
     zero_one_error,
 )
 from levybound.errors import DimensionMismatchError, InvalidParameterError
-from levybound.models import ModelKernel
+from levybound.models import ModelKernel, error_rates
 
 
 def make_dataset(n, dim, classes, seed=0):
@@ -148,6 +148,30 @@ class TestLossAndGrad:
         probs = np.exp(kernel.log_p)
         assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-12
 
+    @pytest.mark.parametrize("widths", [(784, 10), (25, 32, 2), (6, 5, 4, 3)])
+    def test_gradient_reuses_its_buffer_and_allocates_nothing(self, widths):
+        # every array the gradient writes is sized in __init__: ten calls
+        # return the one buffer, and the traced memory stays where it was
+        spec = ModelSpec(widths)
+        data = make_dataset(64, widths[0], widths[-1], seed=len(widths))
+        rng = RngStream(5)
+        ps = [init_params(spec, 1.0, rng) for _ in range(10)]
+        kernel = ModelKernel(spec, data.n)
+        x, label_index = data.features, kernel.row_starts + data.labels
+        first = kernel.gradient(ps[0], x, label_index)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            grads = [kernel.gradient(p, x, label_index) for p in ps]
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert all(grad is first for grad in grads)
+        assert after - before <= 1024  # the list of ten references, not an array
+        rows = np.arange(data.n)
+        want = surrogate_loss_and_grad(spec, ps[-1], data, rows)[1]
+        assert first.tobytes() == want.tobytes()
+
     def test_huge_logits_stay_finite(self):
         spec = ModelSpec((3, 2))
         data = make_dataset(5, 3, 2)
@@ -190,6 +214,23 @@ class TestZeroOneError:
         scaled[-18:] *= 7.5  # final 6x3 block
         assert zero_one_error(spec, params, data) == zero_one_error(spec, scaled, data)
 
+    # the inputs surrogate_loss_and_grad refuses are refused here too, with
+    # its messages: a data set of another class count or input width, and
+    # non-finite parameters
+    def test_refuses_a_data_set_of_another_class_count(self):
+        with pytest.raises(DimensionMismatchError, match="dataset shape does not match"):
+            zero_one_error(ModelSpec((4, 3)), np.zeros(12), make_dataset(6, 4, 2))
+
+    def test_refuses_a_data_set_of_another_input_width(self):
+        with pytest.raises(DimensionMismatchError, match="dataset shape does not match"):
+            zero_one_error(ModelSpec((4, 3)), np.zeros(12), make_dataset(6, 5, 3))
+
+    def test_refuses_non_finite_parameters(self):
+        params = np.zeros(12)
+        params[5] = np.nan
+        with pytest.raises(InvalidParameterError, match="non-finite parameters"):
+            zero_one_error(ModelSpec((4, 3)), params, make_dataset(6, 4, 3))
+
 
 def _oracle_error_rate(spec, params, x, labels):
     """Plain per-run forward pass: ReLU between layers, lowest-index argmax."""
@@ -203,7 +244,7 @@ def _oracle_error_rate(spec, params, x, labels):
 
 
 class TestErrorRates:
-    """``ModelKernel.error_rates`` against one call per run."""
+    """``error_rates`` over a group of runs against one call per run."""
 
     def test_matches_one_call_per_run(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -229,16 +270,15 @@ class TestErrorRates:
             else:
                 x = rng.standard_normal((rows, inputs))
                 ps = [init_scale * rng.standard_normal(d) for _ in range(count)]
-            if repeat:  # the same vector twice, as one object and as a copy
+            if repeat:  # the first vector in three rows
                 ps = [ps[0], *ps[1:], ps[0], ps[0].copy()]
             labels = rng.integers(0, classes, rows)
-            kernel = ModelKernel(spec, rows)
-            rates = kernel.error_rates(ps, x, labels)
-            alone = [ModelKernel(spec, rows).error_rates((p,), x, labels)[0] for p in ps]
+            rates = error_rates(spec, np.array(ps), x, labels)
+            alone = [error_rates(spec, p[None], x, labels)[0] for p in ps]
             assert rates == alone
-            # the kept buffers resize for another count and still give the same
-            assert kernel.error_rates(ps[::-1], x, labels) == alone[::-1]
-            assert kernel.error_rates((ps[-1],), x, labels)[0] == alone[-1]
+            # the runs in reverse order, and the last run alone
+            assert error_rates(spec, np.array(ps[::-1]), x, labels) == alone[::-1]
+            assert error_rates(spec, np.array(ps[-1:]), x, labels)[0] == alone[-1]
             if exact:
                 assert rates == [_oracle_error_rate(spec, p, x, labels) for p in ps]
             if init_scale == 0.0:  # every logit ties: class 0 is every prediction
@@ -254,8 +294,7 @@ class TestErrorRates:
         rng = RngStream(1)
         ps = [init_params(spec, 1.0, rng) for _ in range(10)]
         for data in (train, test):
-            kernel = ModelKernel(spec, data.n)
-            rates = kernel.error_rates(ps, data.features, data.labels)
+            rates = error_rates(spec, np.array(ps), data.features, data.labels)
             assert rates == [zero_one_error(spec, p, data) for p in ps]
             assert rates == [_oracle_error_rate(spec, p, data.features, data.labels)
                              for p in ps]
@@ -269,7 +308,7 @@ class TestErrorRates:
         spec = ModelSpec((25, 32, 2))
         rng = RngStream(1)
         ps = [init_params(spec, 1.0, rng) for _ in range(10)]
-        rates = ModelKernel(spec, train.n).error_rates(ps, train.features, train.labels)
+        rates = error_rates(spec, np.array(ps), train.features, train.labels)
         assert rates == [zero_one_error(spec, p, train) for p in ps]
         assert rates == [_oracle_error_rate(spec, p, train.features, train.labels) for p in ps]
 
@@ -280,33 +319,30 @@ class TestErrorRates:
         spec = ModelSpec((25, 32, 2))
         rng = RngStream(2)
         ps = [init_params(spec, 1.0, rng) for _ in range(10)]
-        rates = ModelKernel(spec, rows).error_rates(ps, data.features, data.labels)
+        rates = error_rates(spec, np.array(ps), data.features, data.labels)
         assert rates == [_oracle_error_rate(spec, p, data.features, data.labels) for p in ps]
 
-    def test_eval_only_kernel_holds_no_gradient_arrays(self):
+    def test_eval_keeps_no_memory(self):
         # the MNIST-shaped train set (2504 rows, 784 -> 10) evaluated for a
-        # group of 10 runs: the kernel keeps error_rates' stacked arrays and
-        # none of the gradient's (2504, 10) logits, log_p and delta
+        # group of 10 runs allocates its 2504 x 100 first-layer product and
+        # more, but nothing outlives the call: the traced memory after it is
+        # the memory before it, up to the returned list and interpreter
+        # caches, under 16 KiB
         train, _ = generate_synthetic(SyntheticSpec(313, 784, 10, 3.0, 1.0, seed=0))
         spec = ModelSpec((784, 10))
         rng = RngStream(1)
-        ps = [init_params(spec, 1.0, rng) for _ in range(10)]
+        ps = np.array([init_params(spec, 1.0, rng) for _ in range(10)])
+        rates = error_rates(spec, ps, train.features, train.labels)  # warm caches
         tracemalloc.start()
         try:
-            kernel = ModelKernel(spec, train.n)
-            rates = kernel.error_rates(ps, train.features, train.labels)
-            retained = tracemalloc.get_traced_memory()[0]
+            before = tracemalloc.get_traced_memory()[0]
+            again = error_rates(spec, ps, train.features, train.labels)
+            after, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        stack = [kernel.row_starts, kernel.flat, kernel.stacked, kernel.wide,
-                 kernel.stack_preds, kernel.stack_wrong, *(out for _, out in kernel.stack_layers)]
-        assert retained <= sum(a.nbytes for a in stack) + 64 * 1024
-        # the gradient sizes its arrays on its first call, after the evals
-        rows = np.arange(train.n)
-        label_index = kernel.row_starts + train.labels
-        grad = kernel.gradient(ps[0], train.features, label_index)
-        assert grad.tobytes() == surrogate_loss_and_grad(spec, ps[0], train, rows)[1].tobytes()
-        assert kernel.error_rates(ps, train.features, train.labels) == rates
+        assert again == rates
+        assert peak - before >= train.n * 10 * 10 * 8  # the product was allocated here
+        assert after - before <= 16 * 1024
 
 
 class TestDataset:

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import levybound.sde as sde_mod
 from levybound import (
     Dataset,
     ModelSpec,
@@ -607,13 +608,13 @@ def test_full_batch_run_ignores_train_feature_layout(hidden):
 def _slow_error_rates(monkeypatch, seconds=0.02):
     """Make every eval wait before it reads its parameters, so the training
     loop runs ahead of it by the steps to the next eval step."""
-    real = ModelKernel.error_rates
+    real = sde_mod.error_rates
 
-    def error_rates(self, params_list, x, labels):
+    def error_rates(spec, params, x, labels):
         time.sleep(seconds)
-        return real(self, params_list, x, labels)
+        return real(spec, params, x, labels)
 
-    monkeypatch.setattr(ModelKernel, "error_rates", error_rates)
+    monkeypatch.setattr(sde_mod, "error_rates", error_rates)
 
 
 @pytest.mark.parametrize(
@@ -701,15 +702,15 @@ def test_eval_exception_reaches_the_caller(monkeypatch, failing_call):
     train, test = blob_data(54, n=60, dim=12), blob_data(55, n=25, dim=12)
     cfg = TrainConfig(gamma=0.05, eta=0.0, alpha=2.0, sigma1=0.3, steps=30, eval_interval=2,
                       batch_size=16)
-    calls, real = [0], ModelKernel.error_rates
+    calls, real = [0], sde_mod.error_rates
 
-    def error_rates(self, params_list, x, labels):
+    def error_rates(spec, params, x, labels):
         calls[0] += 1
         if calls[0] == failing_call:
             raise RuntimeError("eval failed")
-        return real(self, params_list, x, labels)
+        return real(spec, params, x, labels)
 
-    monkeypatch.setattr(ModelKernel, "error_rates", error_rates)
+    monkeypatch.setattr(sde_mod, "error_rates", error_rates)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="eval failed"):
         _run_within(60, lambda: run_group(ModelSpec((12, 2)), train, test, cfg, (1.5, 2.0)))

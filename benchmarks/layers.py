@@ -16,8 +16,8 @@ repeats of a batch of calls, reported per call as min / median / quartiles
   the group's draw buffer), one EM update, and what an eval step adds:
   one ``models.error_rates`` call each on the train and test sets.
 - ``data.generate_synthetic``: building the data set of the MNIST-shaped
-  profile of ``perfbench``'s ``mnist-linear-minibatch`` workload
-  (``SyntheticSpec(313, 784, 10, 3.0, 1.0, seed=0)``: 2504 train rows of
+  profile (``reference/minibatch_smoke.cfg``, the profile of
+  ``perfbench``'s ``mnist-linear-minibatch`` workload: 2504 train rows of
   784 inputs), as every grid start does, min / median wall time over
   GENERATE_REPEATS calls, and the peak bytes ``tracemalloc`` sees
   allocated during one more call next to the bytes of the features it
@@ -30,7 +30,7 @@ repeats of a batch of calls, reported per call as min / median / quartiles
 - ``group.ref`` and ``group.mnist``: one (sigma1, width, seed) group of
   the 10 reference alphas through ``execute_grid`` on a fresh records
   file, data set-up included: the reference profile's first sigma1 at
-  seed 0, and the MNIST-shaped profile above. This is the sweep's unit
+  seed 0, and the MNIST-shaped profile above at its first seed. This is the sweep's unit
   of work; a tree that trains a group's alphas one cell at a time is
   timed the same way. Both run as a user's ``levybound grid`` does: the
   reference group's full-batch alphas are split across the usable CPUs,
@@ -63,8 +63,12 @@ BLAS is pinned to one thread (the script re-executes itself with the
 variables set); glibc's malloc is left at its defaults, as a user's
 ``levybound grid`` runs. The JSON also records the BLAS thread count the
 library reports, the numpy version, ``os.cpu_count()``, the usable CPU
-count (``os.sched_getaffinity``) and a digest of the ``src/`` tree
-measured.
+count (``os.sched_getaffinity``), a digest of the ``src/`` tree
+measured and the length of the checkout's path.
+
+Compare a before/after pair only between checkouts whose paths have the
+same length: on the same code, ``loop.gradient`` has read 69-77 us from
+a 20-character path and 116-123 us from a 10-character one.
 """
 
 import os
@@ -148,6 +152,7 @@ def environment():
         "git_head": git("rev-parse", "HEAD"),
         "src_modified": bool(git("status", "--porcelain", "--", "src")),
         "src_sha256": digest.hexdigest(),
+        "root_path_chars": len(str(ROOT)),
     }
 
 
@@ -205,14 +210,9 @@ def step_layers(spec, train, test, cfg, params):
 
 
 def mnist_grid():
-    """One alpha of perfbench's mnist-linear-minibatch profile."""
-    return lb.GridSpec(
-        alphas=(ALPHA,), sigma1s=(0.01,), widths=(0,), seeds=(0,),
-        train=lb.TrainConfig(gamma=0.01, eta=0.001, alpha=ALPHA, sigma1=0.01, sigma2=0.01,
-                             steps=200, batch_size=64, eval_interval=10),
-        data=lb.SyntheticSpec(313, 784, 10, 3.0, 1.0, seed=0), out=os.devnull,
-        window=150, trim=0.15,
-    )
+    """One alpha and seed of the MNIST-shaped profile."""
+    grid = _grid_spec(parse_config(ROOT / "reference" / "minibatch_smoke.cfg"), os.devnull)
+    return replace(grid, alphas=(ALPHA,), seeds=(0,))
 
 
 def group_eval_step(grid):
@@ -384,7 +384,8 @@ def main():
             layers[key] = time_calls(fn, number)
             print(f"{key}: median {layers[key]['median']:.0f} us", flush=True)
 
-    result = {"profile": {"config": "reference/phase_transition.cfg", "alpha": ALPHA,
+    result = {"profile": {"config": "reference/phase_transition.cfg",
+                          "mnist_config": "reference/minibatch_smoke.cfg", "alpha": ALPHA,
                           "sigma1": grid.sigma1s[0], "width": grid.widths[0], "seed": 0,
                           "d": params.size, "n": train.n, "record_rows": RECORD_ROWS,
                           "big_blocks": BIG_BLOCKS, "big_block_rows": BIG_BLOCK_ROWS},

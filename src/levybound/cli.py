@@ -182,6 +182,19 @@ def _grid_spec(cfg, out: str) -> GridSpec:
     )
 
 
+def _bound_inputs(cfg, grid: GridSpec) -> BoundInputs:
+    """The bound constants s, zeta and Lambda, checked with the grid's first
+    cell; d and n are placeholders until a cell's row supplies them."""
+    inputs = BoundInputs(
+        alpha=grid.alphas[0], d=1, n=1, sigma1=grid.sigma1s[0], sigma2=grid.train.sigma2,
+        gamma=grid.train.gamma, eta=grid.train.eta, radius=grid.radius,
+        s=_value(cfg, "s", float), zeta=_value(cfg, "zeta", float),
+        lam=_value(cfg, "Lambda", float),
+    )
+    inputs.validate()
+    return inputs
+
+
 def _field(v) -> str:
     """One table field: floats at 17 significant digits, None (not applicable) empty."""
     if isinstance(v, float):
@@ -251,14 +264,7 @@ def _cmd_simulate(args) -> int:
                                     f"and seeds name {grid.cell_count} cells")
     (alpha,), (sigma1,), (width,), (seed,) = grid.alphas, grid.sigma1s, grid.widths, grid.seeds
     tc = grid.train
-    # validated before training; the cell's row supplies d and n
-    inputs = BoundInputs(
-        alpha=alpha, d=1, n=1, sigma1=sigma1, sigma2=tc.sigma2,
-        gamma=tc.gamma, eta=tc.eta, radius=grid.radius,
-        s=_value(cfg, "s", float), zeta=_value(cfg, "zeta", float),
-        lam=_value(cfg, "Lambda", float),
-    )
-    inputs.validate()
+    inputs = _bound_inputs(cfg, grid)
     created = False
     if args.out:
         # an unwritable --out fails before the cell trains; an existing one
@@ -296,6 +302,7 @@ def _cmd_grid(args) -> int:
     if not out:
         raise InvalidParameterError("grid needs an output path (config key 'out' or --out)")
     grid = _grid_spec(cfg, out)
+    _bound_inputs(cfg, grid)  # refused here as simulate refuses them
     print(f"cells: {grid.cell_count}", file=sys.stderr)
     records = execute_grid(grid)
     print(f"wrote {len(records)} records to {grid.out}", file=sys.stderr)

@@ -1,6 +1,7 @@
 """Test-side tools that no command needs: the empirical characteristic
-function, the oracle the stable-law tests compare against, and IDX file
-writers that build fixture datasets for ``load_idx``."""
+function, which the stable-law tests compare with the exact one, and IDX
+file writers that build fixture datasets for ``load_idx``. The
+plain-numpy references of the sweep's layers are in ``oracles.py``."""
 
 import struct
 

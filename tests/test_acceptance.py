@@ -38,6 +38,7 @@ from levybound import (
     surrogate_loss_and_grad,
 )
 
+import oracles
 from helpers import empirical_char_fn
 
 REFERENCE_DIR = Path(__file__).resolve().parent.parent / "reference"
@@ -119,18 +120,6 @@ def test_06_gaussian_endpoint_variance():
             assert v == pytest.approx(2.0, abs=0.02)
 
 
-def _finite_difference(spec, params, data, idx, h=1e-5):
-    grad = np.zeros_like(params)
-    for i in range(params.size):
-        up, down = params.copy(), params.copy()
-        up[i] += h
-        down[i] -= h
-        l_up, _ = surrogate_loss_and_grad(spec, up, data, idx)
-        l_down, _ = surrogate_loss_and_grad(spec, down, data, idx)
-        grad[i] = (l_up - l_down) / (2 * h)
-    return grad
-
-
 def test_07_gradient_oracle():
     with criterion(7, "backprop matches central differences to 1e-5", 10.0):
         for widths in ((784, 10), (8, 8, 4)):
@@ -141,9 +130,8 @@ def test_07_gradient_oracle():
                 labels = rng.gen.integers(0, widths[-1], size=3).astype(np.int64)
                 data = Dataset(features, labels, widths[-1])
                 params = init_params(spec, 1.0, rng)
-                idx = np.arange(3)
-                _, grad = surrogate_loss_and_grad(spec, params, data, idx)
-                fd = _finite_difference(spec, params, data, idx)
+                _, grad = surrogate_loss_and_grad(spec, params, data, np.arange(3))
+                fd = oracles.finite_difference(widths, params, features, labels)
                 scale = max(np.abs(grad).max(), np.abs(fd).max())
                 assert np.abs(grad - fd).max() / scale <= 1e-5
 
@@ -166,13 +154,7 @@ def test_08_noise_free_run_is_gradient_descent():
         oracle_rng = RngStream(cfg.seed, mix64(0, 0))
         w = init_params(spec, 1.0, oracle_rng)
         for _ in range(cfg.steps):
-            logits = features @ w.reshape(10, 3)
-            shifted = logits - logits.max(axis=1, keepdims=True)
-            log_p = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-            delta = np.exp(log_p)
-            delta[np.arange(train.n), labels] -= 1.0
-            delta /= train.n
-            g = (features.T @ delta).reshape(-1)
+            g = oracles.gradient(spec.widths, w, features, labels)
             w = w - cfg.gamma * g - cfg.eta * cfg.gamma * w
         assert trace.final_params.tobytes() == w.tobytes()
         assert not trace.diverged
@@ -202,20 +184,7 @@ def test_11_kendall_tau_equals_brute_force():
         for _ in range(50):
             x = rng.integers(0, 15, size=200).astype(float).tolist()
             y = rng.integers(0, 15, size=200).astype(float).tolist()
-            num = 0
-            for i in range(200):
-                for j in range(i + 1, 200):
-                    a = (x[i] > x[j]) - (x[i] < x[j])
-                    b = (y[i] > y[j]) - (y[i] < y[j])
-                    num += a * b
-            n0 = 200 * 199 // 2
-
-            def tie_sum(v):
-                _, counts = np.unique(v, return_counts=True)
-                return int((counts * (counts - 1) // 2).sum())
-
-            brute = num / math.sqrt((n0 - tie_sum(x)) * (n0 - tie_sum(y)))
-            assert kendall_tau(x, y) == brute
+            assert kendall_tau(x, y) == oracles.kendall_tau_b(x, y)
 
 
 def test_12_bound_level_phase_transition():

@@ -33,6 +33,8 @@ from levybound.errors import (
     InvalidParameterError,
 )
 
+import oracles
+
 
 def trace_with_gaps(gaps, steps_per_gap=1):
     """A trace whose evaluated steps carry the given test-train gaps."""
@@ -43,27 +45,6 @@ def trace_with_gaps(gaps, steps_per_gap=1):
 
 def rec(alpha, gap, sigma1=0.1, d=100, width=0, n=500, seed=0, diverged=False):
     return RunRecord(alpha, sigma1, d, width, n, seed, gap, 1.0, 1.0, diverged)
-
-
-def kendall_brute_force(xs, ys):
-    """O(n^2) concordance count with the tau-b tie correction."""
-    x = list(map(float, xs))
-    y = list(map(float, ys))
-    n = len(x)
-    num = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            a = (x[i] > x[j]) - (x[i] < x[j])
-            b = (y[i] > y[j]) - (y[i] < y[j])
-            num += a * b
-    n0 = n * (n - 1) // 2
-
-    def ties(v):
-        from collections import Counter
-
-        return sum(c * (c - 1) // 2 for c in Counter(v).values())
-
-    return num / math.sqrt((n0 - ties(x)) * (n0 - ties(y)))
 
 
 class TestRobustGap:
@@ -120,7 +101,7 @@ class TestKendallTau:
         for trial in range(50):
             x = rng.integers(0, 12, size=200).astype(float)
             y = rng.integers(0, 12, size=200).astype(float)
-            assert kendall_tau(x, y) == kendall_brute_force(x, y), f"trial {trial}"
+            assert kendall_tau(x, y) == oracles.kendall_tau_b(x, y), f"trial {trial}"
 
     def test_invariant_under_strictly_increasing_transforms(self):
         rng = np.random.default_rng(3)
@@ -140,12 +121,13 @@ class TestKendallTau:
         with pytest.raises(AnalysisPreconditionError):
             kendall_tau([1.0, 1.0, 1.0], [1, 2, 3])
 
-    def test_merge_path_matches_brute_force(self):
-        # a long input with many ties: 700 pairs, longer than any group's
+    def test_band_path_matches_brute_force(self):
+        # a long input with many ties: 700 pairs, longer than any group's,
+        # over the 256 rows up to which _block_taus counts all pairs at once
         rng = np.random.default_rng(8)
         x = rng.integers(0, 30, size=700).astype(float)
         y = rng.integers(0, 30, size=700).astype(float)
-        assert kendall_tau(x, y) == kendall_brute_force(x, y)
+        assert kendall_tau(x, y) == oracles.kendall_tau_b(x, y)
 
     def test_nan_input_errors(self):
         nan = float("nan")
@@ -173,7 +155,7 @@ def test_small_n_kendall_tau_matches_oracles():
                 kendall_tau(x, y)
             return
         tau = kendall_tau(x, y)
-        assert tau == kendall_brute_force(x, y)
+        assert tau == oracles.kendall_tau_b(x, y)
         assert abs(tau - stats.kendalltau(x, y, variant="b").statistic) <= 1e-12
 
     check()
@@ -408,12 +390,12 @@ class TestBuildReport:
 
 
 def reference_tau(xs, ys):
-    """``kendall_brute_force``, with ``kendall_tau``'s errors where tau is undefined."""
+    """``oracles.kendall_tau_b``, with ``kendall_tau``'s errors where tau is undefined."""
     if any(map(math.isnan, [*xs, *ys])):
         raise AnalysisPreconditionError("tau undefined: NaN input")
     if len(set(xs)) < 2 or len(set(ys)) < 2:
         raise AnalysisPreconditionError("tau undefined: a variable is constant")
-    return kendall_brute_force(xs, ys)
+    return oracles.kendall_tau_b(xs, ys)
 
 
 def reference_live(records, key: str) -> list[RunRecord]:
@@ -692,7 +674,7 @@ def test_block_taus_match_brute_force_across_the_band_edge():
         got = _block_taus(np.concatenate(xs), np.concatenate(ys), bounds)
         for tau, x, y in zip(got.tolist(), xs, ys):
             x, y = x.tolist(), y.tolist()
-            want = (kendall_brute_force(x, y) if len(set(x)) > 1 and len(set(y)) > 1
+            want = (oracles.kendall_tau_b(x, y) if len(set(x)) > 1 and len(set(y)) > 1
                     else math.nan)
             assert exact(tau) == exact(want)
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import levybound.cli
 import levybound.grid
 from levybound import (
     BoundInputs,
@@ -39,7 +40,6 @@ from levybound.constants import log_sphere_area, log_stable_levy_constant
 from levybound.data import parse_config
 from levybound.errors import InvalidParameterError
 from levybound.grid import evaluate_group, load_grid_datasets
-from levybound.models import ModelKernel
 
 from helpers import write_idx_images, write_idx_labels
 
@@ -63,8 +63,24 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
-def no_gradient(*args, **kwargs):
-    raise AssertionError("a gradient was computed")
+@pytest.fixture
+def no_training(monkeypatch):
+    """Fail the test if a cell trains."""
+    def fail(*args, **kwargs):
+        raise AssertionError("a cell was trained")
+
+    monkeypatch.setattr(levybound.grid, "run_group", fail)
+
+
+@pytest.fixture
+def no_data(monkeypatch):
+    """Fail the test if a data set is generated or loaded."""
+    def fail(*args, **kwargs):
+        raise AssertionError("data were loaded")
+
+    for name in ("generate_synthetic", "load_idx", "load_grid_datasets"):
+        monkeypatch.setattr(levybound.grid, name, fail)
+    monkeypatch.setattr(levybound.cli, "load_grid_datasets", fail)
 
 
 BASE_CFG = """
@@ -293,11 +309,7 @@ class TestSimulateCommand:
         assert row[2:9] == committed[2:9] == ["864", "32", "500", "0", *estimates]
 
     def test_out_in_missing_directory_exits_2_before_training(self, capsys, tmp_path,
-                                                               monkeypatch):
-        def no_training(*args, **kwargs):
-            raise AssertionError("a cell was trained")
-
-        monkeypatch.setattr(levybound.grid, "run_group", no_training)
+                                                               no_training):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(BASE_CFG + "alphas=1.7\nsigma1s=0.1\n")
         out_csv = tmp_path / "missing" / "out.csv"
@@ -356,12 +368,8 @@ class TestConfigKeys:
         ids=["several-cells", "several-widths-and-seeds", "typo", "typo-grid", "removed-alpha",
              "removed-cell-keys"],
     )
-    def test_rejected_before_training(self, capsys, tmp_path, monkeypatch, command, settings,
+    def test_rejected_before_training(self, capsys, tmp_path, no_training, command, settings,
                                       message):
-        def no_training(*args, **kwargs):
-            raise AssertionError("a cell was trained")
-
-        monkeypatch.setattr(levybound.grid, "run_group", no_training)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(BASE_CFG + "alphas=1.7\nsigma1s=0.1\n")
         out_csv = tmp_path / "out.csv"
@@ -393,13 +401,13 @@ class TestGridResume:
     else exits 1 before a cell trains and leaves the file as it was."""
 
     @pytest.fixture
-    def grid_run(self, capsys, tmp_path, monkeypatch):
+    def grid_run(self, capsys, tmp_path, request):
         cfg = tmp_path / "grid.cfg"
         cfg.write_text(BASE_CFG + "alphas=1.6,2.0\nsigma1s=0.1\n")
         out_csv = tmp_path / "records.csv"
         code, _, _ = run_cli(capsys, "grid", "--config", str(cfg), "--out", str(out_csv))
         assert code == 0
-        monkeypatch.setattr(ModelKernel, "gradient", no_gradient)
+        request.getfixturevalue("no_training")
         return cfg, out_csv
 
     @pytest.mark.parametrize(
@@ -504,8 +512,7 @@ class TestGridCommand:
             files.append(out_csv.read_bytes())
         assert files[0] == files[1]
 
-    def test_out_in_missing_directory_exits_2(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setattr(ModelKernel, "gradient", no_gradient)
+    def test_out_in_missing_directory_exits_2(self, capsys, tmp_path, no_training):
         cfg = tmp_path / "grid.cfg"
         cfg.write_text(BASE_CFG + "alphas=1.6,2.0\nsigma1s=0.1\n")
         out_csv = tmp_path / "missing" / "records.csv"
@@ -843,7 +850,7 @@ class TestTablesMatchLibrary:
 
 
 class TestDivergedRows:
-    def test_grid_diverged_rows_end_to_end(self, capsys, tmp_path, monkeypatch):
+    def test_grid_diverged_rows_end_to_end(self, capsys, tmp_path, request):
         cfg = tmp_path / "grid.cfg"
         cfg.write_text(BASE_CFG + "alphas=1.6,1.8,2.0\nsigma1s=0.1\nwidths=0\nseeds=0,1\n")
         live_csv, diverged_csv = tmp_path / "live.csv", tmp_path / "diverged.csv"
@@ -861,10 +868,7 @@ class TestDivergedRows:
             assert row == f"{alpha},0.10000000000000001,10,0,48,7,nan,nan,nan,true".encode()
 
         # a re-run resumes: no cell is trained again and the file is unchanged
-        def no_training(*args, **kwargs):
-            raise AssertionError("a cell was recomputed")
-
-        monkeypatch.setattr(levybound.grid, "run_group", no_training)
+        request.getfixturevalue("no_training")
         code, _, _ = run_cli(
             capsys, "grid", "--config", str(cfg), "--set", "seeds=7",
             "--set", "init_scale=1e13", "--out", str(diverged_csv),
@@ -903,14 +907,15 @@ class TestConfigErrors:
             ("simulate", "zeta=1", "zeta must be in (0, 1)"),
             ("simulate", "Lambda=-1", "Lambda must be >= 0"),
             ("simulate", "Lambda=nan", "Lambda must be >= 0"),
+            ("grid", "zeta=2", "zeta must be in (0, 1), got 2.0"),
+            ("grid", "s=-1", "s must be > 0"),
+            ("grid", "s=0", "s must be > 0"),
+            ("grid", "zeta=1", "zeta must be in (0, 1), got 1.0"),
+            ("grid", "Lambda=nan", "Lambda must be >= 0"),
         ],
     )
-    def test_rejected_before_training(self, capsys, tmp_path, monkeypatch, command, setting,
+    def test_rejected_before_training(self, capsys, tmp_path, no_training, command, setting,
                                       message):
-        def no_training(*args, **kwargs):
-            raise AssertionError("a cell was trained")
-
-        monkeypatch.setattr(levybound.grid, "run_group", no_training)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(BASE_CFG + "alphas=1.7\nsigma1s=0.1\n")
         out_csv = tmp_path / "records.csv"
@@ -932,14 +937,9 @@ class TestConfigErrors:
          "subsample_seed must be in [0, 2**64), got -1"),
     ], ids=["data-seed-negative", "data-seed-2**64", "subsample-seed-negative"])
     def test_data_seed_outside_64_bits_rejected_before_data_loads(
-            self, capsys, tmp_path, monkeypatch, command, settings, message):
+            self, capsys, tmp_path, no_data, command, settings, message):
         # RngStream refuses such a seed too, but only once the data load
         # begins: the spec's check fails first
-        def no_data(*args, **kwargs):
-            raise AssertionError("data were loaded")
-
-        monkeypatch.setattr(levybound.grid, "generate_synthetic", no_data)
-        monkeypatch.setattr(levybound.grid, "load_idx", no_data)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(BASE_CFG + "alphas=1.7\nsigma1s=0.1\n")
         out_csv = tmp_path / "records.csv"
@@ -972,13 +972,6 @@ def _write_idx_files(tmp_path):
 
 class TestRunConfigErrors:
     """Config numbers that cannot describe a run exit 1 before data loads or a cell trains."""
-
-    @pytest.fixture
-    def no_training(self, monkeypatch):
-        def fail(*args, **kwargs):
-            raise AssertionError("a cell was trained")
-
-        monkeypatch.setattr(levybound.grid, "run_group", fail)
 
     @pytest.mark.parametrize(
         "command, settings, message",
@@ -1032,13 +1025,8 @@ class TestRunConfigErrors:
         assert not out_csv.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "grid"])
-    def test_config_key_set_twice_exits_1_before_data(self, capsys, tmp_path, monkeypatch,
+    def test_config_key_set_twice_exits_1_before_data(self, capsys, tmp_path, no_data,
                                                       no_training, command):
-        def no_data(*args, **kwargs):
-            raise AssertionError("data was loaded")
-
-        monkeypatch.setattr(levybound.cli, "load_grid_datasets", no_data)
-        monkeypatch.setattr(levybound.grid, "load_grid_datasets", no_data)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(BASE_CFG + "alphas=1.7\nsigma1s=0.1\nsteps=30\n")
         out_csv = tmp_path / "records.csv"

@@ -41,6 +41,7 @@ from levybound.grid import (
 from levybound.models import ModelKernel
 from levybound.sde import run_group
 
+import oracles
 from helpers import write_idx_images, write_idx_labels
 
 
@@ -388,9 +389,7 @@ def test_window_eval_count_matches_the_steps_run_group_evaluates():
     @hypothesis.settings(max_examples=300, deadline=None)
     @hypothesis.given(st.integers(1, 120), st.integers(1, 40), st.integers(1, 150), st.data())
     def check(steps, every, window, data):
-        after = steps - window
-        count = len([k for k in range(1, steps + 1)
-                     if k > after and (k % every == 0 or k == steps)])
+        count = len(oracles.eval_steps(steps, every, steps - window))
         edge = (count - 1) / count  # the largest trim that keeps one eval, up to rounding
         trim = data.draw(st.one_of(
             st.floats(0.0, 1.0, exclude_max=True),
@@ -444,8 +443,7 @@ def test_evaluate_cell_evaluates_only_in_window_eval_steps(monkeypatch, batch_si
     monkeypatch.setattr(ModelKernel, "gradient", gradient)
     monkeypatch.setattr(sde_mod, "error_rates", error_rates)
     evaluate_group(grid, train, test, (1.7,), 0.1, 0, 3)
-    in_window = [k for k in range(1, steps + 1)
-                 if k > steps - window and (k % 5 == 0 or k == steps)]
+    in_window = oracles.eval_steps(steps, 5, steps - window)
     assert step[0] == steps
     assert [(step_of[params], data) for params, data in evals] == [
         (k, data) for k in in_window for data in ("train", "test")]
@@ -521,8 +519,7 @@ def test_group_evaluates_each_data_set_once_per_eval_step(monkeypatch, batch_siz
     rows = evaluate_group(grid, train, test, GROUP_ALPHAS[:group_size], 0.1, width, 3)
     assert not any(record.diverged for record in rows)
     assert gradients[0] == steps * group_size
-    in_window = [k for k in range(1, steps + 1)
-                 if k > steps - grid.window and (k % 5 == 0 or k == steps)]
+    in_window = oracles.eval_steps(steps, 5, steps - grid.window)
     # one train and one test call per eval step, in either batch mode
     tagged = [(sorted({step_of[params] for params in ps}), data, len(ps)) for ps, data in calls]
     assert tagged == [([k], data, group_size) for k in in_window for data in ("train", "test")]

@@ -18,24 +18,14 @@ from levybound import (
 from levybound.errors import DimensionMismatchError, InvalidParameterError
 from levybound.models import ModelKernel, error_rates
 
+import oracles
+
 
 def make_dataset(n, dim, classes, seed=0):
     rng = RngStream(seed)
     features = rng.gen.standard_normal((n, dim))
     labels = rng.gen.integers(0, classes, size=n)
     return Dataset(features, labels.astype(np.int64), classes)
-
-
-def finite_difference_grad(spec, params, data, idx, h=1e-5):
-    grad = np.zeros_like(params)
-    for i in range(params.size):
-        up, down = params.copy(), params.copy()
-        up[i] += h
-        down[i] -= h
-        l_up, _ = surrogate_loss_and_grad(spec, up, data, idx)
-        l_down, _ = surrogate_loss_and_grad(spec, down, data, idx)
-        grad[i] = (l_up - l_down) / (2 * h)
-    return grad
 
 
 def grad_rel_error(g, fd):
@@ -92,7 +82,7 @@ class TestLossAndGrad:
         params = init_params(spec, 1.0, RngStream(6))
         idx = np.arange(3)
         _, grad = surrogate_loss_and_grad(spec, params, data, idx)
-        fd = finite_difference_grad(spec, params, data, idx)
+        fd = oracles.finite_difference(spec.widths, params, data.features, data.labels)
         assert grad_rel_error(grad, fd) <= 1e-5
 
     @pytest.mark.parametrize("widths", [(4, 3), (4, 5, 3), (3, 4, 4, 2)])
@@ -103,7 +93,7 @@ class TestLossAndGrad:
         params = init_params(spec, 1.0, RngStream(seed + 100))
         idx = np.arange(6)
         _, grad = surrogate_loss_and_grad(spec, params, data, idx)
-        fd = finite_difference_grad(spec, params, data, idx)
+        fd = oracles.finite_difference(spec.widths, params, data.features, data.labels)
         assert grad_rel_error(grad, fd) <= 1e-5
 
     def test_duplicated_point_matches_single(self):
@@ -232,17 +222,6 @@ class TestZeroOneError:
             zero_one_error(ModelSpec((4, 3)), params, make_dataset(6, 4, 3))
 
 
-def _oracle_error_rate(spec, params, x, labels):
-    """Plain per-run forward pass: ReLU between layers, lowest-index argmax."""
-    a, lo = x, 0
-    for layer, (fan_in, fan_out) in enumerate(zip(spec.widths[:-1], spec.widths[1:])):
-        a = a @ params[lo:lo + fan_in * fan_out].reshape(fan_in, fan_out)
-        lo += fan_in * fan_out
-        if layer < len(spec.widths) - 2:
-            a = np.maximum(a, 0.0)
-    return float(np.mean(np.argmax(a, axis=1) != labels))
-
-
 class TestErrorRates:
     """``error_rates`` over a group of runs against one call per run."""
 
@@ -280,7 +259,7 @@ class TestErrorRates:
             assert error_rates(spec, np.array(ps[::-1]), x, labels) == alone[::-1]
             assert error_rates(spec, np.array(ps[-1:]), x, labels)[0] == alone[-1]
             if exact:
-                assert rates == [_oracle_error_rate(spec, p, x, labels) for p in ps]
+                assert rates == [oracles.zero_one_error(spec.widths, p, x, labels) for p in ps]
             if init_scale == 0.0:  # every logit ties: class 0 is every prediction
                 assert rates == [float(np.mean(labels != 0))] * len(ps)
 
@@ -296,7 +275,7 @@ class TestErrorRates:
         for data in (train, test):
             rates = error_rates(spec, np.array(ps), data.features, data.labels)
             assert rates == [zero_one_error(spec, p, data) for p in ps]
-            assert rates == [_oracle_error_rate(spec, p, data.features, data.labels)
+            assert rates == [oracles.zero_one_error(spec.widths, p, data.features, data.labels)
                              for p in ps]
 
     def test_reference_profile_train_shape(self):
@@ -310,7 +289,8 @@ class TestErrorRates:
         ps = [init_params(spec, 1.0, rng) for _ in range(10)]
         rates = error_rates(spec, np.array(ps), train.features, train.labels)
         assert rates == [zero_one_error(spec, p, train) for p in ps]
-        assert rates == [_oracle_error_rate(spec, p, train.features, train.labels) for p in ps]
+        assert rates == [oracles.zero_one_error(spec.widths, p, train.features, train.labels)
+                         for p in ps]
 
     @pytest.mark.parametrize("rows", [400, 100])
     def test_reference_widths_match_plain_forward_pass(self, rows):
@@ -320,7 +300,8 @@ class TestErrorRates:
         rng = RngStream(2)
         ps = [init_params(spec, 1.0, rng) for _ in range(10)]
         rates = error_rates(spec, np.array(ps), data.features, data.labels)
-        assert rates == [_oracle_error_rate(spec, p, data.features, data.labels) for p in ps]
+        assert rates == [oracles.zero_one_error(spec.widths, p, data.features, data.labels)
+                         for p in ps]
 
     def test_eval_keeps_no_memory(self):
         # the MNIST-shaped train set (2504 rows, 784 -> 10) evaluated for a

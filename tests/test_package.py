@@ -1,5 +1,5 @@
-"""What the package is as a whole: light to import, and no public name
-that only the tests use."""
+"""What the package is as a whole: light to import, no public name that
+only the tests use, and no test reference that imports it."""
 
 import ast
 import subprocess
@@ -43,3 +43,17 @@ def test_every_public_name_is_used_outside_the_tests():
     paths = [p for p in (SRC / "levybound").glob("*.py") if p.name != "__init__.py"]
     paths += [*(ROOT / "perfbench").glob("*.py"), *(ROOT / "benchmarks").glob("*.py")]
     assert sorted(set(levybound.__all__) - _referenced_names(paths)) == []
+
+
+def test_oracles_import_only_the_standard_library_and_numpy():
+    # a reference that imports the package could share the bug it is to catch
+    tree = ast.parse((ROOT / "tests" / "oracles.py").read_text(encoding="utf-8"))
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            modules.add("." * node.level + (node.module or ""))
+    roots = {name.split(".")[0] for name in modules}
+    assert "levybound" not in roots
+    assert sorted(roots - sys.stdlib_module_names - {"numpy"}) == []

@@ -25,6 +25,7 @@ from levybound.models import ModelKernel
 from levybound.sde import EulerMaruyama, RunTrace, StepRecord, run_group
 from levybound.stable import StableNoise, cms_uniforms
 
+import oracles
 from helpers import empirical_char_fn
 
 
@@ -104,7 +105,7 @@ class TestRunTraining:
         rng = RngStream(cfg.seed, mix64(0, 0))
         w = init_params(spec, 1.0, rng)
         for _ in range(cfg.steps):
-            g, _ = _frozen_gradient(spec, w, data, np.arange(data.n))
+            g = oracles.gradient(spec.widths, w, data.features, data.labels)
             w = w - cfg.gamma * g - cfg.eta * cfg.gamma * w
         assert trace.final_params.tobytes() == w.tobytes()
         assert trace.final_params.dtype == np.float64
@@ -226,64 +227,8 @@ class TestNoiseScaleLaws:
 
 # --- Frozen reference: the training loop as it was before its loop
 # invariants were hoisted (per-step validation, allocation and constant
-# recomputation). run_training must reproduce it bit for bit.
-
-
-def _frozen_gradient(spec, params, data, idx):
-    mats, offset = [], 0
-    for fan_in, fan_out in zip(spec.widths[:-1], spec.widths[1:]):
-        mats.append(params[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out))
-        offset += fan_in * fan_out
-    x = data.features[idx]
-    y = data.labels[idx]
-    acts = [x]
-    a = x
-    for w in mats[:-1]:
-        a = np.maximum(a @ w, 0.0)
-        acts.append(a)
-    logits = acts[-1] @ mats[-1]
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    log_p = shifted - log_z
-    delta = np.exp(log_p)
-    delta[np.arange(idx.size), y] -= 1.0
-    delta /= idx.size
-    grads = [None] * len(mats)
-    for layer in range(len(mats) - 1, -1, -1):
-        grads[layer] = acts[layer].T @ delta
-        if layer > 0:
-            delta = (delta @ mats[layer].T) * (acts[layer] > 0.0)
-    return np.concatenate([g.reshape(-1) for g in grads]), mats
-
-
-def _frozen_error(spec, params, data):
-    mats, offset = [], 0
-    for fan_in, fan_out in zip(spec.widths[:-1], spec.widths[1:]):
-        mats.append(params[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out))
-        offset += fan_in * fan_out
-    a = data.features
-    for w in mats[:-1]:
-        a = np.maximum(a @ w, 0.0)
-    return float(np.mean(np.argmax(a @ mats[-1], axis=1) != data.labels))
-
-
-def _frozen_subordinator(alpha, rng):
-    """Scalar CMS draw of S(alpha/2, 1, 2 cos(pi alpha/4)^(2/alpha), 0) in numpy scalars."""
-    a_s = alpha / 2.0
-    u = rng.unit_open()
-    w = -np.log(rng.unit_open())
-    theta = np.pi * (u - 0.5)
-    tan_half = np.tan(np.pi * a_s / 2.0)
-    b = np.arctan(1.0 * tan_half) / a_s
-    sfac = (1.0 + 1.0 * 1.0 * tan_half * tan_half) ** (1.0 / (2.0 * a_s))
-    x = (
-        sfac
-        * np.sin(a_s * (theta + b))
-        / np.cos(theta) ** (1.0 / a_s)
-        * (np.cos(theta - a_s * (theta + b)) / w) ** ((1.0 - a_s) / a_s)
-    )
-    scale = 2.0 * np.cos(np.pi * alpha / 4.0) ** (2.0 / alpha)
-    return float(0.0 + scale * x)
+# recomputation), on the gradient, 0-1 error, subordinator and eval
+# schedule of tests/oracles.py. run_training must reproduce it bit for bit.
 
 
 def _frozen_run(spec, train, test, cfg, init_scale, rng):
@@ -291,16 +236,17 @@ def _frozen_run(spec, train, test, cfg, init_scale, rng):
     params = init_params(spec, init_scale, rng)
     records = []
     diverged = False
+    evaluated = set(oracles.eval_steps(cfg.steps, cfg.eval_interval))
     for k in range(1, cfg.steps + 1):
         if cfg.batch_size is None:
             idx = np.arange(train.n)
         else:
             idx = rng.gen.choice(train.n, size=cfg.batch_size, replace=False)
-        grad, _ = _frozen_gradient(spec, params, train, idx)
+        grad = oracles.gradient(spec.widths, params, train.features[idx], train.labels[idx])
         train_err = test_err = None
-        if k % cfg.eval_interval == 0 or k == cfg.steps:
-            train_err = _frozen_error(spec, params, train)
-            test_err = _frozen_error(spec, params, test)
+        if k in evaluated:
+            train_err = oracles.zero_one_error(spec.widths, params, train.features, train.labels)
+            test_err = oracles.zero_one_error(spec.widths, params, test.features, test.labels)
         records.append(StepRecord(k, float(grad @ grad), train_err, test_err))
         new = params - cfg.gamma * grad - cfg.eta * cfg.gamma * params
         if cfg.sigma1 > 0.0:
@@ -309,7 +255,8 @@ def _frozen_run(spec, train, test, cfg, init_scale, rng):
                 rng.unit_open()
                 draw = np.sqrt(2.0) * rng.gen.standard_normal((d,))
             else:
-                a = _frozen_subordinator(cfg.alpha, rng)
+                u = rng.unit_open()
+                a = oracles.subordinator(cfg.alpha, u, -np.log(rng.unit_open()))
                 draw = np.sqrt(a) * rng.gen.standard_normal((d,))
             new = new + cfg.gamma ** (1.0 / cfg.alpha) * cfg.sigma1 * draw
         if cfg.sigma2 > 0.0:
@@ -365,7 +312,8 @@ def test_subordinator_draws_match_frozen_scalar_cms():
         for alpha in alphas:
             a = StableNoise(alpha).mix(*cms_uniforms(new))
             assert type(a) is float
-            mismatches += a != _frozen_subordinator(alpha, old)
+            u = old.unit_open()
+            mismatches += a != oracles.subordinator(alpha, u, -np.log(old.unit_open()))
     assert mismatches == 0
 
 
@@ -380,7 +328,7 @@ def test_model_kernel_gradient_matches_plain_numpy(widths):
     params = init_params(spec, 1.0, RngStream(7))
     kernel = ModelKernel(spec, data.n)
     grad = kernel.gradient(params, data.features, kernel.row_starts + data.labels)
-    want, _ = _frozen_gradient(spec, params, data, np.arange(data.n))
+    want = oracles.gradient(widths, params, data.features, data.labels)
     assert grad.tobytes() == want.tobytes()
 
 
@@ -575,8 +523,7 @@ def test_after_k_trace_has_one_record_per_step_and_evals_above_k(hidden, batch_s
         assert not trace.grad_sq.flags.writeable
         evaluated = [r.step for r in trace.records if r.train_error is not None]
         assert evaluated == [r.step for r in trace.records if r.test_error is not None]
-        assert evaluated == [k for k in range(after + 1, steps + 1)
-                             if k % 3 == 0 or k == cfg.steps]
+        assert evaluated == [k for k in oracles.eval_steps(cfg.steps, 3, after) if k <= steps]
         assert [e[0] for e in trace.evals] == evaluated
         assert trace.evals == tuple(e for e in whole.evals if e[0] > after)
         assert (trace.final_params.tobytes(), trace.diverged) == (

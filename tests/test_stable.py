@@ -5,13 +5,9 @@ import pytest
 
 from levybound import RngStream, StableParams, sample_isotropic_stable, sample_skewed_stable
 from levybound.errors import DimensionMismatchError, InvalidParameterError
-from levybound.stable import (
-    StableNoise,
-    _ChambersMallowsStuck,
-    cms_uniforms,
-    subordinator_scale,
-)
+from levybound.stable import StableNoise, cms_uniforms, subordinator_scale
 
+import oracles
 from helpers import empirical_char_fn
 
 # Monte-Carlo tolerance: 5 / sqrt(N) on both ECF parts.
@@ -206,12 +202,6 @@ def test_alpha_two_uses_the_gaussians_of_alpha_below_two(size):
     assert heavy_rng.gen.random() == gauss_rng.gen.random()
 
 
-def _frozen_subordinator_law(alpha):
-    """The (alpha/2)-stable subordinator's CMS transform, built apart from
-    ``StableNoise`` so the frozen draws below stay frozen."""
-    return _ChambersMallowsStuck(StableParams(alpha / 2.0, 1.0, subordinator_scale(alpha), 0.0))
-
-
 def _frozen_stable_noise_draw(alpha, dim, rng):
     """One isotropic draw as the earlier per-alpha sampler made it, with one
     noise object and buffer per alpha: the subordinator's two uniforms, the
@@ -220,8 +210,7 @@ def _frozen_stable_noise_draw(alpha, dim, rng):
     out = np.empty(dim)
     u = rng.unit_open()
     w = -np.log(rng.unit_open())
-    law = None if alpha == 2.0 else _frozen_subordinator_law(alpha)
-    scale = np.sqrt(2.0) if law is None else np.sqrt(float(law.transform(u, w)))
+    scale = np.sqrt(2.0) if alpha == 2.0 else np.sqrt(float(oracles.subordinator(alpha, u, w)))
     return np.multiply(rng.gen.standard_normal(out=out), scale, out=out)
 
 
@@ -235,7 +224,7 @@ def _frozen_batched_draws(alpha, dim, rng, size):
     if alpha == 2.0:
         scale = np.sqrt(2.0)
     else:
-        scale = np.sqrt(_frozen_subordinator_law(alpha).transform(u, w))[:, None]
+        scale = np.sqrt(oracles.subordinator(alpha, u, w))[:, None]
     return scale * rng.gen.standard_normal((size, dim))
 
 
@@ -260,8 +249,8 @@ def test_batched_draws_match_frozen_batched_draws(alpha, dim):
             assert draws.tobytes() == _frozen_batched_draws(alpha, dim, old, 4).tobytes()
             if alpha < 2.0:
                 a = StableNoise(alpha).mix(*cms_uniforms(new, 4))
-                assert a.tobytes() == _frozen_subordinator_law(alpha).transform(
-                    old.unit_open(4), -np.log(old.unit_open(4))).tobytes()
+                assert a.tobytes() == oracles.subordinator(
+                    alpha, old.unit_open(4), -np.log(old.unit_open(4))).tobytes()
         assert new.gen.random() == old.gen.random()
 
 

@@ -100,7 +100,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import levybound as lb  # noqa: E402
 from levybound import analysis, models, sde, stable  # noqa: E402
-from levybound.cli import _grid_spec  # noqa: E402
+from levybound.cli import DEFAULTS, _grid_spec  # noqa: E402
 from levybound.data import parse_config  # noqa: E402
 from levybound.grid import (  # noqa: E402
     _model_for,
@@ -209,10 +209,14 @@ def step_layers(spec, train, test, cfg, params):
     ]
 
 
+def reference_grid(name):
+    """The grid of the config ``reference/<name>``, its unset keys at the CLI's defaults."""
+    return _grid_spec({**DEFAULTS, **parse_config(ROOT / "reference" / name)}, os.devnull)
+
+
 def mnist_grid():
     """One alpha and seed of the MNIST-shaped profile."""
-    grid = _grid_spec(parse_config(ROOT / "reference" / "minibatch_smoke.cfg"), os.devnull)
-    return replace(grid, alphas=(ALPHA,), seeds=(0,))
+    return replace(reference_grid("minibatch_smoke.cfg"), alphas=(ALPHA,), seeds=(0,))
 
 
 def group_eval_step(grid):
@@ -346,7 +350,7 @@ def main():
     parser.add_argument("--out", required=True, help="JSON file to write")
     args = parser.parse_args()
 
-    grid = _grid_spec(parse_config(ROOT / "reference" / "phase_transition.cfg"), os.devnull)
+    grid = reference_grid("phase_transition.cfg")
     train, test = load_grid_datasets(grid)
     spec = _model_for(grid.widths[0], train)
     cfg = replace(grid.train, alpha=ALPHA, sigma1=grid.sigma1s[0])

@@ -2,8 +2,11 @@
 
 Subcommands: constants, sample, simulate, grid, analyze, regress-alpha.
 Each reads a flat key=value config (where applicable) plus ``--set``
-flag overrides, and emits CSV to stdout or ``--out``. Exit codes:
-0 success, 1 config error, 2 I/O error, 3 analysis precondition failure.
+flag overrides, and emits CSV to stdout or ``--out``. ``_grid_spec``
+reads every config value into a ``GridSpec``, which refuses one that
+cannot describe a run before data load or an output file is created.
+Exit codes: 0 success, 1 config error, 2 I/O error, 3 analysis
+precondition failure.
 """
 
 import argparse
@@ -16,7 +19,7 @@ import numpy as np
 
 from . import analysis as an
 from . import constants as co
-from .bounds import BoundInputs, brownian_bound, discrete_bound, stable_bound
+from .bounds import brownian_bound, discrete_bound, stable_bound
 from .data import SyntheticSpec, parse_config, read_table
 from .errors import (
     AnalysisPreconditionError,
@@ -179,20 +182,10 @@ def _grid_spec(cfg, out: str) -> GridSpec:
         window=_value(cfg, "window", int),
         trim=_value(cfg, "trim", float),
         radius=_value(cfg, "R", float),
-    )
-
-
-def _bound_inputs(cfg, grid: GridSpec) -> BoundInputs:
-    """The bound constants s, zeta and Lambda, checked with the grid's first
-    cell; d and n are placeholders until a cell's row supplies them."""
-    inputs = BoundInputs(
-        alpha=grid.alphas[0], d=1, n=1, sigma1=grid.sigma1s[0], sigma2=grid.train.sigma2,
-        gamma=grid.train.gamma, eta=grid.train.eta, radius=grid.radius,
-        s=_value(cfg, "s", float), zeta=_value(cfg, "zeta", float),
+        s=_value(cfg, "s", float),
+        zeta=_value(cfg, "zeta", float),
         lam=_value(cfg, "Lambda", float),
     )
-    inputs.validate()
-    return inputs
 
 
 def _field(v) -> str:
@@ -263,8 +256,6 @@ def _cmd_simulate(args) -> int:
         raise InvalidParameterError(f"simulate runs one cell, but alphas, sigma1s, widths "
                                     f"and seeds name {grid.cell_count} cells")
     (alpha,), (sigma1,), (width,), (seed,) = grid.alphas, grid.sigma1s, grid.widths, grid.seeds
-    tc = grid.train
-    inputs = _bound_inputs(cfg, grid)
     created = False
     if args.out:
         # an unwritable --out fails before the cell trains; an existing one
@@ -279,12 +270,13 @@ def _cmd_simulate(args) -> int:
         gap = i_hat = g_hat = thm = disc = brown = None
         if not record.diverged:
             gap, i_hat = record.gap, record.i_hat
-            inputs = replace(inputs, d=record.d, n=record.n)
+            cell = replace(grid.train, alpha=alpha, sigma1=sigma1)
+            inputs = grid.bound_inputs(cell, record.d, record.n)
             if sigma1 > 0.0:
                 g_hat, thm = record.g_hat, stable_bound(i_hat, inputs)
-                if tc.eta > 0.0:
+                if inputs.eta > 0.0:
                     disc = discrete_bound(i_hat, inputs)
-            if tc.sigma2 > 0.0:
+            if inputs.sigma2 > 0.0:
                 brown = brownian_bound(i_hat, inputs)
         row = (*record[:6], gap, i_hat, g_hat, thm, disc, brown,
                "true" if record.diverged else "false")
@@ -302,7 +294,6 @@ def _cmd_grid(args) -> int:
     if not out:
         raise InvalidParameterError("grid needs an output path (config key 'out' or --out)")
     grid = _grid_spec(cfg, out)
-    _bound_inputs(cfg, grid)  # refused here as simulate refuses them
     print(f"cells: {grid.cell_count}", file=sys.stderr)
     records = execute_grid(grid)
     print(f"wrote {len(records)} records to {grid.out}", file=sys.stderr)

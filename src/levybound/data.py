@@ -21,6 +21,7 @@ fast path.
 """
 
 import csv
+import io
 import math
 import os
 import struct
@@ -87,6 +88,10 @@ class SyntheticSpec:
             raise InvalidParameterError("n_per_class and input_dim must be positive")
         if self.classes < 2:
             raise InvalidParameterError("need at least 2 classes")
+        if self.classes > self.input_dim:  # class c's center is separation * e_c
+            raise InvalidParameterError(
+                f"class count {self.classes} exceeds input dim {self.input_dim}"
+            )
         if not (self.separation >= 0.0 and self.noise_std > 0.0):
             raise InvalidParameterError("separation must be >= 0 and noise_std > 0")
         check_seed(self.seed, "data_seed")
@@ -100,10 +105,6 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset]:
     by the permutation drawn next. Train and test are views of that
     buffer, so the data set exists once in memory.
     """
-    if spec.classes > spec.input_dim:
-        raise InvalidParameterError(
-            f"class count {spec.classes} exceeds input dim {spec.input_dim}"
-        )
     rng = RngStream(spec.seed)
     n = spec.n_per_class
     total = spec.classes * n
@@ -256,11 +257,10 @@ def complete_lines(path) -> tuple[list[str], int]:
     line terminator is a row torn by a kill in mid-append; the caller
     recomputes that row.
     """
-    with open(path, "rb") as f:
-        text = f.read()
+    text = Path(path).read_bytes()
     kept = text[:text.rfind(b"\n") + 1]
-    with _utf8(path):
-        return kept.decode().splitlines(True), len(kept)
+    with _utf8(path):  # split as read_records' stream does: at \r, \n and \r\n only
+        return list(io.StringIO(kept.decode(), newline="")), len(kept)
 
 
 def read_records(path) -> list[RunRecord]:

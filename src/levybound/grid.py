@@ -23,13 +23,14 @@ is rewritten sorted by cell (alpha, sigma1, d, width, n, seed) so its
 content does not depend on execution order.
 
 A cell evaluates only what its row reads: ``run_group(after=steps -
-window)`` skips the eval steps before the trailing ``window``, and the
-row is reduced from the cell's ``RunTrace`` by ``robust_gap``,
-``integral_estimate`` and ``bound_estimate`` where it trained, so a
-forked worker sends back rows, not traces. The reference and
-MNIST-shaped profiles' rows equal their one-alpha rows bit for bit.
-Each cell trains on ``run_group``'s default stream, keyed by its seed
-alone (see ``sde``), so the records do not depend on list order.
+window)`` skips the eval steps before the trailing ``window``, and
+where it trained the row is reduced from its ``RunTrace`` by
+``robust_gap``, ``integral_estimate`` and ``bound_estimate`` (of
+``GridSpec.bound_inputs``), so a worker sends back rows, not traces.
+The reference and MNIST-shaped profiles' rows equal their one-alpha
+rows bit for bit. Each cell trains on ``run_group``'s default stream,
+keyed by its seed alone (see ``sde``), so the records do not depend
+on list order.
 """
 
 import math
@@ -75,7 +76,8 @@ class IdxSource:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """One experiment sweep; width 0 denotes the linear model."""
+    """One experiment sweep; width 0 denotes the linear model. The bound constants
+    s, zeta and lam (Lambda) feed only ``simulate``'s bound columns, never a record."""
 
     alphas: tuple[float, ...]
     sigma1s: tuple[float, ...]
@@ -88,6 +90,9 @@ class GridSpec:
     window: int = 2000
     trim: float = 0.15
     radius: float = 1.0
+    s: float = 0.5
+    zeta: float = 0.05
+    lam: float = 0.0
 
     def __post_init__(self):
         for name in ("alphas", "sigma1s", "widths", "seeds"):
@@ -123,6 +128,15 @@ class GridSpec:
                 f"window {self.window} holds {evals} eval(s) at eval_interval {every}, "
                 f"and trim {self.trim} removes all of them"
             )
+        # the bound constants, checked once with the first cell; d and n stand in
+        first = replace(self.train, alpha=self.alphas[0], sigma1=self.sigma1s[0])
+        self.bound_inputs(first, d=1, n=1).validate()
+
+    def bound_inputs(self, cfg: TrainConfig, d: int, n: int) -> BoundInputs:
+        """The bound inputs of the cell ``cfg`` runs, with ``d`` parameters and ``n`` rows."""
+        return BoundInputs(alpha=cfg.alpha, d=d, n=n, sigma1=cfg.sigma1, sigma2=cfg.sigma2,
+                           gamma=cfg.gamma, eta=cfg.eta, radius=self.radius, s=self.s,
+                           zeta=self.zeta, lam=self.lam)
 
     @property
     def cell_count(self) -> int:
@@ -264,13 +278,7 @@ def _row(grid: GridSpec, n: int, d: int, width: int, trace: RunTrace) -> RunReco
         return RunRecord(alpha, sigma1, d, width, n, seed, nan, nan, nan, True)
     gap = robust_gap(trace, grid.window, grid.trim)
     i_hat = integral_estimate(trace)
-    g_hat = nan
-    if sigma1 > 0.0:
-        inputs = BoundInputs(
-            alpha=alpha, d=d, n=n, sigma1=sigma1,
-            gamma=cfg.gamma, eta=cfg.eta, radius=grid.radius,
-        )
-        g_hat = bound_estimate(i_hat, inputs)
+    g_hat = bound_estimate(i_hat, grid.bound_inputs(cfg, d, n)) if sigma1 > 0.0 else nan
     return RunRecord(alpha, sigma1, d, width, n, seed, gap, i_hat, g_hat, False)
 
 

@@ -28,6 +28,7 @@ from levybound import (
     p_alpha,
     phase_regime,
     read_records,
+    read_table,
     sample_isotropic_stable,
     sample_skewed_stable,
     sphere_area,
@@ -38,7 +39,7 @@ from levybound import (
 from levybound.cli import CONFIG_KEYS, main
 from levybound.constants import log_sphere_area, log_stable_levy_constant
 from levybound.data import parse_config
-from levybound.errors import InvalidParameterError
+from levybound.errors import DataFormatError, InvalidParameterError
 from levybound.grid import evaluate_group, load_grid_datasets
 
 from helpers import write_idx_images, write_idx_labels
@@ -463,6 +464,30 @@ class TestGridResume:
         assert (code, out) == (1, "")
         assert f"config error: {out_csv} holds a row outside this grid" in err
         assert out_csv.read_bytes() == before
+
+    # str.splitlines breaks a line at each of these too; the readers'
+    # newline="" streams break only at \r and \n. float() strips the
+    # first five from a field and refuses the last three, so read_records,
+    # the row parser the resume shares, refuses that file.
+    @pytest.mark.parametrize("separator", ["\v", "\f", "\x85", "\u2028", "\u2029",
+                                           "\x1c", "\x1d", "\x1e"])
+    def test_resume_splits_lines_as_the_readers_do(self, capsys, grid_run, separator):
+        cfg, out_csv = grid_run
+        before = out_csv.read_bytes()
+        header, first, second, *rest = before.split(b"\r\n")
+        fields = second.split(b",")
+        fields[6] += separator.encode()  # the gap of the second row
+        edited = b"\r\n".join([header, first, b",".join(fields), *rest])
+        out_csv.write_bytes(edited)
+        if separator in "\x1c\x1d\x1e":
+            with pytest.raises(DataFormatError) as refused:
+                read_records(out_csv)
+            want, after = (2, "", f"cells: 2\ni/o error: {refused.value}\n"), edited
+        else:
+            assert len(read_records(out_csv)) == len(read_table(out_csv)) == 2
+            want, after = (0, "", f"cells: 2\nwrote 2 records to {out_csv}\n"), before
+        assert run_cli(capsys, "grid", "--config", str(cfg), "--out", str(out_csv)) == want
+        assert out_csv.read_bytes() == after
 
     def test_records_file_that_is_not_utf8_exits_2(self, capsys, grid_run):
         cfg, out_csv = grid_run
@@ -948,6 +973,18 @@ class TestConfigErrors:
             argv += ["--set", setting]
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (1, "", f"config error: {message}\n")
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "grid"])
+    def test_class_count_above_input_dim_rejected_before_data_loads(
+            self, capsys, tmp_path, no_data, command):
+        # grid used to print its cell count and simulate to create --out first
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(BASE_CFG + "alphas=1.7\nsigma1s=0.1\n")
+        out_csv = tmp_path / "records.csv"
+        code, out, err = run_cli(capsys, command, "--config", str(cfg), "--out", str(out_csv),
+                                 "--set", "classes=30")
+        assert (code, out, err) == (1, "", "config error: class count 30 exceeds input dim 5\n")
         assert not out_csv.exists()
 
     def test_nan_init_scale_rejected_by_init_params(self):

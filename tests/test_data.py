@@ -28,6 +28,7 @@ from levybound import data as data_module
 from levybound.data import RECORD_HEADER, RecordTable, append_records
 from levybound.errors import DataFormatError, InvalidParameterError
 
+import oracles
 from helpers import write_idx_images, write_idx_labels
 
 REFERENCE_CFG = Path(__file__).resolve().parent.parent / "reference" / "phase_transition.cfg"
@@ -68,8 +69,8 @@ class TestSynthetic:
         assert train.n == 80 and test.n == 20
 
     def test_class_count_exceeding_dim_errors(self):
-        with pytest.raises(InvalidParameterError):
-            generate_synthetic(SyntheticSpec(10, 2, 3, 1.0, 1.0, seed=0))
+        with pytest.raises(InvalidParameterError, match="class count 3 exceeds input dim 2"):
+            SyntheticSpec(10, 2, 3, 1.0, 1.0, seed=0)
 
     def test_separable_data_trains_to_zero_error(self):
         train, test = generate_synthetic(SyntheticSpec(40, 6, 2, 100.0, 1.0, seed=2))
@@ -89,22 +90,6 @@ class TestSynthetic:
                                  rng=RngStream(cfg.seed))
             errors.append(trace.records[-1].test_error)
         assert abs(np.mean(errors) - 0.5) <= 0.05
-
-
-def frozen_generate_synthetic(spec):
-    """generate_synthetic as it was built with two more copies of the
-    features (the scaled normals and the permuted gather); the oracle of
-    the one-buffer version. Returns ((train x, y), (test x, y))."""
-    rng = RngStream(spec.seed)
-    total = spec.classes * spec.n_per_class
-    features = spec.noise_std * rng.gen.standard_normal((total, spec.input_dim))
-    labels = np.repeat(np.arange(spec.classes), spec.n_per_class)
-    for c in range(spec.classes):
-        features[labels == c, c] += spec.separation
-    perm = rng.gen.permutation(total)
-    features, labels = features[perm], labels[perm]
-    n_train = 4 * total // 5
-    return (features[:n_train], labels[:n_train]), (features[n_train:], labels[n_train:])
 
 
 def reference_spec():
@@ -128,8 +113,12 @@ MNIST_SPEC = SyntheticSpec(313, 784, 10, 3.0, 1.0, seed=0)  # perfbench's MNIST 
 ], ids=["mnist", "reference", "classes-eq-dim", "one-per-class", "two-rows",
         "no-separation", "noise-std"])
 def test_generate_synthetic_matches_frozen_two_copy_version(spec):
+    # oracles.blobs builds the features with two more copies (the scaled
+    # normals and the permuted gather) on its own Philox stream
     train, test = generate_synthetic(spec)
-    for got, (x, y) in zip((train, test), frozen_generate_synthetic(spec)):
+    want = oracles.blobs(spec.n_per_class, spec.input_dim, spec.classes, spec.separation,
+                         spec.noise_std, spec.seed)
+    for got, (x, y) in zip((train, test), want):
         assert got.features.shape == x.shape
         assert (got.features.view(np.int64) == x.view(np.int64)).all()
         assert (got.labels == y).all()

@@ -28,7 +28,7 @@ from levybound import (
     robust_gap,
     run_training,
 )
-from levybound.cli import _grid_spec
+from levybound.cli import DEFAULTS, _grid_spec
 from levybound.data import _ROW, parse_config, write_records
 from levybound.errors import DataFormatError, InvalidParameterError
 from levybound.grid import (
@@ -762,7 +762,7 @@ def test_reference_light_noise_group_reproduces_committed_rows():
     # = 10), seed 0: all 10 alphas in one group, each written line equal to
     # its line in the committed records
     reference = Path(__file__).resolve().parent.parent / "reference"
-    grid = _grid_spec(parse_config(reference / "phase_transition.cfg"), "")
+    grid = _grid_spec({**DEFAULTS, **parse_config(reference / "phase_transition.cfg")}, "")
     train, test = load_grid_datasets(grid)
     rows = evaluate_group(grid, train, test, grid.alphas, grid.sigma1s[1], grid.widths[0], 0)
     committed = (reference / "phase_transition_records.csv").read_bytes().splitlines(True)

@@ -15,14 +15,13 @@ from levybound import (
     TrainConfig,
     em_step,
     init_params,
-    mix64,
     run_training,
     sample_isotropic_stable,
     zero_one_error,
 )
 from levybound.errors import DimensionMismatchError, InvalidParameterError
 from levybound.models import ModelKernel
-from levybound.sde import EulerMaruyama, RunTrace, StepRecord, run_group
+from levybound.sde import EulerMaruyama, RunTrace, run_group
 from levybound.stable import StableNoise, cms_uniforms
 
 import oracles
@@ -102,8 +101,8 @@ class TestRunTraining:
         trace = run_training(spec, data, test, cfg, init_scale=1.0)
 
         # independently coded GD-with-decay loop, on the run's stream
-        rng = RngStream(cfg.seed, mix64(0, 0))
-        w = init_params(spec, 1.0, rng)
+        w = oracles.init_params(spec.widths, 1.0,
+                                oracles.philox(cfg.seed, oracles.splitmix64(0, 0)))
         for _ in range(cfg.steps):
             g = oracles.gradient(spec.widths, w, data.features, data.labels)
             w = w - cfg.gamma * g - cfg.eta * cfg.gamma * w
@@ -227,48 +226,17 @@ class TestNoiseScaleLaws:
 
 # --- Frozen reference: the training loop as it was before its loop
 # invariants were hoisted (per-step validation, allocation and constant
-# recomputation), on the gradient, 0-1 error, subordinator and eval
-# schedule of tests/oracles.py. run_training must reproduce it bit for bit.
+# recomputation), as ``oracles.run``: its stream, uniforms, init,
+# gradient, 0-1 error, subordinator and eval schedule share no code with
+# the package. run_training must reproduce it bit for bit.
 
 
-def _frozen_run(spec, train, test, cfg, init_scale, rng):
-    d = sum(a * b for a, b in zip(spec.widths[:-1], spec.widths[1:]))
-    params = init_params(spec, init_scale, rng)
-    records = []
-    diverged = False
-    evaluated = set(oracles.eval_steps(cfg.steps, cfg.eval_interval))
-    for k in range(1, cfg.steps + 1):
-        if cfg.batch_size is None:
-            idx = np.arange(train.n)
-        else:
-            idx = rng.gen.choice(train.n, size=cfg.batch_size, replace=False)
-        grad = oracles.gradient(spec.widths, params, train.features[idx], train.labels[idx])
-        train_err = test_err = None
-        if k in evaluated:
-            train_err = oracles.zero_one_error(spec.widths, params, train.features, train.labels)
-            test_err = oracles.zero_one_error(spec.widths, params, test.features, test.labels)
-        records.append(StepRecord(k, float(grad @ grad), train_err, test_err))
-        new = params - cfg.gamma * grad - cfg.eta * cfg.gamma * params
-        if cfg.sigma1 > 0.0:
-            if cfg.alpha == 2.0:
-                rng.unit_open()  # the two subordinator uniforms, drawn and discarded
-                rng.unit_open()
-                draw = np.sqrt(2.0) * rng.gen.standard_normal((d,))
-            else:
-                u = rng.unit_open()
-                a = oracles.subordinator(cfg.alpha, u, -np.log(rng.unit_open()))
-                draw = np.sqrt(a) * rng.gen.standard_normal((d,))
-            new = new + cfg.gamma ** (1.0 / cfg.alpha) * cfg.sigma1 * draw
-        if cfg.sigma2 > 0.0:
-            new = new + np.sqrt(2.0 * cfg.gamma) * cfg.sigma2 * rng.gen.standard_normal(d)
-        params = new
-        if not np.isfinite(params).all() or np.linalg.norm(params) > 1e12:
-            diverged = True
-            break
-    return RunTrace(cfg, np.array([r.grad_sq for r in records]),
-                    tuple((r.step, r.train_error, r.test_error) for r in records
-                          if r.train_error is not None),
-                    params, diverged)
+def _frozen_run(spec, train, test, cfg, init_scale, key):
+    """``oracles.run`` on the generator of ``key`` = (seed, stream), as a RunTrace."""
+    grad_sq, evals, params, diverged = oracles.run(
+        spec.widths, (train.features, train.labels), (test.features, test.labels), cfg,
+        init_scale, oracles.philox(*key))
+    return RunTrace(cfg, np.array(grad_sq), tuple(evals), params, diverged)
 
 
 @pytest.mark.parametrize("alpha", [1.6, 1.95, 2.0])
@@ -286,7 +254,7 @@ def test_run_training_matches_frozen_loop(hidden, batch_size, classes, sigma1, s
         batch_size=batch_size, eval_interval=4,
     )
     trace = run_training(spec, train, test, cfg, 1.0, RngStream(5, 9))
-    assert _same(trace, _frozen_run(spec, train, test, cfg, 1.0, RngStream(5, 9)))
+    assert _same(trace, _frozen_run(spec, train, test, cfg, 1.0, (5, 9)))
     assert not trace.diverged
 
 
@@ -297,7 +265,7 @@ def test_diverging_run_matches_frozen_loop(hidden):
     spec = ModelSpec((12, *hidden, 2))
     cfg = TrainConfig(gamma=0.5, eta=0.0, alpha=1.3, sigma1=3e10, steps=40, eval_interval=3)
     trace = run_training(spec, train, test, cfg, 1.0, RngStream(6))
-    frozen = _frozen_run(spec, train, test, cfg, 1.0, RngStream(6))
+    frozen = _frozen_run(spec, train, test, cfg, 1.0, (6, 0))
     assert trace.diverged and frozen.diverged
     assert 0 < len(trace.records) < cfg.steps
     assert trace.records == frozen.records
@@ -308,12 +276,12 @@ def test_subordinator_draws_match_frozen_scalar_cms():
     alphas = [float(a) for a in np.linspace(1.6, 2.0, 10)[:-1]]
     mismatches = 0
     for seed in range(10_000):
-        new, old = RngStream(seed), RngStream(seed)
+        new, old = RngStream(seed), oracles.philox(seed)
         for alpha in alphas:
             a = StableNoise(alpha).mix(*cms_uniforms(new))
             assert type(a) is float
-            u = old.unit_open()
-            mismatches += a != oracles.subordinator(alpha, u, -np.log(old.unit_open()))
+            u = oracles.unit_open(old)
+            mismatches += a != oracles.subordinator(alpha, u, -np.log(oracles.unit_open(old)))
     assert mismatches == 0
 
 
@@ -471,7 +439,7 @@ def test_run_group_matches_frozen_loop_per_alpha(hidden, batch_size, sigma1, sig
     assert len(traces) == len(alphas)
     for alpha, trace in zip(alphas, traces):
         alone = replace(cfg, alpha=alpha)
-        assert _same(trace, _frozen_run(spec, train, test, alone, 1.0, RngStream(5, 9)))
+        assert _same(trace, _frozen_run(spec, train, test, alone, 1.0, (5, 9)))
         assert not trace.diverged
 
 
@@ -492,7 +460,7 @@ def test_run_group_diverging_alphas_match_frozen_loop(hidden, sigma1, diverged):
     traces = run_group(spec, train, test, cfg, alphas, 1.0, RngStream(6))
     assert [t.diverged for t in traces] == diverged
     for alpha, trace in zip(alphas, traces):
-        frozen = _frozen_run(spec, train, test, replace(cfg, alpha=alpha), 1.0, RngStream(6))
+        frozen = _frozen_run(spec, train, test, replace(cfg, alpha=alpha), 1.0, (6, 0))
         assert trace.diverged == frozen.diverged
         assert trace.records == frozen.records
         assert trace.final_params.tobytes() == frozen.final_params.tobytes()
@@ -586,7 +554,7 @@ def test_slow_eval_still_matches_frozen_loop_per_alpha(monkeypatch, hidden, batc
     traces = run_group(spec, train, test, cfg, alphas, 1.0, RngStream(6))
     assert [t.diverged for t in traces] == diverged
     for alpha, trace in zip(alphas, traces):
-        frozen = _frozen_run(spec, train, test, replace(cfg, alpha=alpha), 1.0, RngStream(6))
+        frozen = _frozen_run(spec, train, test, replace(cfg, alpha=alpha), 1.0, (6, 0))
         assert _same(trace, frozen)
         assert trace.evals
 
@@ -607,7 +575,7 @@ def test_group_matches_frozen_loop_under_a_short_switch_interval():
     finally:
         sys.setswitchinterval(interval)
     for alpha, trace in zip(alphas, traces):
-        frozen = _frozen_run(spec, train, test, replace(cfg, alpha=alpha), 1.0, RngStream(8))
+        frozen = _frozen_run(spec, train, test, replace(cfg, alpha=alpha), 1.0, (8, 0))
         assert _same(trace, frozen)
 
 

@@ -202,56 +202,57 @@ def test_alpha_two_uses_the_gaussians_of_alpha_below_two(size):
     assert heavy_rng.gen.random() == gauss_rng.gen.random()
 
 
-def _frozen_stable_noise_draw(alpha, dim, rng):
+def _frozen_stable_noise_draw(alpha, dim, gen):
     """One isotropic draw as the earlier per-alpha sampler made it, with one
     noise object and buffer per alpha: the subordinator's two uniforms, the
     scale sqrt(A) (sqrt(2) at alpha = 2), then G written into that buffer
-    and scaled in place."""
+    and scaled in place; every draw from the oracles' generator ``gen``."""
     out = np.empty(dim)
-    u = rng.unit_open()
-    w = -np.log(rng.unit_open())
+    u = oracles.unit_open(gen)
+    w = -np.log(oracles.unit_open(gen))
     scale = np.sqrt(2.0) if alpha == 2.0 else np.sqrt(float(oracles.subordinator(alpha, u, w)))
-    return np.multiply(rng.gen.standard_normal(out=out), scale, out=out)
+    return np.multiply(gen.standard_normal(out=out), scale, out=out)
 
 
-def _frozen_batched_draws(alpha, dim, rng, size):
+def _frozen_batched_draws(alpha, dim, gen, size):
     """``size`` isotropic draws as the earlier batched sampler made them:
     ``size`` uniforms u, then ``size`` exponentials w, the scales sqrt(A)
     (sqrt(2) at alpha = 2, the uniforms drawn all the same), then the
-    (size, dim) block of G scaled row by row."""
-    u = rng.unit_open(size)
-    w = -np.log(rng.unit_open(size))
+    (size, dim) block of G scaled row by row; on the oracles' ``gen``."""
+    u = oracles.unit_open(gen, size)
+    w = -np.log(oracles.unit_open(gen, size))
     if alpha == 2.0:
         scale = np.sqrt(2.0)
     else:
         scale = np.sqrt(oracles.subordinator(alpha, u, w))[:, None]
-    return scale * rng.gen.standard_normal((size, dim))
+    return scale * gen.standard_normal((size, dim))
 
 
 @pytest.mark.parametrize("dim", [1, 7, 864])
 @pytest.mark.parametrize("alpha", [1.3, 1.6, 1.95, 2.0])
 def test_isotropic_draw_matches_frozen_per_alpha_buffer_draw(alpha, dim):
     for seed in range(40):
-        new, old = RngStream(seed, 11), RngStream(seed, 11)
+        new, old = RngStream(seed, 11), oracles.philox(seed, 11)
         for _ in range(3):
             draw = sample_isotropic_stable(alpha, dim, new)
             assert draw.tobytes() == _frozen_stable_noise_draw(alpha, dim, old).tobytes()
-        assert new.gen.random() == old.gen.random()
+        assert new.gen.random() == old.random()
 
 
 @pytest.mark.parametrize("dim", [1, 7])
 @pytest.mark.parametrize("alpha", [1.3, 1.6, 2.0])
 def test_batched_draws_match_frozen_batched_draws(alpha, dim):
     for seed in range(40):
-        new, old = RngStream(seed, 12), RngStream(seed, 12)
+        new, old = RngStream(seed, 12), oracles.philox(seed, 12)
         for _ in range(3):
             draws = sample_isotropic_stable(alpha, dim, new, size=4)
             assert draws.tobytes() == _frozen_batched_draws(alpha, dim, old, 4).tobytes()
             if alpha < 2.0:
                 a = StableNoise(alpha).mix(*cms_uniforms(new, 4))
                 assert a.tobytes() == oracles.subordinator(
-                    alpha, old.unit_open(4), -np.log(old.unit_open(4))).tobytes()
-        assert new.gen.random() == old.gen.random()
+                    alpha, oracles.unit_open(old, 4),
+                    -np.log(oracles.unit_open(old, 4))).tobytes()
+        assert new.gen.random() == old.random()
 
 
 @pytest.mark.parametrize("u, w", [(1e-300, 1.0), (np.array([0.5, 1e-300]), np.ones(2))],

@@ -7,17 +7,21 @@ results persist as a plain CSV with a fixed header and 17-significant-
 digit floats, so a write/read roundtrip is lossless for finite values.
 Run configs are flat ``key=value`` text files.
 
-Records are read two ways. ``parse_records`` is the row parser: it
-defines what a records file is and words every error about one, and
-``grid`` resumes through it. ``read_table`` reads a whole file into a
-``RecordTable``, one numpy array per field, for the analysis. Its fast
-path is one ``np.loadtxt`` over the body, which takes only what the row
-parser reads to the same values: the exact header, numbers numpy parses
-(a subset of what ``float`` and ``int`` take, to the same values), and
-flags that are exactly ``true`` or ``false``. Anything else, a malformed
-file included, goes to the row parser. So the two readers give the same
-values and the same errors, and a file the writer made never leaves the
-fast path.
+Records are read one way. ``read_table`` reads a file into a
+``RecordTable``, one numpy array per field; ``read_records`` is its rows
+as ``RunRecord``s, and ``grid`` resumes from ``read_complete``, the rows
+of the file's complete lines. ``np.loadtxt`` reads the body only when
+the header is exact, every byte is printable ASCII (0x20-0x7E), CR or
+LF, and every flag is exactly ``true`` or ``false``; the writer makes no
+other bytes, so its files never leave that path. Every other file, and
+a body ``np.loadtxt`` refuses, goes to the row parser,
+``parse_records``, which defines what a records file is and words every
+error about one. The byte rule keeps out numpy's three misreads: its
+integer parser takes non-ASCII digits such as U+0968 and U+2460 as
+digits (``0\u0968`` read 2360), its string dtype drops a trailing NUL
+(``false\x00`` read as a flag), and its number parser strips
+``\x1c``-``\x1f``, which ``float`` refuses. So every reader gives the
+row parser's values and errors.
 """
 
 import csv
@@ -28,6 +32,7 @@ import struct
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import NamedTuple
 
@@ -61,7 +66,9 @@ class RunRecord(NamedTuple):
 
 RECORD_HEADER = list(RunRecord._fields)
 _DIVERGED = {"true": True, "false": False}
-# A row as read_table's fast path reads it: float64 and int64 fields, and
+_HEADER_LINES = tuple(",".join(RECORD_HEADER).encode() + end for end in (b"\n", b"\r\n"))
+_BLOCK = 1 << 16  # bytes per read of a records file's byte check
+# A row as np.loadtxt reads it: float64 and int64 fields, and
 # the flag as text one character longer than "false", so that a longer
 # field, cut to fit, never reads as a flag.
 _TABLE_ROW = np.dtype([
@@ -250,24 +257,6 @@ def _utf8(path):
         raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def complete_lines(path) -> tuple[list[str], int]:
-    """A records file's decoded lines up to its last line terminator, and their byte count.
-
-    Rows are appended a whole line at a time, so a last line without its
-    line terminator is a row torn by a kill in mid-append; the caller
-    recomputes that row.
-    """
-    text = Path(path).read_bytes()
-    kept = text[:text.rfind(b"\n") + 1]
-    with _utf8(path):  # split as read_records' stream does: at \r, \n and \r\n only
-        return list(io.StringIO(kept.decode(), newline="")), len(kept)
-
-
-def read_records(path) -> list[RunRecord]:
-    with _utf8(path), open(path, encoding="utf-8", newline="") as f:
-        return parse_records(f, path)
-
-
 @dataclass(frozen=True, eq=False)
 class RecordTable:
     """Records as columns: one array per ``RunRecord`` field, row i of
@@ -298,6 +287,10 @@ class RecordTable:
         columns = list(zip(*rows)) if rows else [()] * len(RECORD_HEADER)
         return cls(*map(_column, columns, RunRecord.__annotations__.values()))
 
+    def records(self) -> list[RunRecord]:
+        """The rows as ``RunRecord``s of Python floats, ints and bools."""
+        return list(map(RunRecord, *(getattr(self, f).tolist() for f in RECORD_HEADER)))
+
 
 def _column(values, kind) -> np.ndarray:
     if kind is int:
@@ -309,24 +302,71 @@ def _column(values, kind) -> np.ndarray:
 
 
 def read_table(path) -> RecordTable:
-    """The records of ``path`` as a ``RecordTable``: the values and the
-    errors of ``read_records``, read by ``np.loadtxt`` where it can."""
+    """The records of ``path`` as a ``RecordTable``."""
+    return _read(path, torn_tail=False)[0]
+
+
+def read_records(path) -> list[RunRecord]:
+    """The rows of ``read_table(path)``."""
+    return read_table(path).records()
+
+
+def read_complete(path) -> tuple[list[RunRecord], int]:
+    """The records on ``path``'s complete lines and their byte count. Rows
+    are appended a whole line at a time, so a last line without its line
+    terminator is a row torn by a kill in mid-append, which the caller
+    recomputes."""
+    table, size = _read(path, torn_tail=True)
+    return table.records(), size
+
+
+def _read(path, torn_tail: bool) -> tuple[RecordTable, int]:
+    """The table of ``path``, or of its complete lines if ``torn_tail``,
+    and the byte count it read."""
+    with open(path, "rb") as f:
+        end, length, ends, plain = _scan(f)
+        size = end if torn_tail else length
+        if not size and torn_tail:
+            return RecordTable.from_records(()), 0
+        f.seek(0)
+        if plain and f.readline() in _HEADER_LINES:
+            lines = ends - 1 + (size > end)  # and an unterminated last line
+            table = _load_table(islice(f, lines)) if lines else RecordTable.from_records(())
+            if table is not None:
+                return table, size
+        f.seek(0)
+        data = f.read(size)
+    with _utf8(path):
+        text = data.decode()
+    return RecordTable.from_records(parse_records(io.StringIO(text, newline=""), path)), size
+
+
+def _scan(f) -> tuple[int, int, int, bool]:
+    """Read ``f`` to its end in blocks, so the whole file is never held:
+    the byte count up to its last LF, its length, its LF count, and
+    whether every byte is printable ASCII (0x20-0x7E), CR or LF."""
+    end = length = ends = 0
+    plain = True
+    for block in iter(lambda: f.read(_BLOCK), b""):
+        codes = np.frombuffer(block, np.uint8)
+        lf = np.count_nonzero(codes == 0x0A)
+        plain = plain and block.isascii() and b"\x7f" not in block and (
+            np.count_nonzero(codes < 0x20) == lf + np.count_nonzero(codes == 0x0D))
+        if lf:
+            end = length + block.rfind(b"\n") + 1
+        length, ends = length + len(block), ends + lf
+    return end, length, ends, plain
+
+
+def _load_table(lines) -> RecordTable | None:
+    """The body ``lines`` read by ``np.loadtxt``, or None where it refuses
+    them or a flag is not exactly ``true`` or ``false``."""
     try:
-        table = _load_table(path)
-    except (ValueError, Warning):  # a UnicodeDecodeError is a ValueError
-        table = None
-    return table if table is not None else RecordTable.from_records(read_records(path))
-
-
-def _load_table(path) -> RecordTable | None:
-    """The fast path of ``read_table``: None, or an exception, where it
-    cannot vouch for the row parser's reading."""
-    with open(path, encoding="utf-8", newline="") as f:
-        if f.readline().removesuffix("\n").removesuffix("\r") != ",".join(RECORD_HEADER):
-            return None
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # an empty body only warns
-            rows = np.loadtxt(f, dtype=_TABLE_ROW, delimiter=",", comments=None, ndmin=1)
+            warnings.simplefilter("error")  # a body of blank lines only warns
+            rows = np.loadtxt(lines, dtype=_TABLE_ROW, delimiter=",", comments=None, ndmin=1)
+    except (ValueError, Warning):
+        return None
     flags = rows["diverged"]
     diverged = flags == "true"
     if not (diverged | (flags == "false")).all():

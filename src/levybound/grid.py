@@ -45,10 +45,9 @@ from .data import (
     RunRecord,
     SyntheticSpec,
     append_records,
-    complete_lines,
     generate_synthetic,
     load_idx,
-    parse_records,
+    read_complete,
     write_records,
 )
 from .errors import DataFormatError, InvalidParameterError
@@ -303,8 +302,8 @@ def execute_grid(grid: GridSpec, progress=None) -> list[RunRecord]:
     if os.path.exists(grid.out):
         # a row torn by a kill in mid-append is cut only after the complete
         # rows pass their checks, so a refused resume leaves the file as it was
-        kept, size = complete_lines(grid.out)
-        for r in parse_records(kept, grid.out) if kept else ():
+        rows, size = read_complete(grid.out)
+        for r in rows:
             key = (r.alpha, r.sigma1, r.width, r.seed)
             cell = "alpha={}, sigma1={}, width={}, seed={}".format(*key)
             if key not in cells:

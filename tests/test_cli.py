@@ -468,7 +468,7 @@ class TestGridResume:
     # str.splitlines breaks a line at each of these too; the readers'
     # newline="" streams break only at \r and \n. float() strips the
     # first five from a field and refuses the last three, so read_records,
-    # the row parser the resume shares, refuses that file.
+    # whose reader the resume shares, refuses that file.
     @pytest.mark.parametrize("separator", ["\v", "\f", "\x85", "\u2028", "\u2029",
                                            "\x1c", "\x1d", "\x1e"])
     def test_resume_splits_lines_as_the_readers_do(self, capsys, grid_run, separator):

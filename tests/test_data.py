@@ -25,7 +25,7 @@ from levybound import (
     write_records,
 )
 from levybound import data as data_module
-from levybound.data import RECORD_HEADER, RecordTable, append_records
+from levybound.data import RECORD_HEADER, RecordTable, append_records, read_complete
 from levybound.errors import DataFormatError, InvalidParameterError
 
 import oracles
@@ -504,19 +504,116 @@ def test_malformed_records_match_reference_reader(tmp_path, text):
         assert same_records(table_rows(read_table(path)), want)
 
 
+# every code point below U+0100 but the line ends, the delimiter and the
+# quote; Unicode spaces and the byte order mark; digits that are not ASCII
+AGREEMENT_CODE_POINTS = sorted(
+    {c for c in range(0x100) if chr(c) not in '\r\n,"'}
+    | {0x85, 0xA0, 0x1170, 0x1680, *range(0x2000, 0x200B), 0x2028, 0x2029, 0x202F, 0x205F,
+       0x3000, 0xFEFF, *range(0x966, 0x970), *range(0x2460, 0x2474)}
+)
+AGREEMENT_ROWS = [
+    RunRecord(1.6, 0.1, 864, 32, 500, 12, 0.050000000000000003, 1.5, 2.5, False),
+    RunRecord(2.0, 0.1, 864, 32, 500, 12, math.nan, math.nan, math.nan, True),
+]
+
+
+def resumed_rows(path):
+    """The rows a resume reads: those of the file's complete lines."""
+    return read_complete(path)[0]
+
+
+def read_outcome(read, path):
+    """("rows", the records) or ("error", the DataFormatError's message)."""
+    try:
+        return "rows", read(path)
+    except DataFormatError as exc:
+        return "error", str(exc)
+
+
+def assert_readers_agree(path):
+    """``read_table``, ``read_records`` and the resume's reader give the
+    same records or the same error."""
+    outcomes = [read_outcome(read, path) for read in (
+        lambda p: table_rows(read_table(p)), read_records, resumed_rows)]
+    kinds = {kind for kind, _ in outcomes}
+    assert len(kinds) == 1, (path.read_bytes(), outcomes)
+    if kinds == {"error"}:
+        assert len({message for _, message in outcomes}) == 1, outcomes
+    else:
+        assert all(same_records(got, outcomes[0][1]) for _, got in outcomes[1:]), outcomes
+
+
+@pytest.mark.parametrize("field", ["gap", "d", "seed", "diverged"])
+def test_the_readers_agree_on_any_character_in_a_field(tmp_path, field):
+    """Each code point before, inside and after the second row's ``field``."""
+    path = tmp_path / "records.csv"
+    write_records(path, AGREEMENT_ROWS)
+    head, first, second, end = path.read_text().split("\n")
+    fields = second.split(",")
+    at = RECORD_HEADER.index(field)
+    value = fields[at]
+    for code in AGREEMENT_CODE_POINTS:
+        c = chr(code)
+        for placed in (c + value, value[:1] + c + value[1:], value + c):
+            fields[at] = placed
+            path.write_text("\n".join([head, first, ",".join(fields), end]), encoding="utf-8")
+            assert_readers_agree(path)
+
+
+def test_the_readers_agree_on_random_text_in_a_field(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    path = tmp_path / "records.csv"
+    write_records(path, AGREEMENT_ROWS)
+    head, first, second, end = path.read_text().split("\n")
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(st.sampled_from(range(len(RECORD_HEADER))),
+                      st.text(st.characters(codec="utf-8", exclude_characters='\r\n,"'), max_size=4),
+                      st.text(st.characters(codec="utf-8", exclude_characters='\r\n,"'), max_size=4))
+    def check(at, before, after):
+        fields = second.split(",")
+        fields[at] = before + fields[at] + after
+        path.write_text("\n".join([head, first, ",".join(fields), end]), encoding="utf-8")
+        assert_readers_agree(path)
+
+    check()
+
+
 def test_written_records_take_the_fast_path(tmp_path, monkeypatch):
-    """A file ``write_records`` made is read without the row parser, so a
-    silent fallback cannot hide a lost speed-up."""
+    """A file the writer made is read by ``np.loadtxt`` alone, so a silent
+    fallback cannot hide a lost speed-up."""
     path = tmp_path / "records.csv"
     records = TestRecordsCsv().random_records(50)
     records += [RunRecord(math.nan, -0.0, -3, 0, 1, 2**63 - 1, math.inf, -math.inf, 0.0, True)]
     write_records(path, records)
+    empty = tmp_path / "empty.csv"
+    write_records(empty, [])
 
-    def refuse(path):
-        raise AssertionError("read_table fell back to read_records")
+    def refuse(lines, path):
+        raise AssertionError("np.loadtxt fell back to parse_records")
 
-    monkeypatch.setattr(data_module, "read_records", refuse)
+    monkeypatch.setattr(data_module, "parse_records", refuse)
     assert same_records(table_rows(read_table(path)), records)
+    assert same_records(read_records(path), records)
+    assert same_records(resumed_rows(path), records)
+    with open(path, "ab") as f:
+        f.write(b"1.5,0.1,10,0,")  # a row torn in mid-append
+    assert same_records(resumed_rows(path), records)
+    for read in (read_records, resumed_rows):
+        assert read(empty) == []
+    assert len(read_table(empty)) == 0
+
+
+def test_read_records_gives_python_types_on_both_paths(tmp_path):
+    """The loadtxt path and the row parser's (here, for an int beyond int64)."""
+    path = tmp_path / "records.csv"
+    records = TestRecordsCsv().random_records(5)
+    for wide in (False, True):
+        rows = records + [records[0]._replace(seed=2**63)] if wide else records
+        write_records(path, rows)
+        for read in (read_records, resumed_rows):
+            assert same_records(read(path), rows)  # same_records checks each field's type
 
 
 def test_record_table_from_records():

@@ -169,6 +169,39 @@ def test_torn_last_row_is_dropped_on_resume(tmp_path, whole_lines, cut):
     assert (tmp_path / "r.csv").read_bytes() == fresh
 
 
+def test_written_records_resume_without_the_row_parser(tmp_path, monkeypatch):
+    import levybound.data as data_mod
+
+    grid = tiny_grid(tmp_path / "r.csv")
+    execute_grid(grid)
+    fresh = (tmp_path / "r.csv").read_bytes()
+    lines = fresh.splitlines(keepends=True)
+    (tmp_path / "r.csv").write_bytes(b"".join(lines[:4]) + lines[4][:9])
+
+    def refuse(lines, path):
+        raise AssertionError("the resume fell back to parse_records")
+
+    monkeypatch.setattr(data_mod, "parse_records", refuse)
+    executed = []
+    execute_grid(grid, progress=executed.append)
+    assert len(executed) == len(lines) - 4
+    assert (tmp_path / "r.csv").read_bytes() == fresh
+
+
+def test_resume_keeps_a_seed_beyond_int64(tmp_path):
+    # the resumed rows' seed column holds Python ints (an object column)
+    grid = tiny_grid(tmp_path / "r.csv", seeds=(0, 2**63))
+    execute_grid(grid)
+    fresh = (tmp_path / "r.csv").read_bytes()
+    lines = fresh.splitlines(keepends=True)
+    assert lines[2].split(b",")[5] == str(2**63).encode()
+    (tmp_path / "r.csv").write_bytes(b"".join(lines[:4]))
+    executed = []
+    execute_grid(grid, progress=executed.append)
+    assert len(executed) == len(lines) - 4
+    assert (tmp_path / "r.csv").read_bytes() == fresh
+
+
 @pytest.mark.parametrize("where", ["middle", "last"])
 def test_malformed_terminated_row_still_raises(tmp_path, where):
     grid = tiny_grid(tmp_path / "r.csv")
